@@ -5,9 +5,12 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"os"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -31,8 +34,14 @@ func main() {
 	results = append(results,
 		experiments.RunFigure4a(o),
 		experiments.RunFigure4b(o),
-		experiments.RunFigure5(o),
-		experiments.RunFigure6(o),
+		experiments.RunFigure5(o))
+	// Figure 6 sweeps the integer suite only.
+	if len(experiments.MatchGroup(o.Bench, trace.Integer)) > 0 {
+		results = append(results, experiments.RunFigure6(o))
+	} else {
+		fmt.Fprintf(os.Stderr, "experiments: skipping Figure 6: -bench %q matches no integer benchmark\n", o.Bench)
+	}
+	results = append(results,
 		experiments.RunFigure7(o),
 		experiments.RunFigure8(o),
 		experiments.RunFigure11(o),

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -28,12 +29,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "unknown figure; use 4a, 4b, 5, 6 or all")
 		os.Exit(2)
 	}
+	// Figure 6 sweeps the integer suite only, so a -bench filter that
+	// matches no integer benchmark leaves it nothing to run.
+	sim.MustOptions() // an unknown -bench exits 2 with the general message first
+	fig6 := len(experiments.MatchGroup(*sim.Bench, trace.Integer)) > 0
+	if *which == "6" && !fig6 {
+		fmt.Fprintf(os.Stderr, "-bench %q matches no integer benchmark; Figure 6 sweeps the integer suite\n", *sim.Bench)
+		os.Exit(2)
+	}
 	o, tr := cliflags.MustRun("pipesweep", sim, tel)
 	tr.SetConfig("fig", *which)
 
 	var results []cliflags.Result
 	if *which == "all" {
 		for _, k := range []string{"4a", "4b", "5", "6"} {
+			if k == "6" && !fig6 {
+				fmt.Fprintf(os.Stderr, "pipesweep: skipping Figure 6: -bench %q matches no integer benchmark\n", o.Bench)
+				continue
+			}
 			results = append(results, run[k](o))
 		}
 	} else {

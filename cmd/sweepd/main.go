@@ -67,7 +67,6 @@ func main() {
 	run.SetConfig("segment_bytes", *sv.SegmentBytes)
 	run.SetConfig("compact_interval", sv.CompactInterval.String())
 	run.SetConfig("retry_after", *sv.RetryAfter)
-	run.SetConfig("batch", *sv.Batch)
 	run.SetConfig("metrics", *sv.Metrics)
 	run.SetConfig("slow_request", sv.SlowRequest.String())
 	run.SetConfig("debug_addr", *sv.DebugAddr)
@@ -109,7 +108,6 @@ func main() {
 		Log:                 run.Log,
 		DisableMetrics:      !*sv.Metrics,
 		SlowRequest:         *sv.SlowRequest,
-		DisableBatch:        !*sv.Batch,
 	})
 	hs := &http.Server{Addr: *sv.Addr, Handler: srv}
 
@@ -154,7 +152,7 @@ func main() {
 	// signals; all simulation work stays behind the deterministic
 	// executor inside internal/serve.
 	//reprolint:allow gojoin: the accept loop joins through the buffered errc receive in the select below and dies with the process
-	go func() { errc <- hs.Serve(ln) }() //reprolint:allow goroutinescope: the HTTP accept loop must run beside the signal watcher; simulation parallelism stays behind exec.MapWithState
+	go func() { errc <- hs.Serve(ln) }() //reprolint:allow goroutinescope: the HTTP accept loop must run beside the signal watcher; simulation parallelism stays behind the executor inside internal/serve
 
 	exit := 0
 	select {

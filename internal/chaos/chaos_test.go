@@ -3,8 +3,8 @@ package chaos
 // runChaos is the harness spine: boot a world, draw actions from the
 // seeded table until the budget runs out, quiesce and check conservation
 // after every one, then close with the epilogue — a surface-agreement
-// scrape, a clean drain, and a batched-vs-flat replay of the whole
-// history against a fresh -batch=false memory-only daemon.
+// scrape, a clean drain, and a replay of the whole history against a
+// fresh memory-only daemon at -workers 1.
 
 import (
 	"net/http"
@@ -33,16 +33,17 @@ func runChaos(t *testing.T, seed uint64, actions int) {
 	w.epilogue()
 }
 
-// epilogueReplayCap bounds the flat replay: a long run's history is
+// epilogueReplayCap bounds the epilogue replay: a long run's history is
 // replayed newest-first up to this many grids (the trace logs what was
 // dropped) so the epilogue stays a bounded fraction of the run.
 const epilogueReplayCap = 16
 
 // epilogue ends the run: the full /metrics-vs-/stats agreement check on
-// the long-lived daemon, a clean SIGTERM drain, then the batched-vs-flat
-// oracle — a fresh memory-only -batch=false daemon re-simulates the
-// history from scratch and every line must land byte-identical to what
-// the batched daemon streamed, end to end through the real binary.
+// the long-lived daemon, a clean SIGTERM drain, then the worker-count
+// oracle — a fresh memory-only daemon with a single worker re-simulates
+// the history from scratch, batching it differently, and every line
+// must land byte-identical to what the two-worker daemon streamed, end
+// to end through the real binary.
 func (w *world) epilogue() {
 	w.curName = "epilogue"
 	st := w.quiesce()
@@ -57,27 +58,26 @@ func (w *world) epilogue() {
 	if len(replay) == 0 {
 		return
 	}
-	w.trace("epilogue: flat replay of %d grids against -batch=false", len(replay))
+	w.trace("epilogue: replay of %d grids against a fresh -workers 1 daemon", len(replay))
 	d, err := clitest.StartDaemon(sweepdBin(), w.logPath, clitest.DefaultWait,
 		"-addr", "127.0.0.1:0",
-		"-workers", "2",
-		"-batch=false",
+		"-workers", "1",
 		"-cache", "4096",
 		"-queue", "512",
 	)
 	if err != nil {
-		w.failf("epilogue: flat daemon failed to start: %v", err)
+		w.failf("epilogue: replay daemon failed to start: %v", err)
 	}
 	w.d = d
 	w.admitted = 0
 	w.cacheLimit = 4096
 	if err := clitest.WaitHealthy(d.URL, clitest.DefaultWait); err != nil {
-		w.failf("epilogue: flat daemon never became healthy: %v", err)
+		w.failf("epilogue: replay daemon never became healthy: %v", err)
 	}
 	for _, g := range replay {
-		// sweepGrid's absorb runs every line through the byte-identity
-		// model built from the batched daemon's streams: any divergence
-		// between the grouped and flat dispatch paths fails here.
+		// absorb runs every line through the byte-identity model built
+		// from the two-worker daemon's streams: any divergence between
+		// worker counts or batch compositions fails here.
 		resp, err := w.postSweep(g.body())
 		if err != nil {
 			w.failf("epilogue: POST /sweep: %v", err)
@@ -86,8 +86,8 @@ func (w *world) epilogue() {
 		if sr.status == http.StatusOK {
 			w.admitted += int64(g.points())
 		}
-		if got := w.absorb(sr, "flat replay of "+g.desc()); got != g.points() {
-			w.failf("epilogue: flat replay streamed %d points, want %d", got, g.points())
+		if got := w.absorb(sr, "epilogue replay of "+g.desc()); got != g.points() {
+			w.failf("epilogue: replay streamed %d points, want %d", got, g.points())
 		}
 	}
 	w.quiesce()

@@ -10,7 +10,8 @@
 //
 //   - byte-identity: a grid point's NDJSON line never varies — across
 //     clients, across restarts, across list-vs-range request forms,
-//     and (in the run epilogue) across -batch=true vs -batch=false.
+//     and (in the run epilogue) across worker counts: two workers
+//     during the run, one in a fresh memory-only replay.
 //   - admission conservation: cache_hits + cache_misses equals the
 //     points admitted by 200-status responses, and every miss becomes
 //     exactly one points_done or points_dropped.

@@ -13,7 +13,7 @@ package chaos
 //     the conservation laws (hits+misses == admitted, misses ==
 //     done+dropped).
 //   - history records grids that were streamed to completion at least
-//     once, so restarts and the -batch=false epilogue can replay them.
+//     once, so restarts and the -workers 1 epilogue can replay them.
 //
 // All rng draws happen on the test goroutine: concurrent actors get
 // their inputs pre-drawn, so a seed replays the same action sequence

@@ -107,11 +107,6 @@ type Srv struct {
 	CompactInterval *time.Duration
 	RetryAfter      *int
 
-	// Batch gates the scheduler's per-benchmark batch dispatch;
-	// -batch=false falls back to the flat per-point path (the responses
-	// are byte-identical — the flag is an A/B and escape hatch).
-	Batch *bool
-
 	// Observability knobs: Metrics gates the /metrics exposition
 	// endpoint, SlowRequest is the latency past which a request logs at
 	// Warn (0 disables), DebugAddr binds a second, private listener
@@ -132,7 +127,7 @@ func RegisterServe() *Srv {
 func RegisterServeOn(fs *flag.FlagSet) *Srv {
 	return &Srv{
 		Addr:            fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)"),
-		Workers:         fs.Int("workers", 0, "simulation worker pool size (0 = all CPUs, 1 = serial)"),
+		Workers:         fs.Int("workers", 0, "simulation workers, each running one benchmark trace's queued points at a time (0 = all CPUs, 1 = serial)"),
 		Queue:           fs.Int("queue", 4096, "max queued sweep points before requests get 429"),
 		MaxPoints:       fs.Int("max-points", 1024, "max distinct points one request may expand to"),
 		MaxInstructions: fs.Int("max-instructions", 1_000_000, "max instructions per trace a request may ask for"),
@@ -142,7 +137,6 @@ func RegisterServeOn(fs *flag.FlagSet) *Srv {
 		SegmentBytes:    fs.Int64("segment-bytes", 8<<20, "rotate the store's append-only log segments at this size"),
 		CompactInterval: fs.Duration("compact-interval", time.Minute, "how often the store's compaction coordinator retires superseded segments (0 = never)"),
 		RetryAfter:      fs.Int("retry-after", 1, "Retry-After seconds sent with 429 (queue full) and 503 (draining) responses"),
-		Batch:           fs.Bool("batch", true, "batch queued points that share a benchmark trace through one simulation pass (-batch=false = per-point)"),
 		Metrics:         fs.Bool("metrics", true, "serve Prometheus text exposition on GET /metrics (-metrics=false disables)"),
 		SlowRequest:     fs.Duration("slow-request", 0, "log requests slower than this at Warn and count them (0 = disabled)"),
 		DebugAddr:       fs.String("debug-addr", "", "bind a second listener serving /debug/pprof on this host:port (empty = disabled; keep it private)"),

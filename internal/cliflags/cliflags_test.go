@@ -3,7 +3,6 @@ package cliflags
 import (
 	"encoding/json"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,26 +187,5 @@ func TestSrvValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
 		}
-	}
-}
-
-func TestSrvBatchFlag(t *testing.T) {
-	// -batch is a plain bool flag: it defaults on, parses both
-	// spellings, and a malformed value fails at Parse — which the
-	// daemons' ExitOnError flag set turns into exit status 2.
-	parse := func(args ...string) (*Srv, error) {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		s := RegisterServeOn(fs)
-		return s, fs.Parse(args)
-	}
-	if s, err := parse(); err != nil || !*s.Batch {
-		t.Errorf("defaults: batch = %v, err = %v; want true, nil", *s.Batch, err)
-	}
-	if s, err := parse("-batch=false"); err != nil || *s.Batch {
-		t.Errorf("-batch=false: batch = %v, err = %v; want false, nil", *s.Batch, err)
-	}
-	if _, err := parse("-batch=nope"); err == nil {
-		t.Error("-batch=nope parsed cleanly; want a parse error (exit 2 in the daemons)")
 	}
 }

@@ -214,6 +214,27 @@ func TestManifestcheck(t *testing.T) {
 	}
 }
 
+// TestPipesweepFigure6NeedsIntegerBench: Figure 6 sweeps the integer
+// suite, so a -bench filter matching only floating-point benchmarks
+// must not fall back to the full suite — -fig 6 is a usage error and
+// -fig all runs the other figures with a note on stderr.
+func TestPipesweepFigure6NeedsIntegerBench(t *testing.T) {
+	_, stderr, exit := run(t, "pipesweep", "-fig", "6", "-bench", "171.swim", "-n", "2000")
+	if exit != 2 || !strings.Contains(stderr, "matches no integer benchmark") {
+		t.Errorf("-fig 6 -bench 171.swim: exit %d, stderr %q; want exit 2 naming the integer suite", exit, stderr)
+	}
+	stdout, stderr, exit := run(t, "pipesweep", "-fig", "all", "-bench", "171.swim", "-n", "2000")
+	if exit != 0 {
+		t.Fatalf("-fig all -bench 171.swim: exit %d, stderr %q", exit, stderr)
+	}
+	if strings.Contains(stdout, "Figure 6") || !strings.Contains(stdout, "Figure 5") {
+		t.Errorf("-fig all -bench 171.swim printed Figure 6 or lost Figure 5:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "skipping Figure 6") {
+		t.Errorf("-fig all -bench 171.swim: no skip note on stderr (%q)", stderr)
+	}
+}
+
 // TestBadFlagExitsTwo pins the whole flag surface's error convention:
 // an unknown flag is a usage error (exit 2) for every binary.
 func TestBadFlagExitsTwo(t *testing.T) {

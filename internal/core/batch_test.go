@@ -59,9 +59,16 @@ func TestSimulateBatchRejectsMixedTraces(t *testing.T) {
 			t.Errorf("mixed batch error %q does not name the contract", err)
 		}
 	}
-	// Invalid lanes are caught before any simulation, tagged by index.
-	if _, err := SimulateBatch([]PointOptions{base, {Benchmark: "nope", Useful: 6}}, nil, nil); err == nil {
+	// Invalid lanes are caught before any simulation, tagged by index —
+	// so the streaming entry never emits a lane of a refused batch.
+	invalid := []PointOptions{base, {Benchmark: "nope", Useful: 6}}
+	if _, err := SimulateBatch(invalid, nil, nil); err == nil {
 		t.Error("invalid lane accepted")
+	}
+	if err := SimulateBatchEach(invalid, nil, nil, func(lane int, _ BenchPoint) {
+		t.Errorf("refused batch emitted lane %d", lane)
+	}); err == nil {
+		t.Error("SimulateBatchEach accepted an invalid lane")
 	}
 	// An empty batch is a no-op, not an error.
 	if out, err := SimulateBatch(nil, nil, nil); err != nil || out != nil {

@@ -358,18 +358,35 @@ func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Reco
 	if len(opts) == 0 {
 		return nil, nil
 	}
+	out := make([]BenchPoint, len(opts))
+	err := SimulateBatchEach(opts, bs, rec, func(lane int, p BenchPoint) { out[lane] = p })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SimulateBatchEach is SimulateBatch delivering each point to emit the
+// moment its lane finishes (pipeline.RunBatchEach), so a streaming
+// caller can publish a point while the rest of the batch runs. Every
+// lane is validated before any runs: on error emit is never called,
+// otherwise it is called exactly once per lane.
+func SimulateBatchEach(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Recorder, emit func(lane int, p BenchPoint)) error {
+	if len(opts) == 0 {
+		return nil
+	}
 	norm := make([]PointOptions, len(opts))
 	for i, o := range opts {
 		o = o.Normalize()
 		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("batch lane %d: %w", i, err)
+			return fmt.Errorf("batch lane %d: %w", i, err)
 		}
 		norm[i] = o
 	}
 	first := norm[0]
 	for i, o := range norm[1:] {
 		if o.Benchmark != first.Benchmark || o.Instructions != first.Instructions || o.Seed != first.Seed {
-			return nil, fmt.Errorf("batch lane %d simulates trace (%s, n=%d, seed=%d) but lane 0 simulates (%s, n=%d, seed=%d); a batch shares one trace",
+			return fmt.Errorf("batch lane %d simulates trace (%s, n=%d, seed=%d) but lane 0 simulates (%s, n=%d, seed=%d); a batch shares one trace",
 				i+1, o.Benchmark, o.Instructions, o.Seed, first.Benchmark, first.Instructions, first.Seed)
 		}
 	}
@@ -383,12 +400,10 @@ func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Reco
 	for i, o := range norm {
 		params[i], clocks[i] = o.params()
 	}
-	stats := pipeline.RunBatch(params, tr, bs.Lanes(len(params)))
-	out := make([]BenchPoint, len(norm))
-	for i := range stats {
-		out[i] = pointResult(stats[i], tr, clocks[i])
-	}
-	return out, nil
+	pipeline.RunBatchEach(params, tr, bs.Lanes(len(params)), func(lane int, st pipeline.Stats) {
+		emit(lane, pointResult(st, tr, clocks[lane]))
+	})
+	return nil
 }
 
 func pointResult(st pipeline.Stats, tr *trace.Trace, clk fo4.Clock) BenchPoint {

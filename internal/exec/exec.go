@@ -6,11 +6,13 @@
 // construction: results are slotted by item index, never by completion
 // order, so the output of Map is byte-for-byte identical at any worker
 // count, and Workers == 1 degenerates to a plain serial loop on the
-// caller's goroutine.
+// caller's goroutine. Pull is the same pool over a stream of work that
+// arrives over time, for the sweep daemon's long-lived workers.
 package exec
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,6 +59,27 @@ type Pool struct {
 	// and should be monotonic (once true for an index, stay true): a
 	// job observed as skipped never runs later.
 	Skip func(index int) bool
+}
+
+// hooked reports whether any observation hook is set.
+func (p Pool) hooked() bool { return p.OnTaskStart != nil || p.OnTaskDone != nil }
+
+// hookClock reads the wall clock for the observation hooks.
+func hookClock() time.Time {
+	return time.Now() //reprolint:allow nondeterminism: task timing feeds the observation hooks only, never task results
+}
+
+// observe runs one task between the observation hooks: OnTaskStart with
+// the time since submitted, OnTaskDone with the task's duration.
+func (p Pool) observe(worker, index int, submitted time.Time, task func()) {
+	start := hookClock()
+	if p.OnTaskStart != nil {
+		p.OnTaskStart(worker, index, start.Sub(submitted))
+	}
+	task()
+	if p.OnTaskDone != nil {
+		p.OnTaskDone(worker, index, hookClock().Sub(start))
+	}
 }
 
 // size resolves the worker count for n items.
@@ -118,18 +141,10 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 	// call wraps fn with the observation hooks; when no hook is set it is
 	// fn itself modulo the worker id, so the hot path stays time.Now-free.
 	call := func(w int, s S, i int, it T) R { return fn(s, i, it) }
-	if p.OnTaskStart != nil || p.OnTaskDone != nil {
-		submitted := time.Now() //reprolint:allow nondeterminism: queue-wait timing feeds the observation hooks only, never task results
-		call = func(w int, s S, i int, it T) R {
-			start := time.Now() //reprolint:allow nondeterminism: task timing feeds the observation hooks only, never task results
-			if p.OnTaskStart != nil {
-				p.OnTaskStart(w, i, start.Sub(submitted))
-			}
-			r := fn(s, i, it)
-			if p.OnTaskDone != nil {
-				//reprolint:allow nondeterminism: task timing feeds the observation hooks only, never task results
-				p.OnTaskDone(w, i, time.Since(start))
-			}
+	if p.hooked() {
+		submitted := hookClock()
+		call = func(w int, s S, i int, it T) (r R) {
+			p.observe(w, i, submitted, func() { r = fn(s, i, it) })
 			return r
 		}
 	}
@@ -187,4 +202,53 @@ func MapGroupsWithState[T, R, S any](p Pool, groups [][]T, newState func() S, fn
 	return MapWithState(p, groups, newState, func(s S, gi int, items []T) []R {
 		return fn(s, gi, items)
 	})
+}
+
+// Pull runs the pool over a stream of work instead of a fixed grid: each
+// worker owns one state from newState, built on that worker's goroutine
+// (Workers == 1 runs the single worker on the caller's goroutine), and
+// pulls units from next — which may block until one is ready — running
+// fn on each, until next reports ok == false. Pull returns once every
+// worker has seen that. It serves long-lived callers whose work arrives
+// over time, like the sweep daemon: a worker that finishes a unit takes
+// the next one at once instead of waiting for the slowest unit of a
+// fixed batch.
+//
+// Units carry no index and fill no result slots; fn publishes its own
+// output, and — as with MapWithState — must compute it as a pure
+// function of the unit, never of the state or of which worker runs it.
+// next must be safe for concurrent calls. The observation hooks fire
+// once per unit: index counts units in pull order and queueWait runs
+// from the ready time next reports for the unit. Ctx and Skip do not
+// apply: next alone decides what runs and when the stream ends.
+func Pull[T, S any](p Pool, newState func() S, next func() (unit T, ready time.Time, ok bool), fn func(state S, unit T)) {
+	var pulled atomic.Int64
+	work := func(w int) {
+		state := newState()
+		for {
+			u, ready, ok := next()
+			if !ok {
+				return
+			}
+			if !p.hooked() {
+				fn(state, u)
+				continue
+			}
+			p.observe(w, int(pulled.Add(1))-1, ready, func() { fn(state, u) })
+		}
+	}
+	workers := p.size(math.MaxInt)
+	if workers == 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	wg.Wait()
 }

@@ -376,3 +376,86 @@ func TestMapGroupsWithStateSkipLeavesNilSlice(t *testing.T) {
 		t.Errorf("unskipped groups missing: %v", got)
 	}
 }
+
+// feed returns a Pull next function serving 0..n-1 in order, all ready
+// at one instant, then reporting the stream done.
+func feed(n int) func() (int, time.Time, bool) {
+	ch := make(chan int, n)
+	for i := 0; i < n; i++ {
+		ch <- i
+	}
+	close(ch)
+	ready := time.Now()
+	return func() (int, time.Time, bool) {
+		v, ok := <-ch
+		return v, ready, ok
+	}
+}
+
+// TestPullRunsEveryUnitOncePerWorkerState: every pulled unit runs
+// exactly once, each worker builds one state, and the hooks fire once
+// per unit with indexes counting units in pull order.
+func TestPullRunsEveryUnitOncePerWorkerState(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var mu sync.Mutex
+		ran := map[int]int{}
+		started, finished := map[int]int{}, 0
+		var states atomic.Int32
+		p := Pool{
+			Workers: workers,
+			OnTaskStart: func(w, i int, queueWait time.Duration) {
+				mu.Lock()
+				started[i]++
+				if w < 0 || w >= workers || queueWait < 0 {
+					t.Errorf("workers=%d: start hook got worker %d, queue wait %v", workers, w, queueWait)
+				}
+				mu.Unlock()
+			},
+			OnTaskDone: func(_, _ int, _ time.Duration) {
+				mu.Lock()
+				finished++
+				mu.Unlock()
+			},
+		}
+		Pull(p, func() *int { states.Add(1); return new(int) }, feed(40), func(st *int, u int) {
+			*st++ // per-worker state: never shared, so -race stays quiet
+			mu.Lock()
+			ran[u]++
+			mu.Unlock()
+		})
+		if got := int(states.Load()); got != workers {
+			t.Errorf("workers=%d: built %d states, want one per worker", workers, got)
+		}
+		if len(ran) != 40 || len(started) != 40 || finished != 40 {
+			t.Fatalf("workers=%d: ran %d units, started hooks for %d, done hooks %d; want 40 each", workers, len(ran), len(started), finished)
+		}
+		for u := 0; u < 40; u++ {
+			if ran[u] != 1 || started[u] != 1 {
+				t.Fatalf("workers=%d: unit %d ran %d times, start hook index %d seen %d times", workers, u, ran[u], u, started[u])
+			}
+		}
+	}
+}
+
+// TestPullFreeWorkerTakesNextUnit is the point of the pull model: while
+// one worker is busy, another pulls and runs the next unit. Unit 0
+// blocks until unit 1 has run, which only a second worker can do.
+func TestPullFreeWorkerTakesNextUnit(t *testing.T) {
+	unit1Ran := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		Pull(Pool{Workers: 2}, func() struct{} { return struct{}{} }, feed(2), func(_ struct{}, u int) {
+			if u == 1 {
+				close(unit1Ran)
+				return
+			}
+			select {
+			case <-unit1Ran:
+			case <-time.After(10 * time.Second):
+				t.Error("unit 1 never ran while unit 0 held a worker")
+			}
+		})
+	}()
+	<-finished
+}

@@ -89,24 +89,32 @@ func MatchBenchmarks(filter string) []trace.Profile {
 	return out
 }
 
-// benchmarks resolves the benchmark set for a run: the full suite — or
-// the group g when non-nil — narrowed by the Bench filter. A nil return
-// lets core.SweepConfig default to the full suite.
-func (o Options) benchmarks(g *trace.Group) []trace.Profile {
-	if o.Bench == "" && g == nil {
-		return nil
-	}
-	matched := MatchBenchmarks(o.Bench)
-	if g == nil {
-		return matched
-	}
-	var out []trace.Profile
-	for _, p := range matched {
-		if p.Group == *g {
+// MatchGroup is MatchBenchmarks narrowed to one benchmark group: the
+// profiles of group g whose names contain filter. The result is never
+// nil, even when nothing matches, because core.SweepConfig reads a nil
+// benchmark set as the full suite.
+func MatchGroup(filter string, g trace.Group) []trace.Profile {
+	out := []trace.Profile{}
+	for _, p := range MatchBenchmarks(filter) {
+		if p.Group == g {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// benchmarks resolves the benchmark set for a run: the full suite — or
+// the group g when non-nil — narrowed by the Bench filter. A nil return
+// (no filter, no group) lets core.SweepConfig default to the full
+// suite; a group run gets MatchGroup's set, possibly empty.
+func (o Options) benchmarks(g *trace.Group) []trace.Profile {
+	if g != nil {
+		return MatchGroup(o.Bench, *g)
+	}
+	if o.Bench == "" {
+		return nil
+	}
+	return MatchBenchmarks(o.Bench)
 }
 
 // Figure1 is the historical clock-period dataset.

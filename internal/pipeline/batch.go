@@ -22,15 +22,36 @@ import (
 // out[i] equals RunWith(params[i], tr, scratches[i]) field for field,
 // except for the BatchLanes/BatchSharedDecode accounting that only
 // RunBatch sets; the batch property test pins that equivalence.
-// scratches must have one (possibly nil) slot per lane and, like every
-// Scratch, must not be shared with concurrent calls.
+// scratches must have one (possibly nil) slot per lane; slots may hold
+// the same Scratch (lanes run one after another, see BatchScratch) but,
+// like every Scratch, none may be shared with concurrent calls.
 func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
+	out := make([]Stats, len(params))
+	RunBatchEach(params, tr, scratches, func(lane int, st Stats) { out[lane] = st })
+	return out
+}
+
+// RunBatchEach is RunBatch delivering each lane's Stats to emit the
+// moment that lane finishes, on the calling goroutine, instead of
+// collecting them: a caller streaming results (the sweep daemon) can
+// publish a lane while the rest of the batch is still running. Every
+// lane is emitted exactly once; lanes of one geometry partition finish
+// in lane order, partitions in first-seen order.
+func RunBatchEach(params []Params, tr *trace.Trace, scratches []*Scratch, emit func(lane int, st Stats)) {
 	if len(scratches) != len(params) {
 		panic("pipeline: RunBatch needs one scratch slot per lane")
 	}
-	out := make([]Stats, len(params))
 	if len(params) == 0 {
-		return out
+		return
+	}
+	// Every lane after the first consumes the decode (and predictor
+	// walk) the batch's first lane built or found.
+	shared := uint64(len(tr.Insts))
+	done := func(lane int, st Stats) {
+		if lane > 0 {
+			st.BatchSharedDecode = shared
+		}
+		emit(lane, st)
 	}
 
 	// Fast path: every lane has the same memory-system geometry — the
@@ -45,38 +66,30 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 		}
 	}
 	if uniform {
-		runBatchPartition(params, tr, scratches, out, nil)
-	} else {
-		// Mixed-machine grids (ablations, capacity studies) are rare and
-		// small, so the partition bookkeeping may allocate.
-		keys := make([]hierKey, len(params))
-		for i := range params {
-			keys[i] = hierKeyFor(params[i].Machine)
-		}
-		assigned := make([]bool, len(params))
-		var lanes []int
-		for i := range params {
-			if assigned[i] {
-				continue
-			}
-			lanes = lanes[:0]
-			for j := i; j < len(params); j++ {
-				if !assigned[j] && keys[j] == keys[i] {
-					assigned[j] = true
-					lanes = append(lanes, j)
-				}
-			}
-			runBatchPartition(params, tr, scratches, out, lanes)
-		}
+		runBatchPartition(params, tr, scratches, nil, done)
+		return
 	}
-
-	// Every lane after the first consumed the decode (and predictor walk)
-	// the batch's first lane built or found.
-	shared := uint64(len(tr.Insts))
-	for i := 1; i < len(out); i++ {
-		out[i].BatchSharedDecode = shared
+	// Mixed-machine grids (ablations, capacity studies) are rare and
+	// small, so the partition bookkeeping may allocate.
+	keys := make([]hierKey, len(params))
+	for i := range params {
+		keys[i] = hierKeyFor(params[i].Machine)
 	}
-	return out
+	assigned := make([]bool, len(params))
+	var lanes []int
+	for i := range params {
+		if assigned[i] {
+			continue
+		}
+		lanes = lanes[:0]
+		for j := i; j < len(params); j++ {
+			if !assigned[j] && keys[j] == keys[i] {
+				assigned[j] = true
+				lanes = append(lanes, j)
+			}
+		}
+		runBatchPartition(params, tr, scratches, lanes, done)
+	}
 }
 
 // runBatchPartition runs the lanes of one geometry partition. lanes
@@ -84,7 +97,7 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 // uniform fast path). Single-lane partitions are the RunWith fallback;
 // larger ones build the shared prewarm template once and copy it into
 // every lane.
-func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, out []Stats, lanes []int) {
+func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, lanes []int, done func(int, Stats)) {
 	count := len(params)
 	if lanes != nil {
 		count = len(lanes)
@@ -101,7 +114,7 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 		// it runs the plain RunWith path and keeps BatchLanes zero, so its
 		// Stats are indistinguishable from an unbatched run's.
 		i := laneAt(0)
-		out[i] = runWith(params[i], tr, scratches[i], nil)
+		done(i, runWith(params[i], tr, scratches[i], nil))
 		return
 	}
 
@@ -120,27 +133,40 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 
 	for k := 0; k < count; k++ {
 		i := laneAt(k)
-		out[i] = runWith(params[i], tr, scratches[i], tmpl)
-		out[i].BatchLanes = uint64(count)
+		st := runWith(params[i], tr, scratches[i], tmpl)
+		st.BatchLanes = uint64(count)
+		done(i, st)
 	}
 }
 
-// BatchScratch owns the per-lane Scratches a RunBatch caller threads
-// through successive batches, the way a single Scratch is reused across
-// RunWith calls: a fresh value is valid, reuse only amortizes
-// allocations, and a BatchScratch must never be shared by concurrent
-// batches. The sweep engine keeps one per worker.
+// BatchScratch is the scratch state a RunBatch caller threads through
+// successive batches, the way a single Scratch is reused across RunWith
+// calls: a fresh value is valid, reuse only amortizes allocations, and a
+// BatchScratch must never be shared by concurrent batches. The sweep
+// engine and the sweep daemon keep one per worker.
+//
+// RunBatch runs its lanes one after another and a Scratch may serve any
+// sequence of runs, so every lane slot holds the same Scratch: a
+// BatchScratch retains one lane's simulation state (arenas, issue
+// queues, cache hierarchy and prewarm template) however wide its
+// batches grow.
 type BatchScratch struct {
-	lanes []*Scratch
+	lane  *Scratch
+	slots []*Scratch // every entry is lane
 }
 
-// NewBatchScratch returns an empty BatchScratch; lanes grow on first use.
+// NewBatchScratch returns an empty BatchScratch; its Scratch is built on
+// first use.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
-// Lanes returns n scratch slots, creating any the set is still missing.
+// Lanes returns n scratch slots for one RunBatch call, all holding the
+// BatchScratch's one shared Scratch.
 func (b *BatchScratch) Lanes(n int) []*Scratch {
-	for len(b.lanes) < n {
-		b.lanes = append(b.lanes, NewScratch())
+	if b.lane == nil {
+		b.lane = NewScratch()
 	}
-	return b.lanes[:n]
+	for len(b.slots) < n {
+		b.slots = append(b.slots, b.lane)
+	}
+	return b.slots[:n]
 }

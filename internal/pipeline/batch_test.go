@@ -39,9 +39,10 @@ func batchGrid() []Params {
 }
 
 // TestRunBatchMatchesRunWith is the batch equivalence property: for
-// every lane of a mixed grid, RunBatch(params, tr, ...)[i] equals
-// RunWith(params[i], tr, ...) field for field once the batch accounting
-// counters are cleared — N batched lanes are indistinguishable from N
+// every lane of a mixed grid, RunBatch(params, tr, ...)[i] — every lane
+// on the BatchScratch's one shared Scratch — equals RunWith(params[i],
+// tr, ...) on a fresh Scratch field for field once the batch accounting
+// counters are cleared: N batched lanes are indistinguishable from N
 // independent runs. CI runs the package under -race, so the shared
 // decode and template state also get the data-race treatment here.
 func TestRunBatchMatchesRunWith(t *testing.T) {
@@ -52,9 +53,8 @@ func TestRunBatchMatchesRunWith(t *testing.T) {
 		bs := NewBatchScratch()
 		got := RunBatch(params, tr, bs.Lanes(len(params)))
 
-		s := NewScratch()
 		for i, p := range params {
-			want := RunWith(p, tr, s)
+			want := RunWith(p, tr, NewScratch())
 			g := got[i]
 			g.BatchLanes, g.BatchSharedDecode = 0, 0
 			if g != want {
@@ -62,13 +62,65 @@ func TestRunBatchMatchesRunWith(t *testing.T) {
 			}
 		}
 
-		// Second pass on the same BatchScratch: reuse must not leak state.
-		again := RunBatch(params, tr, bs.Lanes(len(params)))
-		for i := range got {
-			if got[i] != again[i] {
-				t.Errorf("%s lane %d: batch reuse diverges", bench, i)
+		// Second pass on the same BatchScratch, through the streaming
+		// entry: reuse must not leak state, and every lane is emitted
+		// exactly once with the Stats RunBatch collects.
+		emitted := make([]int, len(params))
+		RunBatchEach(params, tr, bs.Lanes(len(params)), func(lane int, st Stats) {
+			emitted[lane]++
+			if st != got[lane] {
+				t.Errorf("%s lane %d: batch reuse diverges", bench, lane)
+			}
+		})
+		for i, n := range emitted {
+			if n != 1 {
+				t.Errorf("%s lane %d emitted %d times, want once", bench, i, n)
 			}
 		}
+	}
+}
+
+// TestRunBatchEachEmitsBeforeNextLane: RunBatchEach hands a lane over
+// as soon as it finishes, before the next lane runs, so a streaming
+// caller can publish it while the batch goes on. At each emission the
+// shared Scratch must still hold that lane's final state — the last
+// instruction's completion cycle of that lane run alone — not a later
+// lane's.
+func TestRunBatchEachEmitsBeforeNextLane(t *testing.T) {
+	tr := getTrace(t, "176.gcc", 20000)
+	params := make([]Params, 0, 15)
+	for u := 2; u <= 16; u++ {
+		params = append(params, paramsAt(float64(u)))
+	}
+	last := len(tr.Insts) - 1
+	bs := NewBatchScratch()
+	RunBatchEach(params, tr, bs.Lanes(len(params)), func(lane int, _ Stats) {
+		alone := NewScratch()
+		RunWith(params[lane], tr, alone)
+		if got, want := bs.lane.times[last].complete, alone.times[last].complete; got != want {
+			t.Errorf("lane %d emitted with the scratch at completion cycle %d, want its own %d: emission waited for a later lane", lane, got, want)
+		}
+	})
+}
+
+// TestBatchScratchRetainsOneLane: RunBatch runs its lanes one after
+// another, so a BatchScratch that has served a 15-lane batch retains
+// exactly one lane Scratch — a worker's batching memory is one lane's
+// state, not one per lane.
+func TestBatchScratchRetainsOneLane(t *testing.T) {
+	tr := getTrace(t, "176.gcc", 20000)
+	params := make([]Params, 0, 15)
+	for u := 2; u <= 16; u++ {
+		params = append(params, paramsAt(float64(u)))
+	}
+	bs := NewBatchScratch()
+	RunBatch(params, tr, bs.Lanes(len(params)))
+	retained := map[*Scratch]bool{}
+	for _, s := range bs.slots {
+		retained[s] = true
+	}
+	if len(retained) != 1 || !retained[bs.lane] {
+		t.Fatalf("BatchScratch retains %d distinct lane Scratches after a 15-lane batch, want exactly 1", len(retained))
 	}
 }
 

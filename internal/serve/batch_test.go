@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // postSweepBody sends one sweep request and returns the raw response
@@ -28,65 +32,78 @@ func postSweepBody(t *testing.T, url, body string) []byte {
 	return raw
 }
 
+// soloLine is the batching oracle for one point: the NDJSON line the
+// point would carry had it been simulated alone, as a one-lane
+// core.SimulateBatch call on a fresh scratch.
+func soloLine(t *testing.T, key string, opt core.PointOptions) string {
+	t.Helper()
+	res, err := core.SimulateBatch([]core.PointOptions{opt}, nil, nil)
+	if err != nil {
+		t.Fatalf("solo simulation of %s: %v", key, err)
+	}
+	line, err := json.Marshal(newPointResult(key, opt, res[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(line) + "\n"
+}
+
 // TestBatchedSweepBytesIdentical is the serving layer's batch oracle:
-// the same multi-depth, multi-benchmark sweep against a batched and an
-// unbatched daemon must produce byte-identical NDJSON bodies and the
-// same cache economy. The grid shape (5 depths x 2 benchmarks, one
-// repeated depth list entry collapsing in expansion) is exactly the
-// case the grouped dispatch accelerates, so any accounting that leaked
-// into the wire format would show up here.
+// a multi-depth, multi-benchmark sweep, which the workers run as one
+// batch per benchmark trace, must stream exactly the bytes of each
+// point simulated alone (soloLine), in request order, and keep the
+// cache economy of one simulation per point. The grid shape (5 depths x
+// 2 benchmarks) is exactly the case batching accelerates, so any
+// accounting that leaked into the wire format would show up here.
 func TestBatchedSweepBytesIdentical(t *testing.T) {
 	const req = `{"useful":[2,4,6,8,16],"benchmarks":["gcc","swim"],"instructions":4000}`
 
-	_, batched := newTestServer(t, Config{Workers: 2})
-	srvFlat, flat := newTestServer(t, Config{Workers: 2, DisableBatch: true})
-	if srvFlat.sched.batch {
-		t.Fatal("DisableBatch did not reach the scheduler")
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	var sr SweepRequest
+	if err := json.Unmarshal([]byte(req), &sr); err != nil {
+		t.Fatal(err)
+	}
+	pts, keys, err := sr.Points(srv.cfg.CodeVersion, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i, pt := range pts {
+		want.WriteString(soloLine(t, keys[i], pt))
+	}
+	fmt.Fprintf(&want, "{\"done\":true,\"points\":%d}\n", len(pts))
+
+	body := postSweepBody(t, ts.URL, req)
+	if string(body) != want.String() {
+		t.Fatalf("batched sweep body differs from per-point simulation:\nbatched: %s\nsolo:    %s", body, want.String())
 	}
 
-	bodyBatched := postSweepBody(t, batched.URL, req)
-	bodyFlat := postSweepBody(t, flat.URL, req)
-	if !bytes.Equal(bodyBatched, bodyFlat) {
-		t.Fatalf("batched and unbatched sweep bodies differ:\nbatched: %s\nflat:    %s", bodyBatched, bodyFlat)
+	// A repeat of the same request must be a pure cache replay: same
+	// bytes again, every point simulated exactly once, the second pass
+	// all hits.
+	if again := postSweepBody(t, ts.URL, req); !bytes.Equal(again, body) {
+		t.Fatal("cached replay differs from the first stream")
 	}
-
-	// A repeat of the same request must be a pure cache replay on both
-	// daemons — same bytes again, and an economy that agrees: every
-	// point simulated exactly once, the second pass all hits.
-	if again := postSweepBody(t, batched.URL, req); !bytes.Equal(again, bodyBatched) {
-		t.Fatal("batched daemon's cached replay differs from its first stream")
-	}
-	if again := postSweepBody(t, flat.URL, req); !bytes.Equal(again, bodyFlat) {
-		t.Fatal("unbatched daemon's cached replay differs from its first stream")
-	}
-
-	stB := getStats(t, batched.URL)
-	stF := getStats(t, flat.URL)
+	st := getStats(t, ts.URL)
 	for _, c := range []struct {
-		name          string
-		batched, flat int64
+		name      string
+		got, want int64
 	}{
-		{"cache_hits", stB.CacheHits, stF.CacheHits},
-		{"cache_misses", stB.CacheMisses, stF.CacheMisses},
-		{"points_done", stB.PointsDone, stF.PointsDone},
-		{"dedup_joins", stB.DedupJoins, stF.DedupJoins},
+		{"cache_misses", st.CacheMisses, 10}, // 5 depths x 2 benchmarks, simulated once
+		{"points_done", st.PointsDone, 10},
+		{"cache_hits", st.CacheHits, 10}, // the full repeat request
+		{"dedup_joins", st.DedupJoins, 0},
 	} {
-		if c.batched != c.flat {
-			t.Errorf("%s: batched %d, unbatched %d — cache economy must not depend on batching", c.name, c.batched, c.flat)
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
-	}
-	if stB.CacheMisses != 10 {
-		t.Errorf("cache_misses = %d, want 10 (5 depths x 2 benchmarks, simulated once)", stB.CacheMisses)
-	}
-	if stB.CacheHits != 10 {
-		t.Errorf("cache_hits = %d, want 10 (the full repeat request)", stB.CacheHits)
 	}
 }
 
 // TestGroupedBatchHandlesMixedTraces drives the grouped dispatch with
 // points that must NOT share a group — different instruction counts and
 // different seeds over one benchmark — plus a depth pair that must. It
-// guards the grouping key: a wrong key either panics SimulateBatch
+// guards the batching key: a wrong key either fails SimulateBatch
 // (mixed traces in one batch) or silently merges distinct traces.
 func TestGroupedBatchHandlesMixedTraces(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})

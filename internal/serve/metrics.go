@@ -99,7 +99,7 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 			return float64(q)
 		})
 	reg.NewGaugeFunc("sweep_running_points",
-		"Points in the currently dispatched batch.", func() float64 {
+		"Points in batches the workers are running.", func() float64 {
 			_, r, _, _ := s.sched.gauges()
 			return float64(r)
 		})

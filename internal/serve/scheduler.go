@@ -2,15 +2,19 @@ package serve
 
 // The scheduler is the daemon's heart: a content-addressed result cache
 // over single-point simulations, a singleflight registry of in-flight
-// points, and one dispatcher that feeds queued points through the
-// deterministic executor (internal/exec) in batches — grouped by
-// benchmark trace, so the depths of a multi-depth sweep share one trace
-// walk (core.SimulateBatch) — with one reusable scratch per worker.
-// Concurrent clients asking overlapping
-// grids attach to the same job, so each distinct point simulates at most
-// once per process; a point whose every requester has disconnected is
-// pruned from the queue immediately (or skipped mid-batch through the
-// executor's Skip hook) instead of burning simulation time for nobody.
+// points, and a pool of long-lived workers behind the deterministic
+// executor (internal/exec's Pull). Each worker owns one
+// pipeline.BatchScratch for the daemon's lifetime and, as soon as it
+// finishes one batch, claims the next: the oldest queued point plus
+// every other queued point sharing its benchmark trace, so the depths
+// of a multi-depth sweep share one trace walk (core.SimulateBatch) while
+// a request for another trace starts on the next free worker. Each
+// point finalizes the moment its lane completes. Concurrent clients
+// asking overlapping grids attach to the same job, so each distinct
+// point simulates at most once per process; a point whose every
+// requester has disconnected is pruned from the queue immediately (or
+// left out of its claimed batch) instead of burning simulation time for
+// nobody.
 
 import (
 	"encoding/json"
@@ -45,11 +49,12 @@ var errCancelled = errors.New("point cancelled: all requesters disconnected")
 // job is one distinct simulation point moving through the scheduler.
 // Exactly one of line/err is set before done closes; both are immutable
 // afterwards. waiters counts the request streams still wanting the
-// result — it is atomic so the executor's Skip hook can read it without
-// taking the scheduler lock mid-batch.
+// result — it is atomic so a worker can re-check it without taking the
+// scheduler lock mid-batch.
 type job struct {
-	key  string
-	opts core.PointOptions
+	key   string
+	opts  core.PointOptions
+	ident traceIdent // the trace it batches on
 
 	done chan struct{}
 	line []byte // the newline-terminated NDJSON result, set before done closes
@@ -74,8 +79,8 @@ type ticket struct {
 }
 
 // scheduler owns the queue, the singleflight registry and the result
-// store. The queue and registry are guarded by mu; the dispatcher
-// goroutine is the only caller of runBatch.
+// store. The queue and registry are guarded by mu; ready wakes idle
+// workers when work is queued or close begins.
 //
 // The result store is the pluggable ResultStore seam (internal/store):
 // a bounded in-memory LRU by default, or a durable warm-start store
@@ -91,21 +96,19 @@ type scheduler struct {
 	workers     int
 	codeVersion string
 	queueLimit  int
-	batch       bool // group a batch's points by benchmark trace (see runGrouped)
 	cache       store.ResultStore
 
 	mu       sync.Mutex
+	ready    sync.Cond // L is &mu
 	queue    []*job
 	inflight map[string]*job // queued or running jobs by key
-	running  int             // jobs in the currently dispatched batch
+	running  int             // jobs in batches workers hold
 	closing  bool
 
-	wake    chan struct{} // buffered(1): queued work is waiting
-	stop    chan struct{}
-	stopped chan struct{}
+	stopped chan struct{} // closed once every worker has exited
 }
 
-func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion string, batch bool, rec *obs.Recorder, log *slog.Logger, metrics *serverMetrics) *scheduler {
+func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion string, rec *obs.Recorder, log *slog.Logger, metrics *serverMetrics) *scheduler {
 	if log == nil {
 		log = slog.Default()
 	}
@@ -119,17 +122,15 @@ func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion 
 		workers:     workers,
 		codeVersion: codeVersion,
 		queueLimit:  queueLimit,
-		batch:       batch,
 		cache:       cache,
 		inflight:    map[string]*job{},
-		wake:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
 		stopped:     make(chan struct{}),
 	}
-	// The dispatcher is the one goroutine the serving layer owns; every
-	// simulation it dispatches still runs through exec.MapWithState, so
-	// parallel work stays behind the deterministic pool.
-	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.MapWithState batches; all simulation parallelism stays behind the deterministic executor
+	s.ready.L = &s.mu
+	// The dispatcher is the one goroutine the serving layer owns; it
+	// hosts exec.Pull, so every simulation runs on the executor's
+	// workers and parallel work stays behind the deterministic pool.
+	go s.run() //reprolint:allow goroutinescope: the dispatcher only hosts exec.Pull; all simulation parallelism stays behind the deterministic executor
 	return s
 }
 
@@ -202,7 +203,7 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 			tickets = append(tickets, ticket{job: j})
 			continue
 		}
-		j := &job{key: k, opts: pts[i], done: make(chan struct{}),
+		j := &job{key: k, opts: pts[i], ident: identOf(pts[i]), done: make(chan struct{}),
 			origin: origin, enqueued: time.Now()}
 		j.waiters.Add(1)
 		s.inflight[k] = j
@@ -212,17 +213,18 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 		tickets = append(tickets, ticket{job: j})
 	}
 
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if adm.misses > 0 {
+		// New points may form several batches: wake every idle worker.
+		s.ready.Broadcast()
 	}
 	return tickets, adm, nil
 }
 
 // release detaches one request from the tickets it never consumed (the
 // client disconnected mid-stream). Queued jobs nobody else wants are
-// pruned immediately; running ones are left for the executor's Skip hook
-// and the post-batch sweep.
+// pruned immediately; claimed ones are left for the worker holding
+// them, which skips them if it has not started their batch yet and
+// then requeues or drops them (settle).
 func (s *scheduler) release(tickets []ticket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,95 +240,24 @@ func (s *scheduler) release(tickets []ticket) {
 			kept = append(kept, j)
 			continue
 		}
-		delete(s.inflight, j.key)
-		j.err = errCancelled
-		close(j.done)
-		s.rec.Add("points_dropped", 1)
+		s.dropLocked(j)
 	}
+	clear(s.queue[len(kept):])
 	s.queue = kept
 }
 
-// takeBatch claims every queued job that still has a waiter. Called by
-// the dispatcher only.
-func (s *scheduler) takeBatch() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	batch := make([]*job, 0, len(s.queue))
-	for _, j := range s.queue {
-		if j.waiters.Load() <= 0 { // release prunes these; belt and braces
-			delete(s.inflight, j.key)
-			j.err = errCancelled
-			close(j.done)
-			s.rec.Add("points_dropped", 1)
-			continue
-		}
-		batch = append(batch, j)
-	}
-	s.queue = s.queue[:0]
-	s.running += len(batch)
-	return batch
+// dropLocked retires a job nobody wants any more: unregistered,
+// finalized as cancelled, counted dropped. Caller holds s.mu.
+func (s *scheduler) dropLocked(j *job) {
+	delete(s.inflight, j.key)
+	j.err = errCancelled
+	close(j.done)
+	s.rec.Add("points_dropped", 1)
 }
 
-// runBatch simulates one batch on the deterministic executor. On the
-// batched path (the default) the jobs are first grouped by benchmark
-// trace, so a multi-depth sweep runs every depth of a benchmark through
-// one pipeline.RunBatch walk; -batch=false keeps the per-point flat
-// path. Either way each job finalizes (cache write + done close) the
-// moment its point completes, so request streams advance while the
-// batch is still running; jobs whose waiters all vanished are skipped
-// by the executor and either requeued (a new waiter attached in the
-// window before the skip) or dropped.
-func (s *scheduler) runBatch(batch []*job) {
-	if s.batch {
-		s.runGrouped(batch)
-	} else {
-		s.runFlat(batch)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running -= len(batch)
-	for _, j := range batch {
-		if j.ran {
-			continue
-		}
-		if j.waiters.Load() > 0 {
-			// A new request attached while the batch was skipping it:
-			// put it back in line rather than failing the newcomer (the
-			// dispatcher's drain loop picks it up on its next pass).
-			s.queue = append(s.queue, j)
-			continue
-		}
-		delete(s.inflight, j.key)
-		j.err = errCancelled
-		close(j.done)
-		s.rec.Add("points_dropped", 1)
-	}
-}
-
-// runFlat simulates a batch point by point, one reusable Scratch per
-// worker: the pre-batching dispatch, kept behind -batch=false as the
-// A/B reference for the grouped path.
-func (s *scheduler) runFlat(batch []*job) {
-	pool := exec.Pool{
-		Workers:     s.workers,
-		OnTaskStart: s.rec.TaskStart,
-		OnTaskDone:  s.rec.TaskDone,
-		Skip:        func(i int) bool { return batch[i].waiters.Load() <= 0 },
-	}
-	exec.MapWithState(pool, batch, pipeline.NewScratch,
-		func(sc *pipeline.Scratch, _ int, j *job) struct{} {
-			j.ran = true
-			s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
-			res, err := core.SimulatePointWith(j.opts, sc, s.rec)
-			s.finishJob(j, res, err)
-			return struct{}{}
-		})
-}
-
-// traceIdent is the normalized trace identity the grouped dispatch
-// batches on: two points with equal idents walk the same generated
-// trace, so their depth-invariant work can be shared.
+// traceIdent is the normalized trace identity batches form on: two
+// points with equal idents walk the same generated trace, so their
+// depth-invariant work can be shared.
 type traceIdent struct {
 	bench string
 	n     int
@@ -338,69 +269,119 @@ func identOf(o core.PointOptions) traceIdent {
 	return traceIdent{bench: o.Benchmark, n: o.Instructions, seed: o.Seed}
 }
 
-// runGrouped simulates a batch grouped by benchmark trace: one executor
-// task per group (groups form in first-seen queue order), every group
-// running its lanes through core.SimulateBatch with one reusable
-// BatchScratch per worker. The executor's Skip hook drops a group only
-// when every lane lost its waiters; a group that runs re-filters its
-// lanes, so a point abandoned after the group check simply isn't
-// simulated and takes the usual requeue-or-drop path after the batch.
-// Result lines are byte-identical to runFlat's — the batch accounting
-// counters are excluded from the wire format — which the serve tests
-// pin.
-func (s *scheduler) runGrouped(batch []*job) {
-	groups := make([][]*job, 0, len(batch))
-	index := make(map[traceIdent]int, len(batch))
-	for _, j := range batch {
-		id := identOf(j.opts)
-		gi, ok := index[id]
-		if !ok {
-			gi = len(groups)
-			index[id] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], j)
-	}
+// run is the dispatcher: s.workers long-lived executor workers, each
+// with one BatchScratch for the daemon's lifetime, pull batches until
+// close has begun and the queue is empty.
+func (s *scheduler) run() {
+	defer close(s.stopped)
 	pool := exec.Pool{
 		Workers:     s.workers,
 		OnTaskStart: s.rec.TaskStart,
 		OnTaskDone:  s.rec.TaskDone,
-		Skip: func(g int) bool {
-			for _, j := range groups[g] {
-				if j.waiters.Load() > 0 {
-					return false
-				}
-			}
-			return true
-		},
 	}
-	exec.MapGroupsWithState(pool, groups, pipeline.NewBatchScratch,
-		func(bs *pipeline.BatchScratch, _ int, jobs []*job) []struct{} {
-			live := jobs[:0]
-			for _, j := range jobs {
-				if j.waiters.Load() > 0 {
-					live = append(live, j)
-				}
-			}
-			if len(live) == 0 {
-				return nil
-			}
-			opts := make([]core.PointOptions, len(live))
-			for i, j := range live {
-				j.ran = true
-				s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
-				opts[i] = j.opts
-			}
-			results, err := core.SimulateBatch(opts, bs, s.rec)
-			for i, j := range live {
-				if err != nil {
-					s.finishJob(j, core.BenchPoint{}, err)
-					continue
-				}
-				s.finishJob(j, results[i], nil)
-			}
-			return nil
-		})
+	exec.Pull(pool, pipeline.NewBatchScratch, s.next, s.runBatch)
+}
+
+// next is a worker's pull: it blocks until a batch can be claimed and
+// claims it, reporting the batch's oldest admission as its ready time.
+// ok is false once close has begun and the queue is empty — the worker
+// exits. A job requeued after that point is never stranded: the worker
+// that requeues it (settle) pulls again before it can exit.
+func (s *scheduler) next() (batch []*job, ready time.Time, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if batch := s.claimLocked(); len(batch) > 0 {
+			return batch, batch[0].enqueued, true
+		}
+		if s.closing {
+			return nil, time.Time{}, false
+		}
+		s.ready.Wait()
+	}
+}
+
+// claimLocked removes the next batch from the queue: the oldest live
+// job and every other queued live job on the same trace, in queue
+// order. Jobs whose waiters all vanished are dropped on the way
+// (release prunes these; belt and braces). Caller holds s.mu.
+func (s *scheduler) claimLocked() []*job {
+	var batch []*job
+	kept := s.queue[:0]
+	for _, j := range s.queue {
+		switch {
+		case j.waiters.Load() <= 0:
+			s.dropLocked(j)
+		case len(batch) == 0 || j.ident == batch[0].ident:
+			batch = append(batch, j)
+		default:
+			kept = append(kept, j)
+		}
+	}
+	clear(s.queue[len(kept):])
+	s.queue = kept
+	s.running += len(batch)
+	return batch
+}
+
+// runBatch is one worker's unit of work: simulate a claimed batch on the
+// worker's BatchScratch, then settle what did not run.
+func (s *scheduler) runBatch(bs *pipeline.BatchScratch, batch []*job) {
+	s.simulate(bs, batch)
+	s.settle(batch)
+}
+
+// simulate runs a claimed batch's live jobs as the lanes of one
+// core.SimulateBatchEach walk, finalizing each job (cache write + done
+// close) the moment its lane completes, so request streams advance
+// while the rest of the batch runs. Jobs that lost every waiter since
+// the claim are left out and settle requeues or drops them.
+func (s *scheduler) simulate(bs *pipeline.BatchScratch, batch []*job) {
+	live := make([]*job, 0, len(batch))
+	for _, j := range batch {
+		if j.waiters.Load() > 0 {
+			live = append(live, j)
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	opts := make([]core.PointOptions, len(live))
+	for i, j := range live {
+		j.ran = true
+		s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
+		opts[i] = j.opts
+	}
+	err := core.SimulateBatchEach(opts, bs, s.rec, func(lane int, res core.BenchPoint) {
+		s.finishJob(live[lane], res, nil)
+	})
+	if err != nil {
+		// Validation failed before any lane ran: nothing was emitted.
+		for _, j := range live {
+			s.finishJob(j, core.BenchPoint{}, err)
+		}
+	}
+}
+
+// settle releases a simulated batch's claim. A job that did not run is
+// requeued when a new request attached to it in the window after the
+// liveness check — a worker picks it up again rather than failing the
+// newcomer — and dropped otherwise.
+func (s *scheduler) settle(batch []*job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running -= len(batch)
+	for _, j := range batch {
+		if j.ran {
+			continue
+		}
+		if j.waiters.Load() > 0 {
+			s.queue = append(s.queue, j)
+			s.ready.Signal()
+			continue
+		}
+		s.dropLocked(j)
+	}
 }
 
 // finishJob publishes one simulated job: marshal, count, finalize. err
@@ -450,44 +431,17 @@ func (s *scheduler) finalize(j *job, line []byte) {
 	close(j.done)
 }
 
-// run is the dispatcher loop: drain the queue batch by batch whenever
-// woken; on stop, finish whatever is already admitted (the HTTP layer
-// has stopped admitting by then) so draining streams complete, then
-// exit.
-func (s *scheduler) run() {
-	defer close(s.stopped)
-	for {
-		select {
-		case <-s.stop:
-			s.drainQueue()
-			return
-		case <-s.wake:
-			s.drainQueue()
-		}
-	}
-}
-
-func (s *scheduler) drainQueue() {
-	for {
-		batch := s.takeBatch()
-		if len(batch) == 0 {
-			return
-		}
-		s.runBatch(batch)
-	}
-}
-
 // close stops the dispatcher after it finishes every admitted job and
 // waits for it to exit. Safe to call once. Setting closing under mu
-// before closing stop orders every admit against the final drain: an
-// admit that saw closing==false finished enqueueing before close(s.stop),
-// so the dispatcher's last drainQueue still picks its jobs up; any later
-// admit fails with ErrStopped instead of stranding its caller.
+// orders every admit against the drain: an admit that saw
+// closing==false finished enqueueing first, so the workers claim its
+// jobs before they see an empty queue and exit; any later admit fails
+// with ErrStopped instead of stranding its caller.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closing = true
+	s.ready.Broadcast()
 	s.mu.Unlock()
-	close(s.stop)
 	<-s.stopped
 }
 

@@ -2,15 +2,16 @@ package serve
 
 // Shutdown- and disconnect-edge tests for the scheduler, white-box on
 // purpose: the hard paths (a waiter vanishing in the window between
-// release's prune and the dispatcher's claim, a batch skipping an
-// abandoned group, a simulation error surfacing after admission) live in
-// races the HTTP layer can only hit probabilistically. Here the
-// dispatcher goroutine is left unstarted, so each test walks the queue
-// machinery by hand and the interleaving is exact.
+// release's prune and a worker's claim, a claimed batch skipping an
+// abandoned lane, a new waiter attaching to a skipped job, a simulation
+// error surfacing after admission) live in races the HTTP layer can
+// only hit probabilistically. Here the dispatcher goroutine is left
+// unstarted, so each test plays the worker by hand — takeBatch, then
+// simulate and settle (or runBatch, which is both) — and the
+// interleaving is exact.
 
 import (
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -24,22 +25,29 @@ import (
 const edgeVersion = "edge-v"
 
 // newEdgeScheduler builds a scheduler with no dispatcher goroutine: the
-// test is the dispatcher, calling takeBatch/runBatch itself.
-func newEdgeScheduler(batch bool, queueLimit int) *scheduler {
-	return &scheduler{
+// test is the worker, calling takeBatch/runBatch itself.
+func newEdgeScheduler(queueLimit int) *scheduler {
+	s := &scheduler{
 		rec:         obs.New(nil),
 		log:         slog.Default(),
 		metrics:     &serverMetrics{},
 		workers:     1,
 		codeVersion: edgeVersion,
 		queueLimit:  queueLimit,
-		batch:       batch,
 		cache:       store.NewMemory(64, nil),
 		inflight:    map[string]*job{},
-		wake:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
 		stopped:     make(chan struct{}),
 	}
+	s.ready.L = &s.mu
+	return s
+}
+
+// takeBatch is the test's non-blocking claim: the next batch, or nil
+// when the queue holds none.
+func takeBatch(s *scheduler) []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.claimLocked()
 }
 
 // edgePoints expands a tiny grid into admission-ready (pts, keys).
@@ -69,7 +77,7 @@ func closedWithErr(j *job) (bool, error) {
 // default to no-ops. Admit-after-close through the Server is pinned in
 // serve_test.go; this is the bare-scheduler variant.
 func TestNewSchedulerNilObservabilityDefaults(t *testing.T) {
-	s := newScheduler(1, 8, store.NewMemory(8, nil), edgeVersion, true, nil, nil, nil)
+	s := newScheduler(1, 8, store.NewMemory(8, nil), edgeVersion, nil, nil, nil)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, adm, err := s.admit(pts, keys, "t1")
 	if err != nil || adm.misses != 1 {
@@ -86,7 +94,7 @@ func TestNewSchedulerNilObservabilityDefaults(t *testing.T) {
 }
 
 func TestAdmitQueueFullEnqueuesNothing(t *testing.T) {
-	s := newEdgeScheduler(true, 1)
+	s := newEdgeScheduler(1)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6, 8})
 	if _, _, err := s.admit(pts, keys, "t1"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("admit past queueLimit = %v, want ErrQueueFull", err)
@@ -105,7 +113,7 @@ func TestAdmitQueueFullEnqueuesNothing(t *testing.T) {
 // released point that nobody else wants leaves the queue immediately,
 // finalized as cancelled, and is counted dropped.
 func TestReleasePrunesQueuedJobs(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6, 8})
 	tickets, adm, err := s.admit(pts, keys, "t1")
 	if err != nil || adm.misses != 2 {
@@ -129,7 +137,7 @@ func TestReleasePrunesQueuedJobs(t *testing.T) {
 // TestReleaseKeepsSharedJobs: a queued job survives one requester's
 // disconnect as long as another stream still wants it.
 func TestReleaseKeepsSharedJobs(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	first, adm1, err := s.admit(pts, keys, "t1")
 	if err != nil || adm1.misses != 1 {
@@ -162,7 +170,7 @@ func TestReleaseKeepsSharedJobs(t *testing.T) {
 // TestReleaseSkipsResolvedTickets: tickets satisfied from the cache at
 // admission carry no job; release must walk past them.
 func TestReleaseSkipsResolvedTickets(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	s.cache.Put("warm-key", []byte(`{"key":"warm-key"}`+"\n"))
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, _, err := s.admit(pts, keys, "t1")
@@ -182,10 +190,10 @@ func TestReleaseSkipsResolvedTickets(t *testing.T) {
 
 // TestTakeBatchDropsAbandonedJobs covers the belt-and-braces window:
 // a job's last waiter vanishes after release's prune decision but
-// before the dispatcher claims the queue. takeBatch must drop it, not
-// hand it to the executor.
+// before a worker claims it. takeBatch must drop it, not hand it to
+// the worker — and the batch it does claim is the next live trace.
 func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6})
 	tickets, _, err := s.admit(pts, keys, "t1")
 	if err != nil {
@@ -195,7 +203,7 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 	// release call touching the queue.
 	tickets[0].job.waiters.Add(-1)
 
-	batch := s.takeBatch()
+	batch := takeBatch(s)
 	if len(batch) != 1 || batch[0] != tickets[1].job {
 		t.Fatalf("takeBatch claimed %d jobs, want just the live one", len(batch))
 	}
@@ -211,95 +219,128 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 	}
 }
 
-// TestRunBatchDropsJobsAbandonedMidBatch: the executor skips a job whose
-// waiters vanished after the batch was claimed; the post-batch sweep
-// finalizes it as dropped.
+// TestRunBatchDropsJobsAbandonedMidBatch: a worker skips a job whose
+// waiters vanished after its batch was claimed; settle finalizes it as
+// dropped and releases the claim.
 func TestRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batch=%v", batched), func(t *testing.T) {
-			s := newEdgeScheduler(batched, 8)
-			pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
-			tickets, _, err := s.admit(pts, keys, "t1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := s.takeBatch()
-			if len(batch) != 1 {
-				t.Fatalf("batch size %d, want 1", len(batch))
-			}
-			tickets[0].job.waiters.Add(-1) // client gone while the batch is in hand
-			s.runBatch(batch)
-			done, jerr := closedWithErr(tickets[0].job)
-			if !done || !errors.Is(jerr, errCancelled) {
-				t.Fatalf("abandoned mid-batch job: done=%v err=%v, want cancelled", done, jerr)
-			}
-			if got := s.rec.Counter("points_dropped"); got != 1 {
-				t.Fatalf("points_dropped = %d, want 1", got)
-			}
-			if got := s.rec.Counter("simulations"); got != 0 {
-				t.Fatalf("simulations = %d for a batch nobody wanted", got)
-			}
-			if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
-				t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
-					len(s.queue), len(s.inflight), s.running)
-			}
-		})
-	}
-}
-
-// TestRunGroupedPartitionsByTrace: a mixed batch splits into per-trace
-// groups, every live point simulates exactly once, and the grouped lines
-// are byte-identical to the flat path's.
-func TestRunGroupedPartitionsByTrace(t *testing.T) {
-	// gcc×{6,8} share one trace; swim×6 is its own group.
-	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
-	if len(pts) != 4 {
-		t.Fatalf("grid expanded to %d points, want 4", len(pts))
-	}
-
-	runAll := func(batched bool) map[string]string {
-		s := newEdgeScheduler(batched, 8)
-		tickets, _, err := s.admit(pts, keys, "t1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.runBatch(s.takeBatch())
-		lines := map[string]string{}
-		for i, tk := range tickets {
-			done, jerr := closedWithErr(tk.job)
-			if !done || jerr != nil {
-				t.Fatalf("point %s: done=%v err=%v", keys[i], done, jerr)
-			}
-			lines[keys[i]] = string(tk.job.line)
-		}
-		if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
-			t.Fatalf("simulations = %d, want %d", got, len(pts))
-		}
-		return lines
-	}
-
-	grouped := runAll(true)
-	flat := runAll(false)
-	for k, g := range grouped {
-		if f := flat[k]; f != g {
-			t.Fatalf("grouped and flat dispatch disagree for %s:\n  grouped: %s\n  flat:    %s", k, g, f)
-		}
-	}
-}
-
-// TestRunGroupedSkipsAbandonedGroup: when every lane of one trace group
-// loses its waiters, the whole group is skipped — zero simulations for
-// it — while the other group still runs.
-func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
-	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
+	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, _, err := s.admit(pts, keys, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := s.takeBatch()
-	if len(batch) != 4 {
-		t.Fatalf("batch size %d, want 4", len(batch))
+	batch := takeBatch(s)
+	if len(batch) != 1 {
+		t.Fatalf("batch size %d, want 1", len(batch))
+	}
+	tickets[0].job.waiters.Add(-1) // client gone while the batch is in hand
+	s.runBatch(nil, batch)
+	done, jerr := closedWithErr(tickets[0].job)
+	if !done || !errors.Is(jerr, errCancelled) {
+		t.Fatalf("abandoned mid-batch job: done=%v err=%v, want cancelled", done, jerr)
+	}
+	if got := s.rec.Counter("points_dropped"); got != 1 {
+		t.Fatalf("points_dropped = %d, want 1", got)
+	}
+	if got := s.rec.Counter("simulations"); got != 0 {
+		t.Fatalf("simulations = %d for a batch nobody wanted", got)
+	}
+	if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
+		t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
+			len(s.queue), len(s.inflight), s.running)
+	}
+}
+
+// TestSettleRequeuesRejoinedJob is the vanishing-waiter requeue edge: a
+// claimed job loses its last waiter, the worker skips it, and a new
+// request joins it before the claim is settled. settle must put it back
+// in line — still registered, not failed — and the next claim runs it
+// for the newcomer.
+func TestSettleRequeuesRejoinedJob(t *testing.T) {
+	s := newEdgeScheduler(8)
+	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
+	first, _, err := s.admit(pts, keys, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := takeBatch(s)
+	first[0].job.waiters.Add(-1) // the only requester vanishes after the claim
+	s.simulate(nil, batch)       // ...so the worker skips the lane
+	second, adm, err := s.admit(pts, keys, "t2")
+	if err != nil || adm.joins != 1 || second[0].job != first[0].job {
+		t.Fatalf("newcomer should join the skipped job: err=%v %+v", err, adm)
+	}
+	s.settle(batch)
+	if done, _ := closedWithErr(first[0].job); done {
+		t.Fatal("rejoined job finalized instead of requeued")
+	}
+	if len(s.queue) != 1 || s.running != 0 {
+		t.Fatalf("after settle: queue %d running %d, want the job back in line", len(s.queue), s.running)
+	}
+	s.runBatch(nil, takeBatch(s))
+	if done, jerr := closedWithErr(second[0].job); !done || jerr != nil || second[0].job.line == nil {
+		t.Fatalf("requeued job: done=%v err=%v line=%q", done, jerr, second[0].job.line)
+	}
+	if got := s.rec.Counter("points_dropped"); got != 0 {
+		t.Fatalf("points_dropped = %d, want 0", got)
+	}
+}
+
+// TestRunGroupedPartitionsByTrace: a mixed queue is claimed one trace
+// at a time, in first-seen order, every live point simulates exactly
+// once, and each batched line is byte-identical to the point simulated
+// alone.
+func TestRunGroupedPartitionsByTrace(t *testing.T) {
+	// gcc×{6,8} share one trace; swim×{6,8} another.
+	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
+	if len(pts) != 4 {
+		t.Fatalf("grid expanded to %d points, want 4", len(pts))
+	}
+	s := newEdgeScheduler(8)
+	tickets, _, err := s.admit(pts, keys, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var benches []string
+	for batch := takeBatch(s); len(batch) > 0; batch = takeBatch(s) {
+		for _, j := range batch[1:] {
+			if j.ident != batch[0].ident {
+				t.Fatalf("batch mixes traces %+v and %+v", batch[0].ident, j.ident)
+			}
+		}
+		benches = append(benches, batch[0].ident.bench)
+		s.runBatch(nil, batch)
+	}
+	if got := strings.Join(benches, ","); got != "176.gcc,171.swim" {
+		t.Fatalf("batches claimed for %s, want 176.gcc,171.swim", got)
+	}
+	for i, tk := range tickets {
+		done, jerr := closedWithErr(tk.job)
+		if !done || jerr != nil {
+			t.Fatalf("point %s: done=%v err=%v", keys[i], done, jerr)
+		}
+		if want := soloLine(t, keys[i], pts[i]); string(tk.job.line) != want {
+			t.Fatalf("batched and solo simulation disagree for %s:\n  batched: %s\n  solo:    %s", keys[i], tk.job.line, want)
+		}
+	}
+	if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
+		t.Fatalf("simulations = %d, want %d", got, len(pts))
+	}
+}
+
+// TestRunGroupedSkipsAbandonedGroup: when every lane of a claimed batch
+// loses its waiters, the whole batch is skipped — zero simulations for
+// it — while the other trace's batch still runs.
+func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
+	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
+	s := newEdgeScheduler(8)
+	tickets, _, err := s.admit(pts, keys, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc, swim := takeBatch(s), takeBatch(s)
+	if len(gcc) != 2 || len(swim) != 2 {
+		t.Fatalf("batch sizes %d and %d, want 2 and 2", len(gcc), len(swim))
 	}
 	var abandoned, kept []*job
 	for i, tk := range tickets {
@@ -310,48 +351,45 @@ func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
 			kept = append(kept, tk.job)
 		}
 	}
-	s.runBatch(batch)
+	s.runBatch(nil, gcc)
+	s.runBatch(nil, swim)
 	for _, j := range abandoned {
 		if done, jerr := closedWithErr(j); !done || !errors.Is(jerr, errCancelled) {
-			t.Fatalf("abandoned group lane: done=%v err=%v, want cancelled", done, jerr)
+			t.Fatalf("abandoned batch lane: done=%v err=%v, want cancelled", done, jerr)
 		}
 	}
 	for _, j := range kept {
 		if done, jerr := closedWithErr(j); !done || jerr != nil || j.line == nil {
-			t.Fatalf("live group lane: done=%v err=%v line=%q", done, jerr, j.line)
+			t.Fatalf("live batch lane: done=%v err=%v line=%q", done, jerr, j.line)
 		}
 	}
 	if got := s.rec.Counter("simulations"); got != int64(len(kept)) {
-		t.Fatalf("simulations = %d, want %d (the abandoned group must not run)", got, len(kept))
+		t.Fatalf("simulations = %d, want %d (the abandoned batch must not run)", got, len(kept))
 	}
 }
 
 // TestFinishJobSimulationError: admission doesn't re-validate what it is
 // handed (the HTTP layer does), so a direct caller can enqueue a point
 // the simulator rejects. The error must surface on the job — uncached,
-// stream-visible — on both dispatch paths.
+// stream-visible.
 func TestFinishJobSimulationError(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batch=%v", batched), func(t *testing.T) {
-			s := newEdgeScheduler(batched, 8)
-			bad := core.PointOptions{Benchmark: "doom", Useful: 8}.Normalize()
-			key := bad.Key(edgeVersion)
-			tickets, adm, err := s.admit([]core.PointOptions{bad}, []string{key}, "t1")
-			if err != nil || adm.misses != 1 {
-				t.Fatalf("admit: %v %+v", err, adm)
-			}
-			s.runBatch(s.takeBatch())
-			done, jerr := closedWithErr(tickets[0].job)
-			if !done || jerr == nil || !strings.Contains(jerr.Error(), "unknown benchmark") {
-				t.Fatalf("bad point: done=%v err=%v, want an unknown-benchmark error", done, jerr)
-			}
-			if _, ok := s.cache.Get(key); ok {
-				t.Fatal("a failed simulation landed in the cache")
-			}
-			if got := s.rec.Counter("points_done"); got != 0 {
-				t.Fatalf("points_done = %d for a failed point", got)
-			}
-		})
+	s := newEdgeScheduler(8)
+	bad := core.PointOptions{Benchmark: "doom", Useful: 8}.Normalize()
+	key := bad.Key(edgeVersion)
+	tickets, adm, err := s.admit([]core.PointOptions{bad}, []string{key}, "t1")
+	if err != nil || adm.misses != 1 {
+		t.Fatalf("admit: %v %+v", err, adm)
+	}
+	s.runBatch(nil, takeBatch(s))
+	done, jerr := closedWithErr(tickets[0].job)
+	if !done || jerr == nil || !strings.Contains(jerr.Error(), "unknown benchmark") {
+		t.Fatalf("bad point: done=%v err=%v, want an unknown-benchmark error", done, jerr)
+	}
+	if _, ok := s.cache.Get(key); ok {
+		t.Fatal("a failed simulation landed in the cache")
+	}
+	if got := s.rec.Counter("points_done"); got != 0 {
+		t.Fatalf("points_done = %d for a failed point", got)
 	}
 }
 

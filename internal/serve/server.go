@@ -4,8 +4,9 @@
 // tasks, serves repeats from a content-addressed result cache keyed by
 // the canonical point hash (core.PointOptions.Key), deduplicates
 // concurrent identical points singleflight-style, and runs the rest
-// through the deterministic executor with one reusable pipeline.Scratch
-// per worker. Results stream back as NDJSON as points complete.
+// on long-lived executor workers, each batching the queued points that
+// share a benchmark trace over one reusable pipeline.BatchScratch.
+// Results stream back as NDJSON as points complete.
 //
 // Operational contract:
 //
@@ -25,7 +26,7 @@
 //     GET /results?since=<cursor>.
 //   - A client that disconnects mid-stream releases its claim on every
 //     unconsumed point; points nobody else wants are dropped from the
-//     queue immediately (or skipped by the executor if a batch already
+//     queue immediately (or skipped by the worker if a claimed batch
 //     holds them) rather than simulated for nobody.
 //   - Shutdown is graceful: BeginDrain stops admitting, in-flight
 //     streams run to completion, Close waits for the dispatcher.
@@ -53,8 +54,9 @@ import (
 // Config sizes one Server. The zero value is a sensible daemon: all-CPU
 // simulation workers, a 4096-point queue, 1024 points per request.
 type Config struct {
-	// Workers sizes the simulation pool per batch: 0 = GOMAXPROCS,
-	// 1 = serial (exec.Pool semantics).
+	// Workers is the number of long-lived simulation workers, each
+	// pulling the next batch the moment it finishes the last: 0 =
+	// GOMAXPROCS, 1 = serial (exec.Pool semantics).
 	Workers int
 
 	// QueueLimit bounds admitted-but-unstarted points; 0 means 4096.
@@ -107,14 +109,6 @@ type Config struct {
 	// request is logged at Warn and counted in
 	// sweep_slow_requests_total; 0 disables the slow log.
 	SlowRequest time.Duration
-
-	// DisableBatch turns off the per-benchmark batch dispatch: every
-	// point simulates on the flat per-point executor path instead of
-	// grouping with the other queued points that share its trace.
-	// Response bodies and the cache economy are identical either way
-	// (the serve tests pin byte-identity); the flag exists as the A/B
-	// reference for the batched path and as an operator escape hatch.
-	DisableBatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -199,7 +193,7 @@ func New(cfg Config) *Server {
 	// s and only dereference s.sched at scrape time, while the scheduler
 	// needs the histogram handles at construction.
 	s.metrics = newServerMetrics(!cfg.DisableMetrics, s)
-	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, !cfg.DisableBatch, cfg.Rec, cfg.Log, s.metrics)
+	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log, s.metrics)
 	s.delta, _ = cfg.Store.(DeltaSource)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
