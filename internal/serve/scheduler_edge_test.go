@@ -223,6 +223,12 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 // waiters vanished after its batch was claimed; settle finalizes it as
 // dropped and releases the claim.
 func TestRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
+	// The subtest is named for the batched dispatch path, the only one
+	// the scheduler has.
+	t.Run("batch=true", testRunBatchDropsJobsAbandonedMidBatch)
+}
+
+func testRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
 	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, _, err := s.admit(pts, keys, "t1")
@@ -373,6 +379,12 @@ func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
 // the simulator rejects. The error must surface on the job — uncached,
 // stream-visible.
 func TestFinishJobSimulationError(t *testing.T) {
+	// The subtest is named for the batched dispatch path, the only one
+	// the scheduler has.
+	t.Run("batch=true", testFinishJobSimulationError)
+}
+
+func testFinishJobSimulationError(t *testing.T) {
 	s := newEdgeScheduler(8)
 	bad := core.PointOptions{Benchmark: "doom", Useful: 8}.Normalize()
 	key := bad.Key(edgeVersion)
