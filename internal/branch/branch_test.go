@@ -1,14 +1,16 @@
-package branch
+package branch_test
 
 import (
 	"testing"
 
-	"repro/internal/isa"
+	"repro/internal/branch"
 	"repro/internal/trace"
 )
 
-// run drives the predictor with every branch of a synthetic benchmark and
-// returns the misprediction rate.
+// run returns the misprediction rate of the predictor over every branch
+// of a synthetic benchmark. A trace's build drives a fresh New() with its
+// branches in program order and records each verdict as FlagMispredict,
+// so the rate is the flagged share of branches.
 func run(t *testing.T, name string, n int) float64 {
 	t.Helper()
 	p, ok := trace.ByName(name)
@@ -16,19 +18,20 @@ func run(t *testing.T, name string, n int) float64 {
 		t.Fatalf("no profile %s", name)
 	}
 	tr := p.Generate(n, 1234)
-	pred := New()
-	for _, in := range tr.Insts {
-		if in.Class != isa.Branch {
-			continue
+	branches, miss := 0, 0
+	for _, f := range tr.Columns().Flags {
+		if f&trace.FlagBranch != 0 {
+			branches++
+			if f&trace.FlagMispredict != 0 {
+				miss++
+			}
 		}
-		guess := pred.Predict(in.PC)
-		pred.Update(in.PC, in.Taken, guess)
 	}
-	return pred.MispredictRate()
+	return float64(miss) / float64(branches)
 }
 
 func TestAlwaysTakenLearned(t *testing.T) {
-	pred := New()
+	pred := branch.New()
 	miss := 0
 	for i := 0; i < 1000; i++ {
 		g := pred.Predict(0x400)
@@ -47,7 +50,7 @@ func TestAlwaysTakenLearned(t *testing.T) {
 func TestLoopBranchLearnedByLocalHistory(t *testing.T) {
 	// A loop with trip count 5 (TTTTN repeating) is perfectly learnable by
 	// 10 bits of local history once warm.
-	pred := New()
+	pred := branch.New()
 	pattern := []bool{true, true, true, true, false}
 	miss := 0
 	for i := 0; i < 5000; i++ {
@@ -67,7 +70,7 @@ func TestLoopBranchLearnedByLocalHistory(t *testing.T) {
 func TestRandomBranchNearChance(t *testing.T) {
 	// A 50/50 random branch cannot be predicted: rate should be near 0.5,
 	// and certainly above 0.3.
-	pred := New()
+	pred := branch.New()
 	r := trace.NewRNG(77)
 	for i := 0; i < 20000; i++ {
 		taken := r.Float64() < 0.5
@@ -82,7 +85,7 @@ func TestRandomBranchNearChance(t *testing.T) {
 func TestBiasedBranchBeatsChance(t *testing.T) {
 	// An 80%-taken branch should be predicted taken most of the time:
 	// rate near 20%, well below 35%.
-	pred := New()
+	pred := branch.New()
 	r := trace.NewRNG(78)
 	for i := 0; i < 20000; i++ {
 		taken := r.Float64() < 0.8
@@ -115,7 +118,7 @@ func TestChoicePredictorArbitrates(t *testing.T) {
 	// Feed a branch that only global history can catch (direction equals
 	// the previous different branch's outcome) and confirm the tournament
 	// beats a pure local predictor's chance-level performance.
-	pred := New()
+	pred := branch.New()
 	r := trace.NewRNG(99)
 	last := false
 	miss := 0
@@ -141,7 +144,7 @@ func TestChoicePredictorArbitrates(t *testing.T) {
 }
 
 func TestStatisticsAccounting(t *testing.T) {
-	pred := New()
+	pred := branch.New()
 	for i := 0; i < 100; i++ {
 		g := pred.Predict(4)
 		pred.Update(4, i%2 == 0, g)

@@ -238,8 +238,21 @@ func TestSweepdMetricsEndToEnd(t *testing.T) {
 	if got := sampleValue(t, exposition, "sweep_requests_total"); got != 1 {
 		t.Errorf("sweep_requests_total = %v after one sweep, want 1", got)
 	}
-	if got := sampleValue(t, exposition, "sweep_request_seconds_count"); got < 1 {
-		t.Errorf("sweep_request_seconds_count = %v, want >= 1", got)
+	// The request histogram is observed before the response's last chunk
+	// leaves, so one finished sweep is exactly one observation.
+	for _, sample := range []string{"sweep_request_seconds_count", `sweep_request_seconds_bucket{le="+Inf"}`} {
+		if got := sampleValue(t, exposition, sample); got != 1 {
+			t.Errorf("%s = %v after one sweep, want 1", sample, got)
+		}
+	}
+	for _, line := range []string{
+		"# HELP sweep_requests_total ",
+		"# TYPE sweep_request_seconds histogram\n",
+		"\nbuild_info{",
+	} {
+		if !strings.Contains(exposition, line) {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 
 	// The pprof surface answers only on the private listener.

@@ -53,7 +53,7 @@ type SweepConfig struct {
 
 	// DisableBatch turns off the batched grid dispatch (one
 	// pipeline.RunBatch per benchmark trace, sharing the depth-invariant
-	// decode and prewarm work across every point of that benchmark) and
+	// prewarm work across every point of that benchmark) and
 	// runs one task per (point, benchmark) cell instead. Results are
 	// bit-for-bit identical either way — the flag exists for equivalence
 	// tests and for isolating regressions, not because the paths can

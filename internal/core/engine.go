@@ -64,8 +64,8 @@ func runSims(cfg SweepConfig, tasks []simTask) []pipeline.Stats {
 // manifest: wakes actually delivered through the consumer index versus
 // the window entries the per-issue broadcast scan they replaced would
 // have touched, and (on the batched path) the lanes that shared a
-// prewarmed memory template and the instruction decodes reused from a
-// batch's first lane.
+// prewarmed memory template and the instructions whose trace columns a
+// lane after a batch's first reused.
 func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
 	var wakes, scanned, lanes, shared uint64
 	for i := range stats {
@@ -94,9 +94,9 @@ type batchState struct {
 // indexed [pi*len(traces)+ti], exactly like the flattened per-cell grid.
 // On the batched path (the default) the grid is grouped by trace — one
 // executor task per benchmark running every params lane through
-// pipeline.RunBatch — so the depth-invariant per-benchmark work (decode,
-// predictor walk, consumer index, cache prewarm) happens once per
-// benchmark instead of once per cell, and consecutive lanes keep that
+// pipeline.RunBatch — so the depth-invariant per-benchmark work (the
+// cache prewarm; the columns, predictor walk and consumer index come
+// with the trace) happens once per benchmark instead of once per cell, and consecutive lanes keep that
 // benchmark's shared arrays hot. Cell values are bit-for-bit identical
 // to the per-cell path at any worker count; only the batch accounting
 // counters (excluded from JSON) differ from an unbatched run.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/branch"
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -61,7 +60,7 @@ func RunWorkloadTable(o Options) WorkloadTable {
 func characterize(p trace.Profile, tr *trace.Trace) WorkloadRow {
 	var counts [isa.NumClasses]int
 	var depSum, depN float64
-	pred := branch.New()
+	var branches, mispredicts int
 	h := mem.NewHierarchy(
 		mem.NewCache(64<<10, 64, 2),
 		mem.NewCache(2<<20, 64, 2),
@@ -70,32 +69,39 @@ func characterize(p trace.Profile, tr *trace.Trace) WorkloadRow {
 	h.Prewarm(tr.HotBytes, tr.WarmBytes)
 
 	var memAccesses, memToDRAM uint64
-	for i, in := range tr.Insts {
-		counts[in.Class]++
-		if in.Src1 >= 0 {
-			depSum += float64(int32(i) - in.Src1)
+	cols := tr.Columns()
+	for i, f := range cols.Flags {
+		counts[cols.Class[i]]++
+		if s := cols.Src1[i]; s >= 0 {
+			depSum += float64(int32(i) - s)
 			depN++
 		}
 		switch {
-		case in.Class == isa.Branch:
-			g := pred.Predict(in.PC)
-			pred.Update(in.PC, in.Taken, g)
-		case in.Class.IsMem():
+		case f&trace.FlagBranch != 0:
+			// The trace's build already walked the tournament predictor
+			// over every branch in order; its verdicts are the flags.
+			branches++
+			if f&trace.FlagMispredict != 0 {
+				mispredicts++
+			}
+		case f&(trace.FlagLoad|trace.FlagStore) != 0:
 			memAccesses++
-			if h.Access(in.Addr) == mem.Memory {
+			if h.Access(cols.Addr[i]) == mem.Memory {
 				memToDRAM++
 			}
 		}
 	}
-	total := float64(len(tr.Insts))
+	total := float64(tr.Len())
 	row := WorkloadRow{
-		Name:           p.Name,
-		Group:          p.Group,
-		LoadFrac:       float64(counts[isa.Load]) / total,
-		StoreFrac:      float64(counts[isa.Store]) / total,
-		BranchFrac:     float64(counts[isa.Branch]) / total,
-		MispredictRate: pred.MispredictRate(),
-		L1MissRate:     h.L1.MissRate(),
+		Name:       p.Name,
+		Group:      p.Group,
+		LoadFrac:   float64(counts[isa.Load]) / total,
+		StoreFrac:  float64(counts[isa.Store]) / total,
+		BranchFrac: float64(counts[isa.Branch]) / total,
+		L1MissRate: h.L1.MissRate(),
+	}
+	if branches > 0 {
+		row.MispredictRate = float64(mispredicts) / float64(branches)
 	}
 	if depN > 0 {
 		row.MeanDepDist = depSum / depN

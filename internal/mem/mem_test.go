@@ -102,9 +102,10 @@ func TestSPECWorkloadMissRates(t *testing.T) {
 		}
 		tr := p.Generate(200000, 5)
 		h := NewHierarchy(NewCache(64<<10, 64, 2), NewCache(2<<20, 64, 2))
-		for _, in := range tr.Insts {
-			if in.Class.IsMem() {
-				h.Access(in.Addr)
+		cols := tr.Columns()
+		for i, c := range cols.Class {
+			if c.IsMem() {
+				h.Access(cols.Addr[i])
 			}
 		}
 		return h.L1.MissRate(), h.L2.MissRate()

@@ -7,17 +7,17 @@ import (
 
 // RunBatch simulates one benchmark trace under every lane of params in a
 // single batched pass: the depth-invariant per-benchmark work — the
-// instruction decode and class flags, the tournament predictor's training
-// walk, the consumer CSR (trace.ConsumerIndexOf), and the cache-prewarm
-// walk — is done once and shared, while each lane keeps its own timing
-// state in its Scratch. Lanes are partitioned by memory-system geometry
+// trace's columns with their class flags and predictor verdicts (built
+// with the trace), the consumer CSR (trace.ConsumerIndexOf), and the
+// cache-prewarm walk — is done once and shared, while each lane keeps
+// its own timing state in its Scratch. Lanes are partitioned by memory-system geometry
 // in first-seen order; lanes in a partition of two or more share one
 // prewarmed hierarchy template (its post-prewarm state is a pure function
 // of geometry and trace, so copying it is bit-identical to rebuilding
 // it), and a lane whose geometry no other lane shares falls back to the
 // plain RunWith path with zero BatchLanes. Structural divergence between lanes — different
 // WindowStages, PreSelect shapes, in-order vs out-of-order — is always
-// allowed: each lane runs its own core loop over the shared decode.
+// allowed: each lane runs its own core loop over the shared columns.
 //
 // out[i] equals RunWith(params[i], tr, scratches[i]) field for field,
 // except for the BatchLanes/BatchSharedDecode accounting that only
@@ -44,9 +44,9 @@ func RunBatchEach(params []Params, tr *trace.Trace, scratches []*Scratch, emit f
 	if len(params) == 0 {
 		return
 	}
-	// Every lane after the first consumes the decode (and predictor
-	// walk) the batch's first lane built or found.
-	shared := uint64(len(tr.Insts))
+	// Every lane after the first reads the columns (and predictor
+	// verdicts) the batch's first lane read.
+	shared := uint64(tr.Len())
 	done := func(lane int, st Stats) {
 		if lane > 0 {
 			st.BatchSharedDecode = shared
@@ -110,7 +110,7 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, l
 	}
 
 	if count == 1 {
-		// A lane with no geometry partner shares nothing but the decode;
+		// A lane with no geometry partner shares nothing but the columns;
 		// it runs the plain RunWith path and keeps BatchLanes zero, so its
 		// Stats are indistinguishable from an unbatched run's.
 		i := laneAt(0)

@@ -92,7 +92,7 @@ func TestRunBatchEachEmitsBeforeNextLane(t *testing.T) {
 	for u := 2; u <= 16; u++ {
 		params = append(params, paramsAt(float64(u)))
 	}
-	last := len(tr.Insts) - 1
+	last := tr.Len() - 1
 	bs := NewBatchScratch()
 	RunBatchEach(params, tr, bs.Lanes(len(params)), func(lane int, _ Stats) {
 		alone := NewScratch()
@@ -139,7 +139,7 @@ func TestRunBatchAccounting(t *testing.T) {
 		}
 		wantShared := uint64(0)
 		if i > 0 {
-			wantShared = uint64(len(tr.Insts))
+			wantShared = uint64(tr.Len())
 		}
 		if s.BatchSharedDecode != wantShared {
 			t.Errorf("lane %d: BatchSharedDecode = %d, want %d", i, s.BatchSharedDecode, wantShared)

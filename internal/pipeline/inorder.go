@@ -15,15 +15,15 @@ import (
 func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) Stats {
 	m := p.Machine
 	tmg := p.Timing
-	n := len(tr.Insts)
+	n := tr.Len()
 	if n == 0 {
 		panic("pipeline: empty trace")
 	}
 
-	// Shared depth-invariant decode; see runOutOfOrder.
-	dec := decodeOf(tr)
-	flags, class := dec.flags, dec.class
-	src1s, src2s, addrs := dec.src1, dec.src2, dec.addr
+	// The trace's depth-invariant columns; see runOutOfOrder.
+	cols := tr.Columns()
+	flags, class := cols.Flags, cols.Class
+	src1s, src2s, addrs := cols.Src1, cols.Src2, cols.Addr
 
 	hier := scr.hierarchyFor(m, tr, warm)
 	var lat latEnv
@@ -89,7 +89,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) St
 		}
 
 		// Find a cycle with issue bandwidth left.
-		isFP := f&dFP != 0
+		isFP := f&trace.FlagFP != 0
 		for {
 			if ready > issueCycle {
 				issueCycle = ready
@@ -113,16 +113,16 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) St
 
 		// ---- Branches: resolve at execute; a misprediction stalls fetch
 		// until resolution plus the redirect.
-		if f&dBranch != 0 {
+		if f&trace.FlagBranch != 0 {
 			stats.BranchLookups++
-			if f&dMispredict != 0 && !perfectBranches {
+			if f&trace.FlagMispredict != 0 && !perfectBranches {
 				stats.BranchMispredict++
 				restart := issued + execLat + 1 + int64(p.ExtraMispredict)
 				if restart > fetchCycle {
 					fetchCycle = restart
 					fetchInGroup = 0
 				}
-			} else if f&dTaken != 0 {
+			} else if f&trace.FlagTaken != 0 {
 				// Correctly predicted taken branch: fetch group ends.
 				fetchCycle++
 				fetchInGroup = 0

@@ -35,13 +35,12 @@ func TestInOrderStallsOnLoadUse(t *testing.T) {
 	// In-order issue cannot slip past a load-use dependence: interleaving
 	// loads with dependent consumers costs roughly the DL1 latency per
 	// pair, where the out-of-order core overlaps independent pairs.
-	tr := &trace.Trace{Name: "loaduse", Group: trace.Integer, HotBytes: 4096, WarmBytes: 32 << 10}
-	tr.PrefetchCoverage = 1
+	b := trace.NewBuilder(20000)
 	for i := 0; i < 20000; i += 2 {
-		tr.Insts = append(tr.Insts,
-			trace.Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: 64},
-			trace.Inst{Class: isa.IntAlu, Src1: int32(i), Src2: -1})
+		b.Append(trace.Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: 64})
+		b.Append(trace.Inst{Class: isa.IntAlu, Src1: int32(i), Src2: -1})
 	}
+	tr := b.Trace(trace.Trace{Name: "loaduse", Group: trace.Integer, HotBytes: 4096, WarmBytes: 32 << 10, PrefetchCoverage: 1})
 	ino := Run(inorderParams(), tr)
 
 	m := config.Alpha21264()
@@ -58,10 +57,11 @@ func TestInOrderStallsOnLoadUse(t *testing.T) {
 
 func TestInOrderFPWidthRespected(t *testing.T) {
 	// A pure FP-add stream is capped by the 2-wide FP issue.
-	tr := &trace.Trace{Name: "fp", Group: trace.VectorFP}
+	b := trace.NewBuilder(20000)
 	for i := 0; i < 20000; i++ {
-		tr.Insts = append(tr.Insts, trace.Inst{Class: isa.FPAdd, Src1: -1, Src2: -1})
+		b.Append(trace.Inst{Class: isa.FPAdd, Src1: -1, Src2: -1})
 	}
+	tr := b.Trace(trace.Trace{Name: "fp", Group: trace.VectorFP})
 	s := Run(inorderParams(), tr)
 	if s.IPC > 2.001 {
 		t.Errorf("FP stream IPC = %.3f, above the 2-wide FP issue", s.IPC)

@@ -113,9 +113,9 @@ type Stats struct {
 	// geometry partition this lane shared a prewarmed memory template with
 	// (zero for a lane that fell back to the plain RunWith path, whose
 	// Stats are then indistinguishable from an unbatched run's), and
-	// BatchSharedDecode
-	// counts the instructions whose decode/predictor walk was reused from
-	// the batch's first lane rather than recomputed. Excluded from JSON so
+	// BatchSharedDecode counts the instructions whose columns and
+	// predictor verdicts a lane after the batch's first read from the
+	// shared trace rather than a decode of its own. Excluded from JSON so
 	// batched and per-cell results serialize byte-identically.
 	BatchLanes        uint64 `json:"-"`
 	BatchSharedDecode uint64 `json:"-"`
@@ -188,7 +188,7 @@ type winEntry struct {
 func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) Stats {
 	m := p.Machine
 	tmg := p.Timing
-	n := len(tr.Insts)
+	n := tr.Len()
 	if n == 0 {
 		panic("pipeline: empty trace")
 	}
@@ -197,13 +197,12 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 		stages = 1
 	}
 
-	// The depth-invariant decode: class flags, operand producers, data
-	// addresses and the predictor's per-branch verdicts, built once per
-	// trace and cached process-wide (see traceDecode). The cycle loops
-	// below never touch tr.Insts again.
-	dec := decodeOf(tr)
-	flags, class := dec.flags, dec.class
-	src1s, src2s, addrs := dec.src1, dec.src2, dec.addr
+	// The depth-invariant columns: class flags, operand producers, data
+	// addresses and the predictor's per-branch verdicts, built once when
+	// the trace was (see trace.Columns) and shared by every run of it.
+	cols := tr.Columns()
+	flags, class := cols.Flags, cols.Class
+	src1s, src2s, addrs := cols.Src1, cols.Src2, cols.Addr
 
 	// Issue queues: the 21264's separate integer and floating-point queues
 	// by default, or one shared window when UnifiedWindow is set (the
@@ -213,15 +212,15 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 	intQ := queues[0]
 	fpQ := queues[len(queues)-1] // same queue as intQ when unified
 	nq := len(queues)
-	// qpair picks an instruction's queue branch-free: dFP is bit 0, so
-	// flags[i]&dFP is directly the index (both slots alias the shared
-	// window when unified).
+	// qpair picks an instruction's queue branch-free: trace.FlagFP is bit
+	// 0, so flags[i]&trace.FlagFP is directly the index (both slots alias
+	// the shared window when unified).
 	qpair := [2]*issueQueue{intQ, fpQ}
 
 	// The reverse dependence adjacency: who consumes each instruction's
-	// result. Built once per trace and cached process-wide, it lets issue
-	// wake a producer's actual consumers directly instead of re-scanning
-	// every window entry per issued instruction.
+	// result. Built on first use and shared by every run of the trace, it
+	// lets issue wake a producer's actual consumers directly instead of
+	// re-scanning every window entry per issued instruction.
 	consumers := tr.ConsumerIndexOf()
 
 	hier := scr.hierarchyFor(m, tr, warm)
@@ -383,7 +382,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 				// latency; only loads and stores pay the call into the
 				// cache hierarchy.
 				var completeLat int64
-				if f := flags[idx]; f&(dLoad|dStore) == 0 {
+				if f := flags[idx]; f&(trace.FlagLoad|trace.FlagStore) == 0 {
 					completeLat = lat.exec[class[idx]]
 				} else {
 					completeLat = lat.latency(f, class[idx], addrs[idx], &stats)
@@ -486,7 +485,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 				break
 			}
 			di := int32(dispIdx)
-			qsel := flags[di] & dFP
+			qsel := flags[di] & trace.FlagFP
 			q := qpair[qsel]
 			if q.live >= q.cap {
 				stats.WindowFullStalls++
@@ -552,15 +551,15 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 				ff := flags[fetchIdx]
 				fetchReady[fetchIdx] = arrive
 				slots--
-				if ff&dBranch != 0 {
+				if ff&trace.FlagBranch != 0 {
 					stats.BranchLookups++
-					if ff&dMispredict != 0 && !perfectBranches {
+					if ff&trace.FlagMispredict != 0 && !perfectBranches {
 						stats.BranchMispredict++
 						fetchBlock = int32(fetchIdx)
 						fetchIdx++
 						break
 					}
-					if ff&dTaken != 0 {
+					if ff&trace.FlagTaken != 0 {
 						fetchIdx++
 						break
 					}
@@ -833,7 +832,7 @@ func issueSelect(flags []uint8, q *issueQueue, cycle int64,
 				nextReady = cycle + 1
 				continue
 			}
-			if flags[e.idx]&dFP != 0 {
+			if flags[e.idx]&trace.FlagFP != 0 {
 				if fpBudget == 0 {
 					nextReady = cycle + 1
 					continue
@@ -904,7 +903,7 @@ func issueSelect(flags []uint8, q *issueQueue, cycle int64,
 				continue
 			}
 			e := &q.entries[wi]
-			if flags[e.idx]&dFP != 0 {
+			if flags[e.idx]&trace.FlagFP != 0 {
 				if fpBudget == 0 {
 					nextReady = cycle + 1
 					continue
@@ -978,7 +977,7 @@ func (e *latEnv) init(p *Params, hier *mem.Hierarchy) {
 // cycles, resolving loads through the cache hierarchy.
 func (e *latEnv) latency(f uint8, cls isa.Class, addr uint64, stats *Stats) int64 {
 	switch {
-	case f&dLoad != 0:
+	case f&trace.FlagLoad != 0:
 		lvl := mem.L1Hit
 		if !e.perfectMemory {
 			lvl = e.hier.Access(addr)
@@ -999,7 +998,7 @@ func (e *latEnv) latency(f uint8, cls isa.Class, addr uint64, stats *Stats) int6
 			lat = e.mem
 		}
 		return lat + e.extraLoadUse
-	case f&dStore != 0:
+	case f&trace.FlagStore != 0:
 		if !e.perfectMemory {
 			e.hier.Access(addr)
 		}

@@ -14,7 +14,7 @@ var benchTraces = map[string]*trace.Trace{}
 func getTrace(t testing.TB, name string, n int) *trace.Trace {
 	t.Helper()
 	key := name
-	if tr, ok := benchTraces[key]; ok && len(tr.Insts) >= n {
+	if tr, ok := benchTraces[key]; ok && tr.Len() >= n {
 		return tr
 	}
 	p, ok := trace.ByName(name)
@@ -221,8 +221,8 @@ func TestLoadStatsAccountAllLoads(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
 	s := Run(paramsAt(6), tr)
 	var loads uint64
-	for _, in := range tr.Insts {
-		if in.Class.String() == "load" {
+	for _, c := range tr.Columns().Class {
+		if c.String() == "load" {
 			loads++
 		}
 	}

@@ -11,21 +11,20 @@ import (
 // chainTrace builds a tiny hand-crafted trace: a strict dependence chain
 // of n single-cycle ALU operations, each depending on its predecessor.
 func chainTrace(n int) *trace.Trace {
-	tr := &trace.Trace{Name: "chain", Group: trace.Integer}
+	b := trace.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		in := trace.Inst{Class: isa.IntAlu, Src1: int32(i - 1), Src2: -1}
-		tr.Insts = append(tr.Insts, in)
+		b.Append(trace.Inst{Class: isa.IntAlu, Src1: int32(i - 1), Src2: -1})
 	}
-	return tr
+	return b.Trace(trace.Trace{Name: "chain", Group: trace.Integer})
 }
 
 // independentTrace builds n ALU operations with no dependences at all.
 func independentTrace(n int) *trace.Trace {
-	tr := &trace.Trace{Name: "indep", Group: trace.Integer}
+	b := trace.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		tr.Insts = append(tr.Insts, trace.Inst{Class: isa.IntAlu, Src1: -1, Src2: -1})
+		b.Append(trace.Inst{Class: isa.IntAlu, Src1: -1, Src2: -1})
 	}
-	return tr
+	return b.Trace(trace.Trace{Name: "indep", Group: trace.Integer})
 }
 
 func alphaParams() Params {
@@ -80,15 +79,16 @@ func TestSegmentedWindowPenalizesDistantDependents(t *testing.T) {
 	// upper segment when the producer issues. Segmentation should cost
 	// measurable IPC versus a single-segment window on this pattern,
 	// because the filler pressure keeps the window full.
-	tr := &trace.Trace{Name: "burst", Group: trace.Integer}
 	const n = 30000
+	b := trace.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		in := trace.Inst{Class: isa.IntMult, Src1: -1, Src2: -1}
 		if i%8 == 7 {
 			in = trace.Inst{Class: isa.IntAlu, Src1: int32(i - 7), Src2: -1}
 		}
-		tr.Insts = append(tr.Insts, in)
+		b.Append(in)
 	}
+	tr := b.Trace(trace.Trace{Name: "burst", Group: trace.Integer})
 	p := alphaParams()
 	p.Machine.UnifiedWindow = 32
 	base := Run(p, tr)
@@ -108,21 +108,24 @@ func TestPreSelectQuotasRespected(t *testing.T) {
 	// Groups of 31: an L2-hit load, ten consumers of it (they pile up in
 	// stage 1, operand-blocked for the ~20-cycle L2 latency), then twenty
 	// independent ALU operations that land in the upper stages.
-	tr := &trace.Trace{Name: "blocked", Group: trace.Integer, HotBytes: 16 << 10, WarmBytes: 2 << 20}
-	tr.PrefetchCoverage = 1e-9 // no prefetch: keep the loads missing L1
 	const groups = 600
+	b := trace.NewBuilder(31 * groups)
 	addr := uint64(0)
 	for g := 0; g < groups; g++ {
-		base := int32(len(tr.Insts))
+		base := int32(31 * g)
 		addr = (addr + 4096) % (1 << 20) // stride past the L1, stay in the warm L2
-		tr.Insts = append(tr.Insts, trace.Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: addr})
+		b.Append(trace.Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: addr})
 		for k := 0; k < 10; k++ {
-			tr.Insts = append(tr.Insts, trace.Inst{Class: isa.IntAlu, Src1: base, Src2: -1})
+			b.Append(trace.Inst{Class: isa.IntAlu, Src1: base, Src2: -1})
 		}
 		for k := 0; k < 20; k++ {
-			tr.Insts = append(tr.Insts, trace.Inst{Class: isa.IntAlu, Src1: -1, Src2: -1})
+			b.Append(trace.Inst{Class: isa.IntAlu, Src1: -1, Src2: -1})
 		}
 	}
+	tr := b.Trace(trace.Trace{
+		Name: "blocked", Group: trace.Integer, HotBytes: 16 << 10, WarmBytes: 2 << 20,
+		PrefetchCoverage: 1e-9, // no prefetch: keep the loads missing L1
+	})
 	p := alphaParams()
 	p.Machine.UnifiedWindow = 32
 	p.WindowStages = 4
@@ -154,12 +157,12 @@ func TestLoadChainGatedByDL1Latency(t *testing.T) {
 	// A pointer-chase (each load's address depends on the previous load)
 	// is bounded by 1/DL1 IPC. All addresses hit the same line, so every
 	// access is an L1 hit.
-	tr := &trace.Trace{Name: "ptrchase", Group: trace.Integer, HotBytes: 4096, WarmBytes: 32 << 10}
 	const n = 10000
+	b := trace.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		tr.Insts = append(tr.Insts, trace.Inst{Class: isa.Load, Src1: int32(i - 1), Src2: -1, Addr: 64})
+		b.Append(trace.Inst{Class: isa.Load, Src1: int32(i - 1), Src2: -1, Addr: 64})
 	}
-	tr.PrefetchCoverage = 1
+	tr := b.Trace(trace.Trace{Name: "ptrchase", Group: trace.Integer, HotBytes: 4096, WarmBytes: 32 << 10, PrefetchCoverage: 1})
 	p := alphaParams() // DL1 = 3 cycles on the 21264
 	s := Run(p, tr)
 	want := 1.0 / 3

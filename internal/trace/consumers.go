@@ -1,7 +1,5 @@
 package trace
 
-import "sync"
-
 // ConsumerIndex is the reverse dependence adjacency of a trace in
 // compressed-sparse-row form: the consumers of instruction i are
 // Edges[Offsets[i]:Offsets[i+1]], in program order. An instruction with
@@ -14,7 +12,7 @@ import "sync"
 // window entry — the same O(window) scan per issued instruction whose
 // circuit cost the paper's Section 5 segmented window attacks.
 type ConsumerIndex struct {
-	Offsets []int32 // len(Insts)+1 row starts into Edges
+	Offsets []int32 // Len()+1 row starts into Edges
 	Edges   []int32 // consumer trace indices, grouped by producer
 }
 
@@ -23,49 +21,31 @@ func (ci *ConsumerIndex) Consumers(i int32) []int32 {
 	return ci.Edges[ci.Offsets[i]:ci.Offsets[i+1]]
 }
 
-// consumerCacheKey identifies an instruction stream by identity rather
-// than by Trace pointer: WithPrefetchCoverage clones share Insts with
-// their parent, and one index serves every clone.
-type consumerCacheKey struct {
-	first *Inst
-	n     int
-}
-
-// consumerCache holds every consumer index built so far, process-wide,
-// exactly like internal/core's trace cache: traces are immutable once
-// generated, so the index is immutable too and one build serves every
-// study, worker and clock point.
-var consumerCache sync.Map // consumerCacheKey → *ConsumerIndex
-
-// ConsumerIndexOf returns the trace's consumer index, building and
-// caching it on first use. The returned index is shared and must be
-// treated as read-only; concurrent callers may race to build it, but the
-// construction is a pure function of the trace so either result is
-// identical and LoadOrStore picks a canonical one.
+// ConsumerIndexOf returns the trace's consumer index, building it on
+// first use. The index belongs to the trace's stream, so every clone
+// (see WithPrefetchCoverage) gets the same one and it is freed with the
+// stream; it is shared and must be treated as read-only.
 func (t *Trace) ConsumerIndexOf() *ConsumerIndex {
-	if len(t.Insts) == 0 {
+	s := t.s
+	if s == nil {
 		return &ConsumerIndex{Offsets: make([]int32, 1)}
 	}
-	key := consumerCacheKey{first: &t.Insts[0], n: len(t.Insts)}
-	if v, ok := consumerCache.Load(key); ok {
-		return v.(*ConsumerIndex)
-	}
-	v, _ := consumerCache.LoadOrStore(key, buildConsumerIndex(t.Insts))
-	return v.(*ConsumerIndex)
+	s.consOnce.Do(func() { s.cons = buildConsumerIndex(s.src1, s.src2) })
+	return s.cons
 }
 
 // buildConsumerIndex builds the CSR adjacency in two passes: count the
 // out-degree of every producer, prefix-sum into row offsets, then fill.
 // Dependencies always point backwards (see Inst), so the result is a DAG
 // adjacency whose edge lists are sorted by consumer index.
-func buildConsumerIndex(insts []Inst) *ConsumerIndex {
-	n := len(insts)
+func buildConsumerIndex(src1, src2 []int32) *ConsumerIndex {
+	n := len(src1)
 	offsets := make([]int32, n+1)
-	for i := range insts {
-		if s := insts[i].Src1; s >= 0 {
+	for i := 0; i < n; i++ {
+		if s := src1[i]; s >= 0 {
 			offsets[s+1]++
 		}
-		if s := insts[i].Src2; s >= 0 {
+		if s := src2[i]; s >= 0 {
 			offsets[s+1]++
 		}
 	}
@@ -75,12 +55,12 @@ func buildConsumerIndex(insts []Inst) *ConsumerIndex {
 	edges := make([]int32, offsets[n])
 	next := make([]int32, n)
 	copy(next, offsets[:n])
-	for i := range insts {
-		if s := insts[i].Src1; s >= 0 {
+	for i := 0; i < n; i++ {
+		if s := src1[i]; s >= 0 {
 			edges[next[s]] = int32(i)
 			next[s]++
 		}
-		if s := insts[i].Src2; s >= 0 {
+		if s := src2[i]; s >= 0 {
 			edges[next[s]] = int32(i)
 			next[s]++
 		}

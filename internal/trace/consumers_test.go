@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -11,14 +12,15 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 	tr := p.Generate(20000, 1)
 	ci := tr.ConsumerIndexOf()
 
-	if got, want := len(ci.Offsets), len(tr.Insts)+1; got != want {
+	if got, want := len(ci.Offsets), tr.Len()+1; got != want {
 		t.Fatalf("offsets length %d, want %d", got, want)
 	}
 
 	// Forward check: every edge corresponds to a real source operand.
 	deps := 0
-	for i, in := range tr.Insts {
-		for _, s := range []int32{in.Src1, in.Src2} {
+	cols := tr.Columns()
+	for i := range cols.Flags {
+		for _, s := range []int32{cols.Src1[i], cols.Src2[i]} {
 			if s < 0 {
 				continue
 			}
@@ -41,7 +43,7 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 
 	// Reverse check: edge lists are sorted and every edge points forward
 	// to an instruction that really names the producer.
-	for p := int32(0); p < int32(len(tr.Insts)); p++ {
+	for p := int32(0); p < int32(tr.Len()); p++ {
 		prev := int32(-1)
 		for _, c := range ci.Consumers(p) {
 			if c <= p {
@@ -51,8 +53,7 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 				t.Fatalf("producer %d consumer list not sorted: %d after %d", p, c, prev)
 			}
 			prev = c
-			in := tr.Insts[c]
-			if in.Src1 != p && in.Src2 != p {
+			if cols.Src1[c] != p && cols.Src2[c] != p {
 				t.Fatalf("edge %d→%d has no matching source operand", p, c)
 			}
 		}
@@ -60,10 +61,10 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 }
 
 func TestConsumerIndexDoubleEdgeForSharedProducer(t *testing.T) {
-	tr := &Trace{Name: "dup", Insts: []Inst{
-		{Class: isa.IntAlu, Src1: -1, Src2: -1},
-		{Class: isa.IntAlu, Src1: 0, Src2: 0},
-	}}
+	b := NewBuilder(2)
+	b.Append(Inst{Class: isa.IntAlu, Src1: -1, Src2: -1})
+	b.Append(Inst{Class: isa.IntAlu, Src1: 0, Src2: 0})
+	tr := b.Trace(Trace{Name: "dup"})
 	ci := tr.ConsumerIndexOf()
 	got := ci.Consumers(0)
 	if len(got) != 2 || got[0] != 1 || got[1] != 1 {
@@ -77,10 +78,41 @@ func TestConsumerIndexCachedAcrossClones(t *testing.T) {
 	clone := tr.WithPrefetchCoverage(0.5)
 	a, b := tr.ConsumerIndexOf(), clone.ConsumerIndexOf()
 	if a != b {
-		t.Fatalf("clone sharing Insts got a distinct consumer index")
+		t.Fatalf("clone sharing the stream got a distinct consumer index")
 	}
 	if c := tr.ConsumerIndexOf(); c != a {
 		t.Fatalf("second lookup rebuilt the index")
+	}
+	if &tr.Columns().Flags[0] != &clone.Columns().Flags[0] {
+		t.Fatalf("clone copied the stream's columns")
+	}
+}
+
+// TestConsumerIndexConcurrentFirstUse pins that simultaneous first
+// lookups on a fresh trace and its clone build one index between them,
+// as concurrent simulations of a just-generated trace do.
+func TestConsumerIndexConcurrentFirstUse(t *testing.T) {
+	p, _ := ByName("176.gcc")
+	tr := p.Generate(5000, 3)
+	clone := tr.WithPrefetchCoverage(0.5)
+	got := make([]*ConsumerIndex, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		src := tr
+		if i%2 == 1 {
+			src = clone
+		}
+		wg.Add(1)
+		go func(i int, src *Trace) {
+			defer wg.Done()
+			got[i] = src.ConsumerIndexOf()
+		}(i, src)
+	}
+	wg.Wait()
+	for i, ci := range got {
+		if ci != got[0] {
+			t.Fatalf("lookup %d got a different index than lookup 0", i)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func (g Group) String() string {
 // randomized map iteration (the mapiter lint rule enforces that).
 func Groups() []Group { return []Group{Integer, VectorFP, NonVectorFP} }
 
-// Inst is one dynamic instruction.
+// Inst is one dynamic instruction, the unit a Builder appends.
 type Inst struct {
 	Class isa.Class
 	// Src1 and Src2 are the trace indices of the producing instructions,
@@ -61,7 +61,8 @@ type Inst struct {
 	// Addr is the effective address for loads and stores.
 	Addr uint64
 	// PC identifies the branch site for the predictor; meaningful only for
-	// branches.
+	// branches. The build consumes it (see Builder); a trace never stores
+	// it.
 	PC uint32
 	// Taken is the branch outcome.
 	Taken bool
@@ -69,15 +70,21 @@ type Inst struct {
 
 // Trace is a generated dynamic instruction stream.
 //
-// A Trace is immutable once Generate returns: simulators only read it, and
-// the sweep engine (internal/core) relies on that to share one instance
-// across concurrent pipeline.Run calls and to cache generated traces
-// process-wide. Code that needs a variant of a trace must clone it (see
-// WithPrefetchCoverage) instead of mutating a shared instance.
+// A Trace is immutable once Generate (or Builder.Trace) returns:
+// simulators only read it, and the sweep engine (internal/core) relies on
+// that to share one instance across concurrent pipeline runs and to cache
+// generated traces process-wide. Code that needs a variant of a trace must
+// clone it (see WithPrefetchCoverage) instead of mutating a shared
+// instance.
 type Trace struct {
 	Name  string
 	Group Group
-	Insts []Inst
+
+	// s is the instruction stream: the columns Columns exposes plus the
+	// lazily built consumer index. Clones share it, so everything derived
+	// from the stream is built once and freed with the last trace that
+	// holds it.
+	s *stream
 
 	// HotBytes and WarmBytes describe the benchmark's working-set tiers so
 	// simulators can pre-warm their caches, standing in for the 500
@@ -94,8 +101,9 @@ type Trace struct {
 }
 
 // WithPrefetchCoverage returns a copy of the trace with the given prefetch
-// coverage. The instruction stream is shared with the receiver (it is
-// read-only by contract), so the clone is cheap regardless of trace length.
+// coverage. The instruction stream, and with it the consumer index, is
+// shared with the receiver (it is read-only by contract), so the clone is
+// cheap regardless of trace length.
 func (t *Trace) WithPrefetchCoverage(cov float64) *Trace {
 	c := *t
 	c.PrefetchCoverage = cov
@@ -238,10 +246,7 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 	if cov == 0 {
 		cov = 1.0
 	}
-	tr := &Trace{
-		Name: p.Name, Group: p.Group, Insts: make([]Inst, 0, n),
-		HotBytes: 16 << 10, WarmBytes: warm, PrefetchCoverage: cov,
-	}
+	b := NewBuilder(n)
 
 	// Build the cumulative mix.
 	var cum [isa.NumClasses]float64
@@ -330,7 +335,7 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 			d := r.Geometric(p.DepDistMean)
 			j := i - d
 			for j >= 0 {
-				c := tr.Insts[j].Class
+				c := b.s.class[j]
 				if c != isa.Store && c != isa.Branch {
 					return int32(j)
 				}
@@ -380,9 +385,12 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 			in.PC = s.pc
 			in.Taken = s.next(r)
 		}
-		tr.Insts = append(tr.Insts, in)
+		b.Append(in)
 	}
-	return tr
+	return b.Trace(Trace{
+		Name: p.Name, Group: p.Group,
+		HotBytes: 16 << 10, WarmBytes: warm, PrefetchCoverage: cov,
+	})
 }
 
 func hashString(s string) uint64 {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,24 +13,20 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("missing gzip profile")
 	}
-	a := p.Generate(5000, 42)
-	b := p.Generate(5000, 42)
-	if len(a.Insts) != len(b.Insts) {
-		t.Fatal("lengths differ")
+	a := p.Generate(5000, 42).Columns()
+	b := p.Generate(5000, 42).Columns()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("identical generations differ")
 	}
-	for i := range a.Insts {
-		if a.Insts[i] != b.Insts[i] {
-			t.Fatalf("instruction %d differs between identical generations", i)
-		}
-	}
-	c := p.Generate(5000, 43)
+	c := p.Generate(5000, 43).Columns()
 	same := 0
-	for i := range a.Insts {
-		if a.Insts[i] == c.Insts[i] {
+	for i := range a.Flags {
+		if a.Flags[i] == c.Flags[i] && a.Class[i] == c.Class[i] && a.Src1[i] == c.Src1[i] &&
+			a.Src2[i] == c.Src2[i] && a.Addr[i] == c.Addr[i] {
 			same++
 		}
 	}
-	if same == len(a.Insts) {
+	if same == len(a.Flags) {
 		t.Error("different seeds produced identical traces")
 	}
 }
@@ -37,13 +34,14 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestDependenciesPointBackwardToProducers(t *testing.T) {
 	for _, p := range SPEC2000() {
 		tr := p.Generate(20000, 7)
-		for i, in := range tr.Insts {
-			for _, s := range []int32{in.Src1, in.Src2} {
+		cols := tr.Columns()
+		for i := range cols.Flags {
+			for _, s := range []int32{cols.Src1[i], cols.Src2[i]} {
 				if s < -1 || s >= int32(i) {
 					t.Fatalf("%s inst %d: source %d out of range", p.Name, i, s)
 				}
 				if s >= 0 {
-					c := tr.Insts[s].Class
+					c := cols.Class[s]
 					if c == isa.Store || c == isa.Branch {
 						t.Fatalf("%s inst %d depends on non-producer %v", p.Name, i, c)
 					}
@@ -82,8 +80,8 @@ func TestMixRealized(t *testing.T) {
 		p, _ := ByName(name)
 		tr := p.Generate(60000, 11)
 		var counts [isa.NumClasses]int
-		for _, in := range tr.Insts {
-			counts[in.Class]++
+		for _, c := range tr.Columns().Class {
+			counts[c]++
 		}
 		total := 0.0
 		for _, w := range p.Mix {
@@ -91,7 +89,7 @@ func TestMixRealized(t *testing.T) {
 		}
 		for c := 0; c < isa.NumClasses; c++ {
 			want := p.Mix[c] / total
-			got := float64(counts[c]) / float64(len(tr.Insts))
+			got := float64(counts[c]) / float64(tr.Len())
 			if want > 0.02 && (got < want*0.8 || got > want*1.2) {
 				t.Errorf("%s class %v: frequency %.3f, want ~%.3f", name, isa.Class(c), got, want)
 			}
@@ -104,9 +102,9 @@ func TestVectorCodesHaveMoreILP(t *testing.T) {
 	// integer benchmarks — the property behind Figure 4a/5's ordering.
 	meanDist := func(tr *Trace) float64 {
 		var sum, n float64
-		for i, in := range tr.Insts {
-			if in.Src1 >= 0 {
-				sum += float64(int32(i) - in.Src1)
+		for i, s1 := range tr.Columns().Src1 {
+			if s1 >= 0 {
+				sum += float64(int32(i) - s1)
 				n++
 			}
 		}
@@ -125,10 +123,10 @@ func TestBranchOutcomesVaryBySite(t *testing.T) {
 	p, _ := ByName("171.swim")
 	tr := p.Generate(50000, 5)
 	taken, branches := 0, 0
-	for _, in := range tr.Insts {
-		if in.Class == isa.Branch {
+	for _, f := range tr.Columns().Flags {
+		if f&FlagBranch != 0 {
 			branches++
-			if in.Taken {
+			if f&FlagTaken != 0 {
 				taken++
 			}
 		}
@@ -181,10 +179,11 @@ func TestGeometricMeanApproximatesTarget(t *testing.T) {
 func TestAddressesWithinFootprint(t *testing.T) {
 	for _, p := range SPEC2000() {
 		tr := p.Generate(10000, 21)
-		for i, in := range tr.Insts {
-			if in.Class.IsMem() && in.Addr >= p.FootprintBytes+64 {
+		cols := tr.Columns()
+		for i, c := range cols.Class {
+			if c.IsMem() && cols.Addr[i] >= p.FootprintBytes+64 {
 				t.Fatalf("%s inst %d: address %d beyond footprint %d",
-					p.Name, i, in.Addr, p.FootprintBytes)
+					p.Name, i, cols.Addr[i], p.FootprintBytes)
 			}
 		}
 	}
