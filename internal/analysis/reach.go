@@ -79,8 +79,7 @@ func simEntryPoint(n *Node) bool {
 	name := n.Fn.Name()
 	switch fixtureRel(n.Rel) {
 	case "internal/core":
-		return name == "SimulatePoint" || name == "SimulatePointWith" ||
-			name == "SimulateBatch" || name == "DepthSweep"
+		return name == "SimulatePoint" || name == "SimulateBatch" || name == "DepthSweep"
 	case "internal/pipeline":
 		return name == "Run" || name == "RunWith" || name == "RunBatch"
 	case "internal/experiments":

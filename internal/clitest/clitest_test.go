@@ -5,11 +5,13 @@
 package clitest
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -211,6 +213,34 @@ func TestManifestcheck(t *testing.T) {
 
 	if _, _, exit := run(t, "manifestcheck"); exit != 2 {
 		t.Errorf("no-args exit = %d, want 2", exit)
+	}
+}
+
+// TestStudyWorkerInvariance runs the benchmark's study command
+// (benchmark/study.go: the full figure set at 6000 instructions, seed 1,
+// over the benchmarks matching "2.") at 1, 2 and 4 workers. Every
+// stdout must hash to the benchmark's pinned studyPinnedSeed1, read
+// from that file, so parallel dispatch of one benchmark's lanes over
+// the pool is held to the same bytes as the serial run. The goldens
+// above pin -workers 1 only.
+func TestStudyWorkerInvariance(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "study.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`const studyPinnedSeed1 = "([0-9a-f]{64})"`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("benchmark/study.go declares no studyPinnedSeed1")
+	}
+	for _, workers := range []string{"1", "2", "4"} {
+		stdout, stderr, exit := run(t, "pipesweep", "-fig", "all", "-n", "6000", "-seed", "1",
+			"-bench", "2.", "-json", "-workers", workers)
+		if exit != 0 {
+			t.Fatalf("-workers %s: exit %d: %s", workers, exit, stderr)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); got != string(m[1]) {
+			t.Errorf("-workers %s: study stdout hashes to %s, pinned %s", workers, got, m[1])
+		}
 	}
 }
 

@@ -51,15 +51,6 @@ type SweepConfig struct {
 	// 1 reproduces the historical serial path bit-for-bit.
 	Workers int
 
-	// DisableBatch turns off the batched grid dispatch (one
-	// pipeline.RunBatch per benchmark trace, sharing the depth-invariant
-	// prewarm work across every point of that benchmark) and
-	// runs one task per (point, benchmark) cell instead. Results are
-	// bit-for-bit identical either way — the flag exists for equivalence
-	// tests and for isolating regressions, not because the paths can
-	// diverge.
-	DisableBatch bool
-
 	// Context, when non-nil, cancels a running study early. A cancelled
 	// study returns promptly with incomplete results; callers that cancel
 	// should discard the result and check Context.Err().

@@ -37,118 +37,62 @@ func (c SweepConfig) cancelled() bool {
 	return c.Context != nil && c.Context.Err() != nil
 }
 
-// simTask is one fully specified pipeline simulation.
-type simTask struct {
-	params pipeline.Params
-	tr     *trace.Trace
-}
+// cell is one (params, trace) cell of a study grid, by index.
+type cell struct{ pi, ti int }
 
-// runSims executes the tasks on the sweep's worker pool, threading one
-// reusable pipeline.Scratch per worker so the steady state of a study
-// grid allocates nothing per simulation. Stats are slotted by task
-// index, so the output never depends on completion order. On
-// cancellation the unfinished slots hold zero Stats; callers check
-// cancelled() before aggregating (a zero IPC would poison the harmonic
-// means).
-func runSims(cfg SweepConfig, tasks []simTask) []pipeline.Stats {
-	cfg.Obs.Add("simulations", int64(len(tasks)))
-	stats, _ := exec.MapWithState(cfg.pool(), tasks, pipeline.NewScratch,
-		func(s *pipeline.Scratch, _ int, t simTask) pipeline.Stats {
-			return pipeline.RunWith(t.params, t.tr, s)
-		})
-	recordEconomy(cfg, stats)
-	return stats
-}
-
-// recordEconomy surfaces the simulator's work-sharing counters in the run
-// manifest: wakes actually delivered through the consumer index versus
-// the window entries the per-issue broadcast scan they replaced would
-// have touched, and (on the batched path) the lanes that shared a
-// prewarmed memory template and the instructions whose trace columns a
-// lane after a batch's first reused.
-func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
-	var wakes, scanned, lanes, shared uint64
-	for i := range stats {
-		wakes += stats[i].WakeupWakes
-		scanned += stats[i].WakeupScanned
-		lanes += stats[i].BatchLanes
-		shared += stats[i].BatchSharedDecode
-	}
-	cfg.Obs.Add("wakeup_wakes", int64(wakes))
-	cfg.Obs.Add("wakeup_scanned", int64(scanned))
-	if lanes > 0 {
-		cfg.Obs.Add("batch_lanes", int64(lanes))
-		cfg.Obs.Add("batch_shared_decode", int64(shared))
-	}
-}
-
-// batchState is one worker's scratch for the batched grid dispatch: the
-// per-lane Scratch set plus a reusable params header, so a steady-state
-// batch allocates only its result slice.
-type batchState struct {
-	bs     *pipeline.BatchScratch
-	params []pipeline.Params
+// cellStats is one simulated cell plus the prewarms its worker's Scratch
+// did for it (telemetry only).
+type cellStats struct {
+	st       pipeline.Stats
+	prewarms uint64
 }
 
 // runGrid simulates the full (params × traces) product and returns stats
-// indexed [pi*len(traces)+ti], exactly like the flattened per-cell grid.
-// On the batched path (the default) the grid is grouped by trace — one
-// executor task per benchmark running every params lane through
-// pipeline.RunBatch — so the depth-invariant per-benchmark work (the
-// cache prewarm; the columns, predictor walk and consumer index come
-// with the trace) happens once per benchmark instead of once per cell, and consecutive lanes keep that
-// benchmark's shared arrays hot. Cell values are bit-for-bit identical
-// to the per-cell path at any worker count; only the batch accounting
-// counters (excluded from JSON) differ from an unbatched run.
+// indexed [pi*len(traces)+ti]. Every cell is its own executor task, so
+// a grid of one benchmark still spreads over the whole pool. Tasks run
+// trace-major, each trace's lanes in pipeline.GeometryOrder, and each
+// worker threads one reusable pipeline.Scratch through its tasks: the
+// Scratch re-prewarms its memory template only when the trace or the
+// geometry changes, so a worker taking consecutive cells of one
+// benchmark shares the prewarm walk the way one batched pass would. A
+// cell's Stats never depend on which worker ran it or what ran before,
+// so results are bit-for-bit identical at any worker count.
 func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) []pipeline.Stats {
-	if cfg.DisableBatch {
-		tasks := make([]simTask, 0, len(params)*len(traces))
-		for _, p := range params {
-			for _, tr := range traces {
-				tasks = append(tasks, simTask{params: p, tr: tr})
-			}
+	order := pipeline.GeometryOrder(params)
+	cells := make([]cell, 0, len(params)*len(traces))
+	for ti := range traces {
+		for _, pi := range order {
+			cells = append(cells, cell{pi: pi, ti: ti})
 		}
-		return runSims(cfg, tasks)
 	}
-
-	cfg.Obs.Add("simulations", int64(len(params)*len(traces)))
-	batches, _ := exec.MapGroupsWithState(cfg.pool(), traceGroups(params, traces),
-		func() *batchState { return &batchState{bs: pipeline.NewBatchScratch()} },
-		func(st *batchState, _ int, group []simTask) []pipeline.Stats {
-			ps := st.params[:0]
-			for _, t := range group {
-				ps = append(ps, t.params)
-			}
-			st.params = ps
-			return pipeline.RunBatch(ps, group[0].tr, st.bs.Lanes(len(ps)))
+	cfg.Obs.Add("simulations", int64(len(cells)))
+	out, _ := exec.MapWithState(cfg.pool(), cells, pipeline.NewScratch,
+		func(s *pipeline.Scratch, _ int, c cell) cellStats {
+			before := s.Prewarms()
+			st := pipeline.RunWith(params[c.pi], traces[c.ti], s)
+			return cellStats{st: st, prewarms: s.Prewarms() - before}
 		})
 
-	stats := make([]pipeline.Stats, len(params)*len(traces))
-	for ti := range traces {
-		if batches[ti] == nil {
-			continue // cancelled before this trace's batch ran
-		}
-		for pi := range params {
-			stats[pi*len(traces)+ti] = batches[ti][pi]
-		}
+	// On cancellation the unfinished slots hold zero Stats; callers check
+	// cancelled() before aggregating (a zero IPC would poison the
+	// harmonic means).
+	stats := make([]pipeline.Stats, len(cells))
+	var wakes, scanned, prewarms uint64
+	for k, c := range cells {
+		st := out[k].st
+		stats[c.pi*len(traces)+c.ti] = st
+		wakes += st.WakeupWakes
+		scanned += st.WakeupScanned
+		prewarms += out[k].prewarms
 	}
-	recordEconomy(cfg, stats)
+	// The simulator's work-sharing economy, for the run manifest: wakes
+	// delivered through the consumer index versus the window entries a
+	// per-issue broadcast scan would have touched, and the memory
+	// template prewarms the workers' Scratches did for the grid.
+	cfg.Obs.Add("wakeup_wakes", int64(wakes))
+	cfg.Obs.Add("wakeup_scanned", int64(scanned))
+	cfg.Obs.Add("prewarms", int64(prewarms))
 	return stats
-}
-
-// traceGroups shapes the (params × traces) grid into one task group per
-// trace, each group listing that benchmark's lanes in params order.
-func traceGroups(params []pipeline.Params, traces []*trace.Trace) [][]simTask {
-	groups := make([][]simTask, len(traces))
-	cells := make([]simTask, len(params)*len(traces))
-	for ti, tr := range traces {
-		g := cells[ti*len(params) : (ti+1)*len(params) : (ti+1)*len(params)]
-		for pi, p := range params {
-			g[pi] = simTask{params: p, tr: tr}
-		}
-		groups[ti] = g
-	}
-	return groups
 }
 
 // traceKey identifies one generated trace. Profile is a comparable value

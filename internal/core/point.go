@@ -316,41 +316,25 @@ func (o PointOptions) params() (pipeline.Params, fo4.Clock) {
 	return p, clk
 }
 
-// SimulatePoint runs one point and returns its per-benchmark result at
-// the 100nm technology point the paper reports. rec, when non-nil,
-// receives the trace-cache counters; it never influences the result.
+// SimulatePoint runs one point — a one-lane SimulateBatch — and returns
+// its per-benchmark result at the 100nm technology point the paper
+// reports. rec, when non-nil, receives the trace-cache counters; it
+// never influences the result.
 func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
-	o = o.Normalize()
-	if err := o.Validate(); err != nil {
+	out, err := SimulateBatch([]PointOptions{o}, nil, rec)
+	if err != nil {
 		return BenchPoint{}, err
 	}
-	prof, _ := ProfileByName(o.Benchmark)
-	tr := cachedTrace(prof, o.Instructions, o.Seed, rec)
-	p, clk := o.params()
-	return pointResult(pipeline.Run(p, tr), tr, clk), nil
-}
-
-// SimulatePointWith is SimulatePoint on a caller-owned Scratch, for
-// callers (like the serving layer's executor workers) that amortize
-// allocations across many points.
-func SimulatePointWith(o PointOptions, s *pipeline.Scratch, rec *obs.Recorder) (BenchPoint, error) {
-	o = o.Normalize()
-	if err := o.Validate(); err != nil {
-		return BenchPoint{}, err
-	}
-	prof, _ := ProfileByName(o.Benchmark)
-	tr := cachedTrace(prof, o.Instructions, o.Seed, rec)
-	p, clk := o.params()
-	return pointResult(pipeline.RunWith(p, tr, s), tr, clk), nil
+	return out[0], nil
 }
 
 // SimulateBatch simulates every point of opts — all of which must
 // resolve to the same trace (benchmark, instructions, seed) — in one
 // batched pass over that trace: the depth-invariant per-benchmark work
 // is done once and shared through pipeline.RunBatch instead of once per
-// point. out[i] equals what SimulatePointWith(opts[i], ...) returns,
-// except for the batch accounting counters (excluded from JSON) that
-// only the batched path sets; the serving layer's byte-identity test
+// point. out[i] equals what a one-lane batch of opts[i] returns, except
+// for the batch accounting counters (excluded from JSON) that only a
+// multi-lane batch sets; the serving layer's byte-identity test
 // pins that equivalence on the wire. bs amortizes per-lane scratch
 // state across successive batches (nil builds a throwaway) and, like
 // every Scratch, must not be shared by concurrent calls.

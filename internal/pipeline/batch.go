@@ -1,23 +1,20 @@
 package pipeline
 
-import (
-	"repro/internal/mem"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
-// RunBatch simulates one benchmark trace under every lane of params in a
-// single batched pass: the depth-invariant per-benchmark work — the
-// trace's columns with their class flags and predictor verdicts (built
-// with the trace), the consumer CSR (trace.ConsumerIndexOf), and the
-// cache-prewarm walk — is done once and shared, while each lane keeps
-// its own timing state in its Scratch. Lanes are partitioned by memory-system geometry
-// in first-seen order; lanes in a partition of two or more share one
-// prewarmed hierarchy template (its post-prewarm state is a pure function
-// of geometry and trace, so copying it is bit-identical to rebuilding
-// it), and a lane whose geometry no other lane shares falls back to the
-// plain RunWith path with zero BatchLanes. Structural divergence between lanes — different
-// WindowStages, PreSelect shapes, in-order vs out-of-order — is always
-// allowed: each lane runs its own core loop over the shared columns.
+// RunBatch simulates one benchmark trace under every lane of params, one
+// lane after another, sharing the depth-invariant per-benchmark work —
+// the trace's columns with their class flags and predictor verdicts
+// (built with the trace), the consumer CSR (trace.ConsumerIndexOf), and
+// the cache-prewarm walk — while each lane keeps its own timing state
+// in its Scratch. Lanes run in GeometryOrder, so a
+// Scratch serving every lane (see BatchScratch) prewarms its memory
+// template once per geometry and copies it into each lane (the
+// template's state is a pure function of geometry and the trace's
+// working-set tiers, so the copy is bit-identical to rebuilding it).
+// Structural divergence between lanes — different WindowStages,
+// PreSelect shapes, in-order vs out-of-order — is always allowed: each
+// lane runs its own core loop over the shared columns.
 //
 // out[i] equals RunWith(params[i], tr, scratches[i]) field for field,
 // except for the BatchLanes/BatchSharedDecode accounting that only
@@ -35,107 +32,62 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 // moment that lane finishes, on the calling goroutine, instead of
 // collecting them: a caller streaming results (the sweep daemon) can
 // publish a lane while the rest of the batch is still running. Every
-// lane is emitted exactly once; lanes of one geometry partition finish
-// in lane order, partitions in first-seen order.
+// lane is emitted exactly once, in GeometryOrder.
 func RunBatchEach(params []Params, tr *trace.Trace, scratches []*Scratch, emit func(lane int, st Stats)) {
 	if len(scratches) != len(params) {
 		panic("pipeline: RunBatch needs one scratch slot per lane")
 	}
-	if len(params) == 0 {
-		return
-	}
 	// Every lane after the first reads the columns (and predictor
 	// verdicts) the batch's first lane read.
 	shared := uint64(tr.Len())
-	done := func(lane int, st Stats) {
+	eachByGeometry(params, func(lane, partition int) {
+		st := RunWith(params[lane], tr, scratches[lane])
+		if partition > 1 {
+			st.BatchLanes = uint64(partition)
+		}
 		if lane > 0 {
 			st.BatchSharedDecode = shared
 		}
 		emit(lane, st)
-	}
-
-	// Fast path: every lane has the same memory-system geometry — the
-	// depth-sweep shape, where lanes differ only in clock-derived timing —
-	// so there is exactly one partition and no index bookkeeping.
-	uniform := true
-	key0 := hierKeyFor(params[0].Machine)
-	for i := 1; i < len(params); i++ {
-		if hierKeyFor(params[i].Machine) != key0 {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		runBatchPartition(params, tr, scratches, nil, done)
-		return
-	}
-	// Mixed-machine grids (ablations, capacity studies) are rare and
-	// small, so the partition bookkeeping may allocate.
-	keys := make([]hierKey, len(params))
-	for i := range params {
-		keys[i] = hierKeyFor(params[i].Machine)
-	}
-	assigned := make([]bool, len(params))
-	var lanes []int
-	for i := range params {
-		if assigned[i] {
-			continue
-		}
-		lanes = lanes[:0]
-		for j := i; j < len(params); j++ {
-			if !assigned[j] && keys[j] == keys[i] {
-				assigned[j] = true
-				lanes = append(lanes, j)
-			}
-		}
-		runBatchPartition(params, tr, scratches, lanes, done)
-	}
+	})
 }
 
-// runBatchPartition runs the lanes of one geometry partition. lanes
-// lists the partition's lane indices; nil means all of params (the
-// uniform fast path). Single-lane partitions are the RunWith fallback;
-// larger ones build the shared prewarm template once and copy it into
-// every lane.
-func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, lanes []int, done func(int, Stats)) {
-	count := len(params)
-	if lanes != nil {
-		count = len(lanes)
-	}
-	laneAt := func(k int) int {
-		if lanes == nil {
-			return k
+// GeometryOrder returns params' lane indices grouped by memory-system
+// geometry: groups in first-seen order, params order within a group.
+// One Scratch running lanes in this order over one trace prewarms its
+// hierarchy template once per geometry (see Scratch.Prewarms).
+func GeometryOrder(params []Params) []int {
+	order := make([]int, 0, len(params))
+	eachByGeometry(params, func(lane, _ int) { order = append(order, lane) })
+	return order
+}
+
+// eachByGeometry calls f for every lane of params in GeometryOrder, with
+// the size of the lane's geometry group. It allocates nothing: a lane's
+// group is found by rescanning params, which for a uniform grid (every
+// depth sweep) stops at lane 0.
+func eachByGeometry(params []Params, f func(lane, partition int)) {
+	for i := range params {
+		key := hierKeyFor(params[i].Machine)
+		first, size := true, 0
+		for j := range params {
+			if hierKeyFor(params[j].Machine) != key {
+				continue
+			}
+			if j < i {
+				first = false
+				break
+			}
+			size++
 		}
-		return lanes[k]
-	}
-
-	if count == 1 {
-		// A lane with no geometry partner shares nothing but the columns;
-		// it runs the plain RunWith path and keeps BatchLanes zero, so its
-		// Stats are indistinguishable from an unbatched run's.
-		i := laneAt(0)
-		done(i, runWith(params[i], tr, scratches[i], nil))
-		return
-	}
-
-	// Prewarm once per partition. The template lives on the partition's
-	// first scratch so its allocation amortizes across batches; a nil
-	// scratch (one-off callers) builds a throwaway.
-	i0 := laneAt(0)
-	var tmpl *mem.Hierarchy
-	if s0 := scratches[i0]; s0 != nil {
-		tmpl = s0.warmTemplate(params[i0].Machine)
-	} else {
-		tmpl = newHierarchy(params[i0].Machine)
-	}
-	tmpl.Coverage = tr.PrefetchCoverage
-	tmpl.Prewarm(tr.HotBytes, tr.WarmBytes)
-
-	for k := 0; k < count; k++ {
-		i := laneAt(k)
-		st := runWith(params[i], tr, scratches[i], tmpl)
-		st.BatchLanes = uint64(count)
-		done(i, st)
+		if !first {
+			continue
+		}
+		for j := i; j < len(params); j++ {
+			if hierKeyFor(params[j].Machine) == key {
+				f(j, size)
+			}
+		}
 	}
 }
 

@@ -179,9 +179,9 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // benchBatch measures one RunBatch call per iteration at the given lane
-// count. The 1-lane case prices the fallback against BenchmarkRunOutOfOrder;
-// the 15-lane case is the depth-sweep shape (useful 2..16) whose
-// per-benchmark sharing the batched engine dispatch rides on.
+// count. The 1-lane case prices a lone lane against BenchmarkRunOutOfOrder;
+// the 15-lane case is the depth-sweep shape (useful 2..16) that
+// sweepd's multi-depth batches run.
 func benchBatch(b *testing.B, bench string, lanes int) {
 	tr := getTrace(b, bench, 40000)
 	params := make([]Params, 0, lanes)

@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"repro/internal/mem"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // runInOrder simulates the Section 4.1 machine: a seven-stage in-order
 // pipeline (fetch, decode, issue, register read, execute, write back,
@@ -12,7 +9,7 @@ import (
 // a timestamp recurrence: each instruction issues at the earliest cycle
 // that satisfies program order, issue bandwidth, operand readiness (with
 // full bypass), and fetch delivery — no issue window exists.
-func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) Stats {
+func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	m := p.Machine
 	tmg := p.Timing
 	n := tr.Len()
@@ -25,7 +22,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) St
 	flags, class := cols.Flags, cols.Class
 	src1s, src2s, addrs := cols.Src1, cols.Src2, cols.Addr
 
-	hier := scr.hierarchyFor(m, tr, warm)
+	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
 	lat.init(&p, hier)
 	perfectBranches := m.PerfectBranches

@@ -111,8 +111,8 @@ type Stats struct {
 
 	// Batch accounting, set only by RunBatch: BatchLanes is the size of the
 	// geometry partition this lane shared a prewarmed memory template with
-	// (zero for a lane that fell back to the plain RunWith path, whose
-	// Stats are then indistinguishable from an unbatched run's), and
+	// (zero for a lane alone in its geometry, whose Stats are then
+	// indistinguishable from an unbatched run's), and
 	// BatchSharedDecode counts the instructions whose columns and
 	// predictor verdicts a lane after the batch's first read from the
 	// shared trace rather than a decode of its own. Excluded from JSON so
@@ -132,18 +132,12 @@ func (s Stats) AvgWindowOcc() float64 {
 // Run simulates tr on the configured machine and returns its statistics.
 //
 // Run is safe for concurrent use: all simulation state (predictor tables,
-// cache hierarchy, window occupancy) lives in a Scratch borrowed from a
-// package pool for the duration of the call, the trace is only read
-// (immutable by contract, see internal/trace), and Params is passed by
-// value. The sweep engine relies on this to run many simulations of the
-// same trace in parallel; internal/core's race tests pin it. Callers with
-// their own run loop can hold a Scratch and use RunWith to skip the pool.
-func Run(p Params, tr *trace.Trace) Stats {
-	s := scratchPool.Get().(*Scratch)
-	stats := RunWith(p, tr, s)
-	scratchPool.Put(s)
-	return stats
-}
+// cache hierarchy, window occupancy) lives in a fresh Scratch for the
+// duration of the call, the trace is only read (immutable by contract,
+// see internal/trace), and Params is passed by value. Callers with their
+// own run loop hold a Scratch and use RunWith to reuse its allocations
+// and its prewarmed memory template.
+func Run(p Params, tr *trace.Trace) Stats { return RunWith(p, tr, nil) }
 
 // RunWith simulates like Run but on caller-owned scratch state, reusing
 // its allocations. Results are identical to Run's for any scratch
@@ -151,23 +145,13 @@ func Run(p Params, tr *trace.Trace) Stats {
 // must not be shared by concurrent calls. A nil scratch is allowed and
 // simulates on fresh state.
 func RunWith(p Params, tr *trace.Trace, s *Scratch) Stats {
-	return runWith(p, tr, s, nil)
-}
-
-// runWith is RunWith with the batch runner's extra input: warm, when
-// non-nil, is a prewarmed memory-hierarchy template of the machine's
-// geometry whose state is copied instead of re-walking the working set.
-// A nil warm reproduces RunWith exactly; a correct template makes the
-// two paths bit-identical (the template state is a pure function of
-// geometry and trace — see RunBatch).
-func runWith(p Params, tr *trace.Trace, s *Scratch, warm *mem.Hierarchy) Stats {
 	if s == nil {
 		s = NewScratch()
 	}
 	if p.Machine.InOrder {
-		return runInOrder(p, tr, s, warm)
+		return runInOrder(p, tr, s)
 	}
-	return runOutOfOrder(p, tr, s, warm)
+	return runOutOfOrder(p, tr, s)
 }
 
 const pending = math.MaxInt64
@@ -185,7 +169,7 @@ type winEntry struct {
 	preSelected bool  // latched by a pre-selection block (Figure 12)
 }
 
-func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) Stats {
+func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	m := p.Machine
 	tmg := p.Timing
 	n := tr.Len()
@@ -223,7 +207,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 	// re-scanning every window entry per issued instruction.
 	consumers := tr.ConsumerIndexOf()
 
-	hier := scr.hierarchyFor(m, tr, warm)
+	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
 	lat.init(&p, hier)
 	perfectBranches := m.PerfectBranches

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sync"
-
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -18,9 +16,9 @@ import (
 // every run fully re-initializes the state it reads, so results are a
 // pure function of (Params, Trace) regardless of what ran before — but
 // it must never be shared by concurrent runs. The sweep engine threads
-// one Scratch per worker through exec.MapWithState; plain Run borrows
-// one from a package pool. Traces stay immutable throughout: a Scratch
-// only ever holds simulator-private state, never trace data.
+// one Scratch per worker through exec.MapWithState; plain Run builds a
+// fresh one. Traces stay immutable throughout: a Scratch only ever
+// holds simulator-private state, never trace data.
 type Scratch struct {
 	// Per-instruction arenas, sized to the trace on each run. The data
 	// (consumer-visible, post-bypass) and complete (executed) timestamps
@@ -44,13 +42,12 @@ type Scratch struct {
 	// it is read.
 	fetchReady []int64
 
-	hier    *mem.Hierarchy
-	hierKey hierKey
-
-	// warmTmpl is the batch prewarm template (see RunBatch): a hierarchy
-	// prewarmed once per partition whose state later lanes copy.
-	warmTmpl    *mem.Hierarchy
-	warmTmplKey hierKey
+	// hier is the run's hierarchy, copied from tmpl at the start of every
+	// run; tmpl is prewarmed for tmplKey (see hierarchyFor).
+	hier     *mem.Hierarchy
+	tmpl     *mem.Hierarchy
+	tmplKey  warmKey
+	prewarms uint64
 }
 
 // NewScratch returns an empty Scratch; arenas grow on first use.
@@ -146,55 +143,42 @@ func hierKeyFor(m config.Machine) hierKey {
 	}
 }
 
-// hierarchy returns a memory hierarchy for machine m, reusing the cached
-// one when the cache geometry matches (Reset restores the built state
-// exactly) and rebuilding it otherwise.
-func (s *Scratch) hierarchy(m config.Machine) *mem.Hierarchy {
-	key := hierKeyFor(m)
-	if s.hier != nil && key == s.hierKey {
-		s.hier.Reset()
-		return s.hier
-	}
-	s.hier = newHierarchy(m)
-	s.hierKey = key
-	return s.hier
+// warmKey is everything a prewarmed hierarchy's state is a function of:
+// the cache geometry and the trace's working-set tiers. It holds values
+// only, never the trace, so a Scratch does not keep a dropped trace
+// alive.
+type warmKey struct {
+	geom                hierKey
+	hotBytes, warmBytes uint64
 }
 
 // hierarchyFor puts the scratch's hierarchy in start-of-run state for
-// machine m: reset and prewarmed from the trace's working set, or — when
-// a batch supplies a prewarmed template of the same geometry — copied
-// from the template, skipping the per-lane reset and prewarm walks. The
-// two paths produce bit-identical state (the template is itself reset
-// and prewarmed from the same trace; see RunBatch).
-func (s *Scratch) hierarchyFor(m config.Machine, tr *trace.Trace, warm *mem.Hierarchy) *mem.Hierarchy {
-	if warm != nil {
-		key := hierKeyFor(m)
-		if s.hier == nil || key != s.hierKey {
-			s.hier = newHierarchy(m)
-			s.hierKey = key
+// machine m and trace tr: a copy of the scratch's prewarmed template,
+// which is rebuilt and re-prewarmed only when the geometry or the
+// trace's working-set tiers change, so successive runs of one geometry
+// pay a pair of memcpys per level instead of a working-set walk each.
+// The template's state is a pure function of its warmKey —
+// Coverage is configuration, set here on every run — so the result is
+// bit-identical to a fresh hierarchy prewarmed for this run.
+func (s *Scratch) hierarchyFor(m config.Machine, tr *trace.Trace) *mem.Hierarchy {
+	key := warmKey{geom: hierKeyFor(m), hotBytes: tr.HotBytes, warmBytes: tr.WarmBytes}
+	if s.tmpl == nil || key != s.tmplKey {
+		if s.tmpl == nil || key.geom != s.tmplKey.geom {
+			s.tmpl, s.hier = newHierarchy(m), newHierarchy(m)
+		} else {
+			s.tmpl.Reset()
 		}
-		s.hier.CopyStateFrom(warm)
-		return s.hier
+		s.tmpl.Prewarm(tr.HotBytes, tr.WarmBytes)
+		s.tmplKey = key
+		s.prewarms++
 	}
-	h := s.hierarchy(m)
-	h.Coverage = tr.PrefetchCoverage
-	h.Prewarm(tr.HotBytes, tr.WarmBytes)
-	return h
+	s.hier.CopyStateFrom(s.tmpl)
+	s.hier.Coverage = tr.PrefetchCoverage
+	return s.hier
 }
 
-// warmTemplate returns the scratch's batch prewarm template for machine
-// m in reset state, rebuilding it when the geometry changed.
-func (s *Scratch) warmTemplate(m config.Machine) *mem.Hierarchy {
-	key := hierKeyFor(m)
-	if s.warmTmpl == nil || key != s.warmTmplKey {
-		s.warmTmpl = newHierarchy(m)
-		s.warmTmplKey = key
-		return s.warmTmpl
-	}
-	s.warmTmpl.Reset()
-	return s.warmTmpl
-}
-
-// scratchPool serves direct Run callers that do not manage their own
-// per-worker Scratch (examples, tests, one-off simulations).
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+// Prewarms returns how many times this Scratch has prewarmed its
+// hierarchy template. Runs in an order that keeps geometry and trace
+// fixed (see GeometryOrder) prewarm once per change; the sweep engine
+// records the count in the run manifest.
+func (s *Scratch) Prewarms() uint64 { return s.prewarms }
