@@ -31,15 +31,15 @@ lint-stats:
 # A short fuzz pass over the external input surfaces: the shared CLI
 # flag parser, the run-manifest validator, the linter's suppression
 # directive parser, and the /sweep grid parser (where client-controlled
-# floats meet index arithmetic); plus the simulator's batch equivalence
-# and Stats conservation laws over synthetic traces and lane sets. 10s
+# floats meet index arithmetic); plus Scratch reuse and the simulator's
+# Stats conservation laws over synthetic traces and point sets. 10s
 # per target keeps it CI-sized; drop -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSimFlags -fuzztime 10s ./internal/cliflags
 	$(GO) test -run '^$$' -fuzz FuzzManifestCheck -fuzztime 10s ./cmd/manifestcheck
 	$(GO) test -run '^$$' -fuzz FuzzAllowDirective -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzRunBatchLanes -fuzztime 10s ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzScratchReuse -fuzztime 10s ./internal/pipeline
 
 # A fast pass over the benchmark harness: one iteration each, so every
 # experiment driver executes end to end without the full -bench cost.

@@ -71,15 +71,15 @@ func (r *Reach) Chain(n *Node) []string {
 
 // simEntryPoint reports whether a node is one of the simulation entry
 // points the determinism rules root reachability at: the point-level
-// and batched serving entries, the pipeline core (single-lane and
-// batched), and the study drivers. Matching happens on the
-// fixture-normalized directory (see fixtureRel) so the root set itself
-// is pinned by analyzer fixtures.
+// and multi-point serving entries, the pipeline core, the deprecated
+// batch wrappers (roots until they are deleted), and the study
+// drivers. Matching happens on the fixture-normalized directory (see
+// fixtureRel) so the root set itself is pinned by analyzer fixtures.
 func simEntryPoint(n *Node) bool {
 	name := n.Fn.Name()
 	switch fixtureRel(n.Rel) {
 	case "internal/core":
-		return name == "SimulatePoint" || name == "SimulateBatch" || name == "DepthSweep"
+		return name == "SimulatePoint" || name == "SimulateEach" || name == "SimulateBatch" || name == "DepthSweep"
 	case "internal/pipeline":
 		return name == "Run" || name == "RunWith" || name == "RunBatch"
 	case "internal/experiments":

@@ -9,8 +9,9 @@ import (
 
 // TestSimRootsPinBatchedEntryPoints pins the reachability root set
 // through the ok/bad fixture pair under testdata/src/internal/{pipeline,
-// core}: the batched entries (pipeline.RunBatch, core.SimulateBatch)
-// must root the transitive nondeterminism rule — a clock read in an
+// core}: the multi-point entry (core.SimulateEach) and the deprecated
+// batch wrappers (pipeline.RunBatch, core.SimulateBatch) must each root
+// the transitive nondeterminism rule — a clock read in an
 // out-of-scope helper is flagged with the chain that makes it
 // sim-relevant — while a helper reachable only from a non-root
 // (NewBatchScratch) stays silent.
@@ -27,7 +28,7 @@ func TestSimRootsPinBatchedEntryPoints(t *testing.T) {
 	}
 	findings := analysis.Run(l, pkgs, nondet, analysis.Options{})
 
-	var viaRunBatch, viaSimulateBatch bool
+	var viaRunBatch, viaSimulateBatch, viaSimulateEach bool
 	for _, f := range findings {
 		if f.Rule != "nondeterminism" || !strings.Contains(f.File, "simroots/leaky") {
 			t.Errorf("unexpected finding: %s", f)
@@ -39,6 +40,8 @@ func TestSimRootsPinBatchedEntryPoints(t *testing.T) {
 			viaRunBatch = true
 		case strings.Contains(chain, "core.SimulateBatch"):
 			viaSimulateBatch = true
+		case strings.Contains(chain, "core.SimulateEach"):
+			viaSimulateEach = true
 		case strings.Contains(chain, "NewBatchScratch"):
 			t.Errorf("non-root NewBatchScratch produced a chain: %s", f)
 		default:
@@ -51,7 +54,10 @@ func TestSimRootsPinBatchedEntryPoints(t *testing.T) {
 	if !viaSimulateBatch {
 		t.Error("core.SimulateBatch is not rooting reachability: leaky.StampCore was not flagged")
 	}
-	if len(findings) != 2 {
-		t.Errorf("got %d findings, want exactly 2 (StampPipe and StampCore; Unreached must stay silent)", len(findings))
+	if !viaSimulateEach {
+		t.Error("core.SimulateEach is not rooting reachability: leaky.StampEach was not flagged")
+	}
+	if len(findings) != 3 {
+		t.Errorf("got %d findings, want exactly 3 (StampPipe, StampCore and StampEach; Unreached must stay silent)", len(findings))
 	}
 }

@@ -4,5 +4,9 @@ package core
 
 import "repro/internal/analysis/testdata/src/simroots/leaky"
 
-// SimulateBatch is the batched serving entry, a declared sim root.
+// SimulateBatch is a deprecated batch wrapper, a declared sim root
+// until it is deleted.
 func SimulateBatch() int { return leaky.StampCore() }
+
+// SimulateEach is the multi-point serving entry, a declared sim root.
+func SimulateEach() int { return leaky.StampEach() }

@@ -1,9 +1,9 @@
 // Package leaky is the reach fixtures' out-of-scope helper: it is not a
 // simulation package, so its clock reads are only violations when a sim
-// entry point can reach them. StampPipe/StampCore are reached from the
-// batched roots (pipeline.RunBatch, core.SimulateBatch) and must be
-// flagged with those chains; Unreached hangs off a non-root and must
-// stay silent.
+// entry point can reach them. StampPipe/StampCore/StampEach are reached
+// from the roots pipeline.RunBatch, core.SimulateBatch and
+// core.SimulateEach and must be flagged with those chains; Unreached
+// hangs off a non-root and must stay silent.
 package leaky
 
 import "time"
@@ -16,6 +16,11 @@ func StampPipe() int {
 // StampCore is reachable from the fixture core.SimulateBatch root.
 func StampCore() int {
 	return time.Now().Nanosecond() // flagged through SimulateBatch's chain
+}
+
+// StampEach is reachable from the fixture core.SimulateEach root.
+func StampEach() int {
+	return time.Now().Nanosecond() // flagged through SimulateEach's chain
 }
 
 // Unreached is called only by non-root functions; if this line is ever

@@ -11,70 +11,100 @@ import (
 	"repro/internal/trace"
 )
 
-// TestSimulateBatchMatchesOneLaneBatches pins the serving layer's batch
-// entry point against single points: every lane of a mixed grid over
-// one trace must match that lane simulated as a one-lane SimulateBatch
-// on a fresh BatchScratch, field for field once the batch accounting
-// counters (which never reach the wire) are cleared.
+// TestSimulateBatchMatchesOneLaneBatches pins the deprecated
+// SimulateBatch, which the benchmark module still uses as its
+// correctness oracle, to the per-point path: every point of a mixed
+// grid over one trace, all on one BatchScratch, equals SimulatePoint.
 func TestSimulateBatchMatchesOneLaneBatches(t *testing.T) {
-	opts := []PointOptions{
+	opts := eachGrid()
+	got, err := SimulateBatch(opts, pipeline.NewBatchScratch(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range opts {
+		want, err := SimulatePoint(o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("point %d: SimulateBatch diverges from SimulatePoint:\n got %+v\nwant %+v", i, got[i], want)
+		}
+	}
+}
+
+// eachGrid is a mixed point set over one trace: a depth sweep, a
+// segmented window and the in-order core.
+func eachGrid() []PointOptions {
+	return []PointOptions{
 		{Benchmark: "gcc", Useful: 4, Instructions: 5000},
 		{Benchmark: "gcc", Useful: 6, Instructions: 5000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Window: 32, WindowStages: 4},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Machine: "inorder"},
 	}
-	bs := pipeline.NewBatchScratch()
-	got, err := SimulateBatch(opts, bs, nil)
+}
+
+// TestSimulateEachEmitsBeforeNextPoint: SimulateEach hands each point
+// over as soon as it finishes, before the next one runs, so a streaming
+// caller can publish it while the rest go on. Each emit runs the shared
+// Scratch over a trace with other working-set tiers, which forces the
+// next point to re-prewarm the memory template: point k (in emission
+// order) must therefore see exactly 2k+1 prewarms, which it would not if
+// a later point had run before its emission. Results must not notice,
+// and every point is emitted exactly once.
+func TestSimulateEachEmitsBeforeNextPoint(t *testing.T) {
+	opts := eachGrid()
+	swim := cachedTrace(mustProfile("171.swim"), 5000, 1, nil)
+	poison, _ := opts[0].Normalize().params()
+	s := pipeline.NewScratch()
+	k, seen := 0, make([]bool, len(opts))
+	err := SimulateEach(opts, s, nil, func(i int, p BenchPoint) {
+		if seen[i] {
+			t.Errorf("point %d emitted twice", i)
+		}
+		seen[i] = true
+		if got, want := s.Prewarms(), uint64(2*k+1); got != want {
+			t.Errorf("point %d emitted after %d prewarms, want %d: a later point ran before it was emitted", i, got, want)
+		}
+		if want, err := SimulatePoint(opts[i], nil); err != nil || p != want {
+			t.Errorf("point %d diverges from SimulatePoint (err %v):\n got %+v\nwant %+v", i, err, p, want)
+		}
+		pipeline.RunWith(poison, swim, s)
+		k++
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(opts) {
-		t.Fatalf("got %d results for %d lanes", len(got), len(opts))
-	}
-	for i, o := range opts {
-		want, err := SimulateBatch([]PointOptions{o}, pipeline.NewBatchScratch(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := got[i]
-		g.Stats.BatchLanes, g.Stats.BatchSharedDecode = 0, 0
-		if g != want[0] {
-			t.Errorf("lane %d: batched point diverges:\n got %+v\nwant %+v", i, g, want[0])
-		}
+	if k != len(opts) {
+		t.Errorf("emitted %d points, want %d", k, len(opts))
 	}
 }
 
-// TestSimulateBatchRejectsMixedTraces: a batch shares one generated
-// trace by contract; lanes naming another benchmark, instruction count
-// or seed must be refused, not silently merged.
-func TestSimulateBatchRejectsMixedTraces(t *testing.T) {
+// TestSimulateEachRejectsMixedTraces: one SimulateEach call shares one
+// generated trace by contract; points naming another benchmark,
+// instruction count or seed must be refused, not silently merged.
+// Invalid points are refused, tagged by index, before any point runs,
+// and an empty call is a no-op.
+func TestSimulateEachRejectsMixedTraces(t *testing.T) {
+	refuse := func(i int, _ BenchPoint) { t.Errorf("refused call emitted point %d", i) }
 	base := PointOptions{Benchmark: "gcc", Useful: 6, Instructions: 5000}
 	for _, bad := range []PointOptions{
 		{Benchmark: "swim", Useful: 8, Instructions: 5000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 6000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Seed: 7},
 	} {
-		if _, err := SimulateBatch([]PointOptions{base, bad}, nil, nil); err == nil {
-			t.Errorf("mixed batch %+v accepted, want error", bad)
+		if err := SimulateEach([]PointOptions{base, bad}, nil, nil, refuse); err == nil {
+			t.Errorf("mixed points %+v accepted, want error", bad)
 		} else if !strings.Contains(err.Error(), "shares one trace") {
-			t.Errorf("mixed batch error %q does not name the contract", err)
+			t.Errorf("mixed points error %q does not name the contract", err)
 		}
 	}
-	// Invalid lanes are caught before any simulation, tagged by index —
-	// so the streaming entry never emits a lane of a refused batch.
-	invalid := []PointOptions{base, {Benchmark: "nope", Useful: 6}}
-	if _, err := SimulateBatch(invalid, nil, nil); err == nil {
-		t.Error("invalid lane accepted")
+	err := SimulateEach([]PointOptions{base, {Benchmark: "nope", Useful: 6}}, nil, nil, refuse)
+	if err == nil || !strings.Contains(err.Error(), "point 1") {
+		t.Errorf("invalid point: err = %v, want an error naming point 1", err)
 	}
-	if err := SimulateBatchEach(invalid, nil, nil, func(lane int, _ BenchPoint) {
-		t.Errorf("refused batch emitted lane %d", lane)
-	}); err == nil {
-		t.Error("SimulateBatchEach accepted an invalid lane")
-	}
-	// An empty batch is a no-op, not an error.
-	if out, err := SimulateBatch(nil, nil, nil); err != nil || out != nil {
-		t.Errorf("empty batch: out=%v err=%v", out, err)
+	if err := SimulateEach(nil, nil, nil, refuse); err != nil {
+		t.Errorf("empty call: err = %v", err)
 	}
 }
 

@@ -50,13 +50,13 @@ type cellStats struct {
 // runGrid simulates the full (params × traces) product and returns stats
 // indexed [pi*len(traces)+ti]. Every cell is its own executor task, so
 // a grid of one benchmark still spreads over the whole pool. Tasks run
-// trace-major, each trace's lanes in pipeline.GeometryOrder, and each
+// trace-major, each trace's cells in pipeline.GeometryOrder, and each
 // worker threads one reusable pipeline.Scratch through its tasks: the
 // Scratch re-prewarms its memory template only when the trace or the
 // geometry changes, so a worker taking consecutive cells of one
-// benchmark shares the prewarm walk the way one batched pass would. A
-// cell's Stats never depend on which worker ran it or what ran before,
-// so results are bit-for-bit identical at any worker count.
+// benchmark shares one prewarm walk. A cell's Stats never depend on
+// which worker ran it or what ran before, so results are bit-for-bit
+// identical at any worker count.
 func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) []pipeline.Stats {
 	order := pipeline.GeometryOrder(params)
 	cells := make([]cell, 0, len(params)*len(traces))

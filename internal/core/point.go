@@ -316,46 +316,23 @@ func (o PointOptions) params() (pipeline.Params, fo4.Clock) {
 	return p, clk
 }
 
-// SimulatePoint runs one point — a one-lane SimulateBatch — and returns
-// its per-benchmark result at the 100nm technology point the paper
-// reports. rec, when non-nil, receives the trace-cache counters; it
-// never influences the result.
+// SimulatePoint runs one point — a one-point SimulateEach — and
+// returns its result at the 100nm technology point the paper reports.
 func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
-	out, err := SimulateBatch([]PointOptions{o}, nil, rec)
-	if err != nil {
-		return BenchPoint{}, err
-	}
-	return out[0], nil
+	var out BenchPoint
+	err := SimulateEach([]PointOptions{o}, nil, rec, func(_ int, p BenchPoint) { out = p })
+	return out, err
 }
 
-// SimulateBatch simulates every point of opts — all of which must
-// resolve to the same trace (benchmark, instructions, seed) — in one
-// batched pass over that trace: the depth-invariant per-benchmark work
-// is done once and shared through pipeline.RunBatch instead of once per
-// point. out[i] equals what a one-lane batch of opts[i] returns, except
-// for the batch accounting counters (excluded from JSON) that only a
-// multi-lane batch sets; the serving layer's byte-identity test
-// pins that equivalence on the wire. bs amortizes per-lane scratch
-// state across successive batches (nil builds a throwaway) and, like
-// every Scratch, must not be shared by concurrent calls.
-func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Recorder) ([]BenchPoint, error) {
-	if len(opts) == 0 {
-		return nil, nil
-	}
-	out := make([]BenchPoint, len(opts))
-	err := SimulateBatchEach(opts, bs, rec, func(lane int, p BenchPoint) { out[lane] = p })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SimulateBatchEach is SimulateBatch delivering each point to emit the
-// moment its lane finishes (pipeline.RunBatchEach), so a streaming
-// caller can publish a point while the rest of the batch runs. Every
-// lane is validated before any runs: on error emit is never called,
-// otherwise it is called exactly once per lane.
-func SimulateBatchEach(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Recorder, emit func(lane int, p BenchPoint)) error {
+// SimulateEach runs every point of opts, which must share one trace
+// (benchmark, instructions, seed), on s (nil means a fresh Scratch): it
+// fetches the trace once and calls pipeline.RunWith per point in
+// pipeline.GeometryOrder, so s prewarms once per geometry. All points
+// are validated before any runs; on success emit gets each point exactly
+// once, on the calling goroutine, as soon as it finishes. s must not be
+// shared by concurrent calls. rec, observation only, receives the trace
+// cache counters and each run's "prewarms", counted before its emit.
+func SimulateEach(opts []PointOptions, s *pipeline.Scratch, rec *obs.Recorder, emit func(i int, p BenchPoint)) error {
 	if len(opts) == 0 {
 		return nil
 	}
@@ -363,19 +340,19 @@ func SimulateBatchEach(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.
 	for i, o := range opts {
 		o = o.Normalize()
 		if err := o.Validate(); err != nil {
-			return fmt.Errorf("batch lane %d: %w", i, err)
+			return fmt.Errorf("point %d: %w", i, err)
 		}
 		norm[i] = o
 	}
 	first := norm[0]
 	for i, o := range norm[1:] {
 		if o.Benchmark != first.Benchmark || o.Instructions != first.Instructions || o.Seed != first.Seed {
-			return fmt.Errorf("batch lane %d simulates trace (%s, n=%d, seed=%d) but lane 0 simulates (%s, n=%d, seed=%d); a batch shares one trace",
+			return fmt.Errorf("point %d simulates trace (%s, n=%d, seed=%d) but point 0 simulates (%s, n=%d, seed=%d); one call shares one trace",
 				i+1, o.Benchmark, o.Instructions, o.Seed, first.Benchmark, first.Instructions, first.Seed)
 		}
 	}
-	if bs == nil {
-		bs = pipeline.NewBatchScratch()
+	if s == nil {
+		s = pipeline.NewScratch()
 	}
 	prof, _ := ProfileByName(first.Benchmark)
 	tr := cachedTrace(prof, first.Instructions, first.Seed, rec)
@@ -384,10 +361,31 @@ func SimulateBatchEach(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.
 	for i, o := range norm {
 		params[i], clocks[i] = o.params()
 	}
-	pipeline.RunBatchEach(params, tr, bs.Lanes(len(params)), func(lane int, st pipeline.Stats) {
-		emit(lane, pointResult(st, tr, clocks[lane]))
-	})
+	for _, i := range pipeline.GeometryOrder(params) {
+		before := s.Prewarms()
+		st := pipeline.RunWith(params[i], tr, s)
+		rec.Add("prewarms", int64(s.Prewarms()-before))
+		emit(i, pointResult(st, tr, clocks[i]))
+	}
 	return nil
+}
+
+// Deprecated: SimulateBatch is SimulateEach on bs's Scratch, collecting
+// the points in opts order. Kept only for benchmark/probes.go and
+// benchmark/serving.go.
+func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Recorder) ([]BenchPoint, error) {
+	if len(opts) == 0 {
+		return nil, nil
+	}
+	var s *pipeline.Scratch
+	if bs != nil {
+		s = bs.Lanes(1)[0]
+	}
+	out := make([]BenchPoint, len(opts))
+	if err := SimulateEach(opts, s, rec, func(i int, p BenchPoint) { out[i] = p }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func pointResult(st pipeline.Stats, tr *trace.Trace, clk fo4.Clock) BenchPoint {

@@ -9,22 +9,23 @@ import (
 	"repro/internal/trace"
 )
 
-// FuzzRunBatchLanes fuzzes the batch equivalence and the Stats
-// conservation laws over small synthetic traces and lane sets. lanes
-// picks one to six lanes, three bytes each, from a table that varies the
-// clock, window segmentation and selection, the critical-loop
-// extensions, the cache geometry and the core; insts builds two traces
-// from the same bytes. One BatchScratch runs every lane over the two
-// traces alternately, so its memory template is re-prewarmed on every
-// trace change and reused within a trace. Every lane must equal that
-// lane run alone on a fresh Scratch, and obey:
+// FuzzScratchReuse fuzzes Scratch reuse and the Stats conservation
+// laws over small synthetic traces and point sets. lanes picks one to
+// six points, three bytes each, from a table that varies the clock,
+// window segmentation and selection, the critical-loop extensions, the
+// cache geometry and the core; insts builds two traces from the same
+// bytes. One Scratch runs every point four times, alternating the two
+// traces from point to point and the geometries in the table's order,
+// so its memory template is re-prewarmed on every trace or geometry
+// change. Every run must equal that point run on a fresh Scratch, and
+// obey:
 //
 //   - BranchLookups equals the trace's branch count;
 //   - L1Hits + L2Hits + MemAccesses equals its load count;
 //   - Instructions equals n - Warmup;
 //   - out-of-order only: SumIssued equals n and is at most
 //     (IntIssue + FPIssue) × SimCycles.
-func FuzzRunBatchLanes(f *testing.F) {
+func FuzzScratchReuse(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 2, 16, 5, 14, 2, 63, 4, 32, 0}, []byte("\x06\x81\x00\x12\x08\x00\x80\x03\x07\x01\x02\xff\x00\x02\x81\x40"))
 	f.Add([]byte{0, 9, 21, 10, 1, 42, 3, 37, 0}, []byte("loads, stores and branches over a short trace"))
 	f.Fuzz(func(t *testing.T, lanes, insts []byte) {
@@ -37,51 +38,51 @@ func FuzzRunBatchLanes(f *testing.F) {
 		for i := range params {
 			params[i].Warmup = n / 4
 		}
-
-		bs := NewBatchScratch()
-		for round := 0; round < 4; round++ {
-			tr := traces[round%2]
-			var branches, loads uint64
+		var branches, loads [2]uint64
+		for v, tr := range traces {
 			for _, fl := range tr.Columns().Flags {
 				if fl&trace.FlagBranch != 0 {
-					branches++
+					branches[v]++
 				}
 				if fl&trace.FlagLoad != 0 {
-					loads++
+					loads[v]++
 				}
 			}
-			got := RunBatch(params, tr, bs.Lanes(len(params)))
+		}
+
+		s := NewScratch()
+		for round := 0; round < 4; round++ {
 			for i, p := range params {
-				want := RunWith(p, tr, NewScratch())
-				g := got[i]
-				g.BatchLanes, g.BatchSharedDecode = 0, 0
-				if g != want {
-					t.Fatalf("round %d lane %d (%+v): batched lane diverges from the lane alone:\n got %+v\nwant %+v", round, i, p, g, want)
+				v := (round + i) % 2
+				tr := traces[v]
+				got, want := RunWith(p, tr, s), RunWith(p, tr, NewScratch())
+				if got != want {
+					t.Fatalf("round %d point %d (%+v): reused Scratch diverges from a fresh one:\n got %+v\nwant %+v", round, i, p, got, want)
 				}
-				if want.BranchLookups != branches {
-					t.Errorf("round %d lane %d: BranchLookups = %d, want %d branches", round, i, want.BranchLookups, branches)
+				if want.BranchLookups != branches[v] {
+					t.Errorf("round %d point %d: BranchLookups = %d, want %d branches", round, i, want.BranchLookups, branches[v])
 				}
-				if acc := want.L1Hits + want.L2Hits + want.MemAccesses; acc != loads {
-					t.Errorf("round %d lane %d: L1+L2+memory = %d, want %d loads", round, i, acc, loads)
+				if acc := want.L1Hits + want.L2Hits + want.MemAccesses; acc != loads[v] {
+					t.Errorf("round %d point %d: L1+L2+memory = %d, want %d loads", round, i, acc, loads[v])
 				}
 				if want.Instructions != uint64(n-p.Warmup) {
-					t.Errorf("round %d lane %d: Instructions = %d, want %d", round, i, want.Instructions, n-p.Warmup)
+					t.Errorf("round %d point %d: Instructions = %d, want %d", round, i, want.Instructions, n-p.Warmup)
 				}
 				if p.Machine.InOrder {
 					continue
 				}
 				if want.SumIssued != uint64(n) {
-					t.Errorf("round %d lane %d: SumIssued = %d, want %d", round, i, want.SumIssued, n)
+					t.Errorf("round %d point %d: SumIssued = %d, want %d", round, i, want.SumIssued, n)
 				}
 				if width := uint64(p.Machine.IntIssue + p.Machine.FPIssue); want.SumIssued > width*want.SimCycles {
-					t.Errorf("round %d lane %d: SumIssued %d exceeds width %d × %d cycles", round, i, want.SumIssued, width, want.SimCycles)
+					t.Errorf("round %d point %d: SumIssued %d exceeds width %d × %d cycles", round, i, want.SumIssued, width, want.SimCycles)
 				}
 			}
 		}
 	})
 }
 
-// fuzzLanes decodes up to six lanes, three bytes each: the useful FO4
+// fuzzLanes decodes up to six points, three bytes each: the useful FO4
 // (2..16); window stages 1/2/4, pre-selection, naive pipelining, the
 // in-order core and a doubled L1 (a second geometry); and the three
 // critical-loop extensions, 0..3 cycles each.

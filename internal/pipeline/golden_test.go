@@ -131,13 +131,13 @@ func TestGoldenStatsGrid(t *testing.T) {
 			got[bench+"/"+c.name] = toGolden(Run(c.p, tr))
 			params[i] = c.p
 		}
-		// The batched dispatch must reproduce the same goldens: every
-		// variant of this benchmark through one RunBatch walk, compared
-		// cell by cell against the per-cell path captured above.
-		bs := NewBatchScratch()
-		for i, s := range RunBatch(params, tr, bs.Lanes(len(params))) {
-			if g := toGolden(s); g != got[bench+"/"+grid[i].name] {
-				t.Errorf("%s/%s: batched stats diverge from per-cell run:\n got %+v\nwant %+v",
+		// One reused Scratch must reproduce the same goldens: every
+		// variant of this benchmark in GeometryOrder, compared cell by
+		// cell against the per-cell path captured above.
+		sc := NewScratch()
+		for _, i := range GeometryOrder(params) {
+			if g := toGolden(RunWith(params[i], tr, sc)); g != got[bench+"/"+grid[i].name] {
+				t.Errorf("%s/%s: reused-Scratch stats diverge from per-cell run:\n got %+v\nwant %+v",
 					bench, grid[i].name, g, got[bench+"/"+grid[i].name])
 			}
 		}

@@ -109,14 +109,8 @@ type Stats struct {
 	WakeupWakes   uint64
 	WakeupScanned uint64
 
-	// Batch accounting, set only by RunBatch: BatchLanes is the size of the
-	// geometry partition this lane shared a prewarmed memory template with
-	// (zero for a lane alone in its geometry, whose Stats are then
-	// indistinguishable from an unbatched run's), and
-	// BatchSharedDecode counts the instructions whose columns and
-	// predictor verdicts a lane after the batch's first read from the
-	// shared trace rather than a decode of its own. Excluded from JSON so
-	// batched and per-cell results serialize byte-identically.
+	// Deprecated: BatchLanes and BatchSharedDecode are never set and
+	// always read 0. Kept only because benchmark/serving.go assigns them.
 	BatchLanes        uint64 `json:"-"`
 	BatchSharedDecode uint64 `json:"-"`
 }

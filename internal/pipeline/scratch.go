@@ -15,9 +15,9 @@ import (
 // Contract: a Scratch may serve any number of sequential RunWith calls —
 // every run fully re-initializes the state it reads, so results are a
 // pure function of (Params, Trace) regardless of what ran before — but
-// it must never be shared by concurrent runs. The sweep engine threads
-// one Scratch per worker through exec.MapWithState; plain Run builds a
-// fresh one. Traces stay immutable throughout: a Scratch only ever
+// it must never be shared by concurrent runs. The sweep engine and the
+// sweep daemon keep one Scratch per worker; plain Run builds a fresh
+// one. Traces stay immutable throughout: a Scratch only ever
 // holds simulator-private state, never trace data.
 type Scratch struct {
 	// Per-instruction arenas, sized to the trace on each run. The data
@@ -143,6 +143,32 @@ func hierKeyFor(m config.Machine) hierKey {
 	}
 }
 
+// GeometryOrder returns params' indices grouped by memory-system
+// geometry: groups in first-seen order, params order within a group.
+// One Scratch running params in this order over one trace prewarms its
+// hierarchy template once per geometry (see Prewarms). A parameter's
+// group is found by rescanning params, which for a uniform grid (every
+// depth sweep) stops at index 0.
+func GeometryOrder(params []Params) []int {
+	order := make([]int, 0, len(params))
+	for i := range params {
+		key := hierKeyFor(params[i].Machine)
+		seen := false
+		for j := 0; j < i && !seen; j++ {
+			seen = hierKeyFor(params[j].Machine) == key
+		}
+		if seen {
+			continue
+		}
+		for j := i; j < len(params); j++ {
+			if hierKeyFor(params[j].Machine) == key {
+				order = append(order, j)
+			}
+		}
+	}
+	return order
+}
+
 // warmKey is everything a prewarmed hierarchy's state is a function of:
 // the cache geometry and the trace's working-set tiers. It holds values
 // only, never the trace, so a Scratch does not keep a dropped trace
@@ -180,5 +206,5 @@ func (s *Scratch) hierarchyFor(m config.Machine, tr *trace.Trace) *mem.Hierarchy
 // Prewarms returns how many times this Scratch has prewarmed its
 // hierarchy template. Runs in an order that keeps geometry and trace
 // fixed (see GeometryOrder) prewarm once per change; the sweep engine
-// records the count in the run manifest.
+// and core.SimulateEach record the count as the "prewarms" counter.
 func (s *Scratch) Prewarms() uint64 { return s.prewarms }

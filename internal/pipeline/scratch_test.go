@@ -36,3 +36,24 @@ func TestScratchTemplateMemo(t *testing.T) {
 		t.Errorf("Scratch prewarmed its template %d times, want 4", got)
 	}
 }
+
+// TestScratchSteadyStateAllocs pins the reuse economy: once a Scratch
+// has run a 15-point depth sweep, running it again in GeometryOrder
+// allocates only the order slice — per-point state is reused.
+func TestScratchSteadyStateAllocs(t *testing.T) {
+	tr := getTrace(t, "176.gcc", 20000)
+	params := make([]Params, 0, 15)
+	for u := 2; u <= 16; u++ {
+		params = append(params, paramsAt(float64(u)))
+	}
+	s := NewScratch()
+	sweep := func() {
+		for _, i := range GeometryOrder(params) {
+			RunWith(params[i], tr, s)
+		}
+	}
+	sweep() // warm the scratch
+	if allocs := testing.AllocsPerRun(3, sweep); allocs > 1 {
+		t.Errorf("warm 15-point sweep on one Scratch allocates %.1f objects, want <= 1", allocs)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 )
 
 // postSweepBody sends one sweep request and returns the raw response
@@ -33,15 +34,15 @@ func postSweepBody(t *testing.T, url, body string) []byte {
 }
 
 // soloLine is the batching oracle for one point: the NDJSON line the
-// point would carry had it been simulated alone, as a one-lane
-// core.SimulateBatch call on a fresh scratch.
+// point would carry had it been simulated alone, as a one-point
+// core.SimulateEach call on a fresh Scratch.
 func soloLine(t *testing.T, key string, opt core.PointOptions) string {
 	t.Helper()
-	res, err := core.SimulateBatch([]core.PointOptions{opt}, nil, nil)
-	if err != nil {
+	var res core.BenchPoint
+	if err := core.SimulateEach([]core.PointOptions{opt}, pipeline.NewScratch(), nil, func(_ int, p core.BenchPoint) { res = p }); err != nil {
 		t.Fatalf("solo simulation of %s: %v", key, err)
 	}
-	line, err := json.Marshal(newPointResult(key, opt, res[0]))
+	line, err := json.Marshal(newPointResult(key, opt, res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestBatchedSweepBytesIdentical(t *testing.T) {
 // TestGroupedBatchHandlesMixedTraces drives the grouped dispatch with
 // points that must NOT share a group — different instruction counts and
 // different seeds over one benchmark — plus a depth pair that must. It
-// guards the batching key: a wrong key either fails SimulateBatch
+// guards the batching key: a wrong key either fails SimulateEach
 // (mixed traces in one batch) or silently merges distinct traces.
 func TestGroupedBatchHandlesMixedTraces(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
@@ -116,6 +117,26 @@ func TestGroupedBatchHandlesMixedTraces(t *testing.T) {
 		lines, done := readStream(t, resp)
 		if !done || len(lines) != 2 {
 			t.Fatalf("request %s: got %d lines (done=%v), want 2", req, len(lines), done)
+		}
+	}
+}
+
+// TestColdSweepPrewarmsOncePerTrace pins the prewarm accounting: at one
+// worker, a cold 5-depth sweep over gcc and swim is admitted under one
+// lock, so each trace is one claim on the worker's Scratch and the
+// memory template is prewarmed exactly twice, once per trace. /stats
+// and /metrics must both say so, and a repeat of the sweep — all hits —
+// adds nothing.
+func TestColdSweepPrewarmsOncePerTrace(t *testing.T) {
+	const req = `{"useful":[2,4,6,8,16],"benchmarks":["gcc","swim"],"instructions":4000}`
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for pass := 0; pass < 2; pass++ {
+		postSweepBody(t, ts.URL, req)
+		if got := getStats(t, ts.URL).Telemetry.Counters["prewarms"]; got != 2 {
+			t.Errorf("pass %d: /stats prewarms = %d, want 2 (one per trace)", pass, got)
+		}
+		if got := metricValue(t, scrapeMetrics(t, ts.URL), "sweep_prewarms_total"); got != 2 {
+			t.Errorf("pass %d: sweep_prewarms_total = %v, want 2", pass, got)
 		}
 	}
 }

@@ -83,6 +83,8 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 		"Admitted points abandoned by every requester before running.", "points_dropped")
 	counterFromRec(reg, rec, "sweep_simulations_total",
 		"Simulations actually executed (misses that ran).", "simulations")
+	counterFromRec(reg, rec, "sweep_prewarms_total",
+		"Memory-template prewarms the workers' Scratches ran.", "prewarms")
 	counterFromRec(reg, rec, "sweep_point_cache_hits_total",
 		"Points served from the result store or joined in flight.", "point_cache_hits")
 	counterFromRec(reg, rec, "sweep_point_cache_misses_total",

@@ -2,19 +2,17 @@ package serve
 
 // The scheduler is the daemon's heart: a content-addressed result cache
 // over single-point simulations, a singleflight registry of in-flight
-// points, and a pool of long-lived workers behind the deterministic
-// executor (internal/exec's Pull). Each worker owns one
-// pipeline.BatchScratch for the daemon's lifetime and, as soon as it
-// finishes one batch, claims the next: the oldest queued point plus
-// every other queued point sharing its benchmark trace, so the depths
-// of a multi-depth sweep share one trace walk (core.SimulateBatch) while
-// a request for another trace starts on the next free worker. Each
-// point finalizes the moment its lane completes. Concurrent clients
-// asking overlapping grids attach to the same job, so each distinct
-// point simulates at most once per process; a point whose every
-// requester has disconnected is pruned from the queue immediately (or
-// left out of its claimed batch) instead of burning simulation time for
-// nobody.
+// points, and long-lived workers behind internal/exec's Pull. Each
+// worker owns one pipeline.Scratch and, as soon as it finishes one
+// claim, takes the next: the oldest queued point plus every queued point
+// on its trace, run through one core.SimulateEach call, so a multi-depth
+// sweep fetches the trace once and reuses the Scratch's prewarmed memory
+// template, while another trace starts on the next free worker. Each
+// point finalizes the moment it completes. Concurrent clients asking
+// overlapping grids attach to the same job, so each distinct point
+// simulates at most once per process; a point whose every requester has
+// disconnected is pruned from the queue immediately (or left out of its
+// claimed batch) instead of burning simulation time for nobody.
 
 import (
 	"encoding/json"
@@ -269,9 +267,8 @@ func identOf(o core.PointOptions) traceIdent {
 	return traceIdent{bench: o.Benchmark, n: o.Instructions, seed: o.Seed}
 }
 
-// run is the dispatcher: s.workers long-lived executor workers, each
-// with one BatchScratch for the daemon's lifetime, pull batches until
-// close has begun and the queue is empty.
+// run is the dispatcher: s.workers long-lived workers, each with one
+// Scratch, pull batches until close has begun and the queue is empty.
 func (s *scheduler) run() {
 	defer close(s.stopped)
 	pool := exec.Pool{
@@ -279,7 +276,7 @@ func (s *scheduler) run() {
 		OnTaskStart: s.rec.TaskStart,
 		OnTaskDone:  s.rec.TaskDone,
 	}
-	exec.Pull(pool, pipeline.NewBatchScratch, s.next, s.runBatch)
+	exec.Pull(pool, pipeline.NewScratch, s.next, s.runBatch)
 }
 
 // next is a worker's pull: it blocks until a batch can be claimed and
@@ -325,18 +322,18 @@ func (s *scheduler) claimLocked() []*job {
 }
 
 // runBatch is one worker's unit of work: simulate a claimed batch on the
-// worker's BatchScratch, then settle what did not run.
-func (s *scheduler) runBatch(bs *pipeline.BatchScratch, batch []*job) {
-	s.simulate(bs, batch)
+// worker's Scratch, then settle what did not run.
+func (s *scheduler) runBatch(sc *pipeline.Scratch, batch []*job) {
+	s.simulate(sc, batch)
 	s.settle(batch)
 }
 
-// simulate runs a claimed batch's live jobs as the lanes of one
-// core.SimulateBatchEach walk, finalizing each job (cache write + done
-// close) the moment its lane completes, so request streams advance
-// while the rest of the batch runs. Jobs that lost every waiter since
-// the claim are left out and settle requeues or drops them.
-func (s *scheduler) simulate(bs *pipeline.BatchScratch, batch []*job) {
+// simulate runs a claimed batch's live jobs through one
+// core.SimulateEach call, finalizing each job (cache write + done close)
+// the moment its point completes, so request streams advance while the
+// rest of the batch runs. Jobs that lost every waiter since the claim
+// are left out and settle requeues or drops them.
+func (s *scheduler) simulate(sc *pipeline.Scratch, batch []*job) {
 	live := make([]*job, 0, len(batch))
 	for _, j := range batch {
 		if j.waiters.Load() > 0 {
@@ -352,11 +349,11 @@ func (s *scheduler) simulate(bs *pipeline.BatchScratch, batch []*job) {
 		s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
 		opts[i] = j.opts
 	}
-	err := core.SimulateBatchEach(opts, bs, s.rec, func(lane int, res core.BenchPoint) {
-		s.finishJob(live[lane], res, nil)
+	err := core.SimulateEach(opts, sc, s.rec, func(i int, res core.BenchPoint) {
+		s.finishJob(live[i], res, nil)
 	})
 	if err != nil {
-		// Validation failed before any lane ran: nothing was emitted.
+		// Validation failed before any point ran: nothing was emitted.
 		for _, j := range live {
 			s.finishJob(j, core.BenchPoint{}, err)
 		}

@@ -4,8 +4,8 @@
 // tasks, serves repeats from a content-addressed result cache keyed by
 // the canonical point hash (core.PointOptions.Key), deduplicates
 // concurrent identical points singleflight-style, and runs the rest
-// on long-lived executor workers, each batching the queued points that
-// share a benchmark trace over one reusable pipeline.BatchScratch.
+// on long-lived executor workers, each running the queued points that
+// share a benchmark trace on its one reusable pipeline.Scratch.
 // Results stream back as NDJSON as points complete.
 //
 // Operational contract:

@@ -29,7 +29,9 @@ func TestDroppedTraceFreesStream(t *testing.T) {
 		params := pipeline.Params{Machine: m, Timing: config.Alpha21264Timing()}
 		pipeline.RunWith(params, tr, nil)
 		clone := tr.WithPrefetchCoverage(0.5)
-		pipeline.RunBatch([]pipeline.Params{params, params}, clone, pipeline.NewBatchScratch().Lanes(2))
+		s := pipeline.NewScratch()
+		pipeline.RunWith(params, clone, s)
+		pipeline.RunWith(params, clone, s)
 		ci := clone.ConsumerIndexOf()
 		if ci != tr.ConsumerIndexOf() {
 			t.Fatal("clone built its own consumer index")
