@@ -23,9 +23,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_stats.json from the current simulator")
 
-// goldenStats mirrors the seed-era Stats fields. Diagnostics added after
-// the seed (e.g. wakeup counters) are deliberately excluded: they did not
-// exist when the goldens were captured and are pinned by their own tests.
+// goldenStats mirrors the seed-era Stats fields plus the wakeup counters,
+// which every served line's stats carry. The counters were captured from
+// the consumer-index wakeup, so they pin that any later wakeup mechanism
+// delivers exactly the same operands against the same window occupancy.
 type goldenStats struct {
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"cycles"`
@@ -43,6 +44,9 @@ type goldenStats struct {
 	SumWindowOcc       uint64 `json:"sum_window_occ"`
 	SumIssued          uint64 `json:"sum_issued"`
 	FetchBlockedCycles uint64 `json:"fetch_blocked_cycles"`
+
+	WakeupWakes   uint64 `json:"wakeup_wakes"`
+	WakeupScanned uint64 `json:"wakeup_scanned"`
 }
 
 func toGolden(s Stats) goldenStats {
@@ -61,6 +65,8 @@ func toGolden(s Stats) goldenStats {
 		SumWindowOcc:       s.SumWindowOcc,
 		SumIssued:          s.SumIssued,
 		FetchBlockedCycles: s.FetchBlockedCycles,
+		WakeupWakes:        s.WakeupWakes,
+		WakeupScanned:      s.WakeupScanned,
 	}
 }
 
