@@ -197,6 +197,9 @@ type daemonStats struct {
 	Disconnects    int64  `json:"client_disconnects"`
 	PointsDone     int64  `json:"points_done"`
 	PointsDropped  int64  `json:"points_dropped"`
+
+	TraceCacheTraces int64 `json:"trace_cache_traces"`
+	TraceCacheBytes  int64 `json:"trace_cache_bytes"`
 }
 
 // stats scrapes /stats, failing the run if the daemon won't answer.
@@ -405,6 +408,8 @@ func (w *world) metricsAgree(st daemonStats) {
 		{"sweep_dedup_joins_total", st.DedupJoins},
 		{"sweep_queue_depth", int64(st.QueueDepth)},
 		{"sweep_inflight_points", int64(st.InflightPoints)},
+		{"trace_cache_traces", st.TraceCacheTraces},
+		{"trace_cache_bytes", st.TraceCacheBytes},
 	} {
 		got, ok := sampleValue(exposition, pair.sample)
 		if !ok {

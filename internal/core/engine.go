@@ -10,7 +10,9 @@ package core
 // order, so results are bit-for-bit identical at any worker count.
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/exec"
@@ -86,7 +88,7 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 		prewarms += out[k].prewarms
 	}
 	// The simulator's work-sharing economy, for the run manifest: wakes
-	// delivered through the consumer index versus the window entries a
+	// delivered through the waiter lists versus the window entries a
 	// per-issue broadcast scan would have touched, and the memory
 	// template prewarms the workers' Scratches did for the grid.
 	cfg.Obs.Add("wakeup_wakes", int64(wakes))
@@ -108,23 +110,56 @@ type traceKey struct {
 // simulators never mutate a trace (see the contract in internal/trace),
 // so one generation serves every study, worker and clock point that asks
 // for the same (profile, instructions, seed).
-var traceCache sync.Map // traceKey → *trace.Trace
+var traceCache sync.Map // traceKey → *traceEntry
+
+// traceEntry is one traceCache slot. The first caller for a key runs
+// once; concurrent callers for the same key wait for that one
+// generation instead of racing their own.
+type traceEntry struct {
+	once sync.Once
+	tr   *trace.Trace
+}
+
+// The trace cache's size, for /stats and /metrics: traces generated into
+// it and the bytes their columns hold (see trace.RetainedBytes). The
+// cache never evicts, so both only grow.
+var cachedTraces, cachedTraceBytes atomic.Int64
+
+// TraceCacheStats returns how many traces the process-wide trace cache
+// holds and the bytes their instruction columns retain.
+func TraceCacheStats() (traces, bytes int64) {
+	return cachedTraces.Load(), cachedTraceBytes.Load()
+}
 
 // cachedTrace returns the (profile, instructions, seed) trace, generating
-// and caching it process-wide on a miss. rec counts hits and misses.
-// Two callers may race to generate the same trace; Generate is
-// deterministic, so either result is identical and LoadOrStore just
-// picks a canonical pointer. Either racer counts a miss: the generation
-// work really happened twice.
+// and caching it process-wide on a miss. rec counts hits and misses: the
+// one caller that generates a key's trace counts a miss, and every other
+// caller, including those that waited on that generation, counts a hit.
 func cachedTrace(p trace.Profile, instructions int, seed uint64, rec *obs.Recorder) *trace.Trace {
 	key := traceKey{profile: p, instructions: instructions, seed: seed}
-	if v, ok := traceCache.Load(key); ok {
-		rec.Add("trace_cache_hits", 1)
-		return v.(*trace.Trace)
+	v, ok := traceCache.Load(key)
+	if !ok {
+		v, _ = traceCache.LoadOrStore(key, new(traceEntry))
 	}
-	rec.Add("trace_cache_misses", 1)
-	v, _ := traceCache.LoadOrStore(key, p.Generate(instructions, seed))
-	return v.(*trace.Trace)
+	e := v.(*traceEntry)
+	generated := false
+	e.once.Do(func() {
+		e.tr = p.Generate(instructions, seed)
+		generated = true
+		cachedTraces.Add(1)
+		cachedTraceBytes.Add(e.tr.RetainedBytes())
+	})
+	if e.tr == nil {
+		// Generate panicked in the caller that ran the once; it is
+		// deterministic, so this key can never produce a trace.
+		panic(fmt.Sprintf("core: the %s trace (n=%d, seed=%d) failed to generate", p.Name, instructions, seed))
+	}
+	if generated {
+		rec.Add("trace_cache_misses", 1)
+	} else {
+		rec.Add("trace_cache_hits", 1)
+	}
+	return e.tr
 }
 
 // traces returns the benchmark traces for this sweep, generating missing

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -120,5 +123,51 @@ func TestDepthSweepCancellation(t *testing.T) {
 		if p.AllBIPS != 0 || len(p.PerBench) != 0 {
 			t.Errorf("cancelled sweep produced aggregates: %+v", p)
 		}
+	}
+}
+
+var freshSeeds atomic.Uint64
+
+// TestCachedTraceGeneratesOnce: callers racing for one fresh key wait for
+// a single generation. Exactly one counts a miss, the rest count hits,
+// all get the same trace, and the cache's gauges grow by that one
+// trace's bytes.
+func TestCachedTraceGeneratesOnce(t *testing.T) {
+	const racers = 8
+	p := mustProfile("164.gzip")
+	// The cache is process-wide: under -count, each run needs a key no
+	// earlier run generated.
+	seed := 0xfeedface + freshSeeds.Add(1)
+	rec := obs.New(nil)
+	traces0, bytes0 := TraceCacheStats()
+	got := make([]*trace.Trace, racers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(racers)
+	for i := range got {
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			got[i] = cachedTrace(p, 3000, seed, rec)
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+
+	if m := rec.Counter("trace_cache_misses"); m != 1 {
+		t.Errorf("trace_cache_misses = %d, want 1", m)
+	}
+	if h := rec.Counter("trace_cache_hits"); h != racers-1 {
+		t.Errorf("trace_cache_hits = %d, want %d", h, racers-1)
+	}
+	for i, tr := range got {
+		if tr != got[0] {
+			t.Errorf("racer %d got a different trace pointer", i)
+		}
+	}
+	traces1, bytes1 := TraceCacheStats()
+	if traces1-traces0 != 1 || bytes1-bytes0 != got[0].RetainedBytes() {
+		t.Errorf("cache gauges grew by %d traces and %d bytes, want 1 and %d",
+			traces1-traces0, bytes1-bytes0, got[0].RetainedBytes())
 	}
 }

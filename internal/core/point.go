@@ -232,12 +232,9 @@ func (o PointOptions) Key(codeVersion string) string {
 // case-insensitively.
 func ProfileByName(name string) (trace.Profile, bool) {
 	name = strings.ToLower(strings.TrimSpace(name))
-	for _, p := range trace.SPEC2000() {
-		if p.Name == name || strings.TrimPrefix(p.Name, numberPrefix(p.Name)) == name {
-			return p, true
-		}
-	}
-	return trace.Profile{}, false
+	return trace.Find(func(full string) bool {
+		return full == name || strings.TrimPrefix(full, numberPrefix(full)) == name
+	})
 }
 
 // numberPrefix returns the "164." style SPEC number prefix of a suite
@@ -250,14 +247,7 @@ func numberPrefix(name string) string {
 }
 
 // BenchmarkNames returns the Table 2 benchmark names in suite order.
-func BenchmarkNames() []string {
-	all := trace.SPEC2000()
-	out := make([]string, len(all))
-	for i, p := range all {
-		out[i] = p.Name
-	}
-	return out
-}
+func BenchmarkNames() []string { return trace.Names() }
 
 // machine resolves the normalized machine name; Validate has already
 // rejected unknown names.

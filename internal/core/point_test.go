@@ -183,3 +183,29 @@ func FuzzCacheKey(f *testing.F) {
 		}
 	})
 }
+
+// TestProfileLookupsReadTheSuiteInPlace: resolving a benchmark name
+// allocates nothing (request expansion does it several times per point),
+// and a caller editing the slice SPEC2000 returns cannot change what
+// later lookups see.
+func TestProfileLookupsReadTheSuiteInPlace(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { ProfileByName("gcc") }); a != 0 {
+		t.Errorf("ProfileByName allocates %v times per call, want 0", a)
+	}
+	want, _ := ProfileByName("176.gcc")
+	all := trace.SPEC2000()
+	for i := range all {
+		all[i].Name = "mutated"
+		all[i].DepDistMean = -1
+	}
+	got, ok := ProfileByName("176.gcc")
+	if !ok || got != want {
+		t.Errorf("lookup after mutating a SPEC2000 copy = %+v, %v; want %+v", got, ok, want)
+	}
+	if names := BenchmarkNames(); names[0] == "mutated" {
+		t.Errorf("BenchmarkNames sees a mutated SPEC2000 copy: %v", names)
+	}
+	if p, ok := trace.ByName("176.gcc"); !ok || p != want {
+		t.Errorf("trace.ByName after mutation = %+v, %v; want %+v", p, ok, want)
+	}
+}

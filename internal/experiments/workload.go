@@ -86,7 +86,7 @@ func characterize(p trace.Profile, tr *trace.Trace) WorkloadRow {
 			}
 		case f&(trace.FlagLoad|trace.FlagStore) != 0:
 			memAccesses++
-			if h.Access(cols.Addr[i]) == mem.Memory {
+			if h.Access(uint64(cols.Addr[i])) == mem.Memory {
 				memToDRAM++
 			}
 		}

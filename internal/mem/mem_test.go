@@ -105,7 +105,7 @@ func TestSPECWorkloadMissRates(t *testing.T) {
 		cols := tr.Columns()
 		for i, c := range cols.Class {
 			if c.IsMem() {
-				h.Access(cols.Addr[i])
+				h.Access(uint64(cols.Addr[i]))
 			}
 		}
 		return h.L1.MissRate(), h.L2.MissRate()

@@ -13,18 +13,20 @@ import (
 // laws over small synthetic traces and point sets. lanes picks one to
 // six points, three bytes each, from a table that varies the clock,
 // window segmentation and selection, the critical-loop extensions, the
-// cache geometry and the core; insts builds two traces from the same
-// bytes. One Scratch runs every point four times, alternating the two
-// traces from point to point and the geometries in the table's order,
-// so its memory template is re-prewarmed on every trace or geometry
-// change. Every run must equal that point run on a fresh Scratch, and
-// obey:
+// cache geometry and the core; insts builds two traces of different
+// lengths from the same bytes. One Scratch runs every point four times,
+// alternating the two traces from point to point and the geometries in
+// the table's order, so its memory template is re-prewarmed and its
+// per-instruction arenas, waiter lists included, resized on every
+// trace change. Every run must equal that point run on a fresh
+// Scratch, and obey:
 //
 //   - BranchLookups equals the trace's branch count;
 //   - L1Hits + L2Hits + MemAccesses equals its load count;
 //   - Instructions equals n - Warmup;
 //   - out-of-order only: SumIssued equals n and is at most
-//     (IntIssue + FPIssue) × SimCycles.
+//     (IntIssue + FPIssue) × SimCycles, and WakeupWakes is at most the
+//     trace's count of register-source dependences.
 func FuzzScratchReuse(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 2, 16, 5, 14, 2, 63, 4, 32, 0}, []byte("\x06\x81\x00\x12\x08\x00\x80\x03\x07\x01\x02\xff\x00\x02\x81\x40"))
 	f.Add([]byte{0, 9, 21, 10, 1, 42, 3, 37, 0}, []byte("loads, stores and branches over a short trace"))
@@ -34,18 +36,23 @@ func FuzzScratchReuse(f *testing.F) {
 			return
 		}
 		traces := [2]*trace.Trace{fuzzTrace(insts, 0), fuzzTrace(insts, 1)}
-		n := traces[0].Len()
 		for i := range params {
-			params[i].Warmup = n / 4
+			params[i].Warmup = traces[0].Len() / 4
 		}
-		var branches, loads [2]uint64
+		var branches, loads, deps [2]uint64
 		for v, tr := range traces {
-			for _, fl := range tr.Columns().Flags {
+			cols := tr.Columns()
+			for i, fl := range cols.Flags {
 				if fl&trace.FlagBranch != 0 {
 					branches[v]++
 				}
 				if fl&trace.FlagLoad != 0 {
 					loads[v]++
+				}
+				for _, src := range [2]int32{cols.Src1[i], cols.Src2[i]} {
+					if src >= 0 {
+						deps[v]++
+					}
 				}
 			}
 		}
@@ -55,6 +62,7 @@ func FuzzScratchReuse(f *testing.F) {
 			for i, p := range params {
 				v := (round + i) % 2
 				tr := traces[v]
+				n := tr.Len()
 				got, want := RunWith(p, tr, s), RunWith(p, tr, NewScratch())
 				if got != want {
 					t.Fatalf("round %d point %d (%+v): reused Scratch diverges from a fresh one:\n got %+v\nwant %+v", round, i, p, got, want)
@@ -76,6 +84,9 @@ func FuzzScratchReuse(f *testing.F) {
 				}
 				if width := uint64(p.Machine.IntIssue + p.Machine.FPIssue); want.SumIssued > width*want.SimCycles {
 					t.Errorf("round %d point %d: SumIssued %d exceeds width %d × %d cycles", round, i, want.SumIssued, width, want.SimCycles)
+				}
+				if want.WakeupWakes > deps[v] {
+					t.Errorf("round %d point %d: WakeupWakes %d exceeds the trace's %d register-source dependences", round, i, want.WakeupWakes, deps[v])
 				}
 			}
 		}
@@ -114,13 +125,18 @@ func fuzzLanes(b []byte) []Params {
 
 // fuzzTrace builds a trace of up to 256 instructions from b, four bytes
 // each, reading b rotated by variant so the two variants differ. Sources
-// point backward; addresses span the L1, the L2 and memory. The variants
-// also differ in working-set tiers and prefetch coverage, so a Scratch
-// alternating between them must re-prewarm.
+// point backward; addresses span the L1, the L2 and memory, all below
+// 2^26. Variant 1 is longer than variant 0 (once b holds eight
+// instructions), so a Scratch alternating between them resizes its
+// arenas; the variants also differ in working-set tiers and prefetch
+// coverage, so it must re-prewarm.
 func fuzzTrace(b []byte, variant int) *trace.Trace {
 	n := len(b) / 4
 	if n > 256 {
 		n = 256
+	}
+	if variant == 0 {
+		n -= n / 8
 	}
 	at := func(i int) byte { return b[(i+variant)%len(b)] }
 	src := func(x byte, i int) int32 {

@@ -105,7 +105,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		issued := issueCycle
 
 		// ---- Execute.
-		execLat := lat.latency(f, class[i], addrs[i], &stats)
+		execLat := lat.latency(f, class[i], uint64(addrs[i]), &stats)
 		times[i].data = issued + execLat
 
 		// ---- Branches: resolve at execute; a misprediction stalls fetch

@@ -25,13 +25,15 @@
 // final selection.
 //
 // The simulated machine broadcasts a completing tag to every window entry
-// each issue; the simulator itself does not. It walks the trace's consumer
-// index (see trace.ConsumerIndexOf) and wakes exactly the issuing
-// instruction's resident consumers, at the same segment-resolved cycle the
-// broadcast would have delivered — event-driven simulation of a
-// broadcast-structured machine, with Stats counters (WakeupWakes vs.
-// WakeupScanned) recording the work avoided. All steady-state bookkeeping
-// lives in a reusable Scratch, so a run allocates nothing per cycle.
+// each issue; the simulator itself does not. Dispatch registers each
+// operand still awaiting its producer on that producer's waiter list, and
+// issue walks the list to wake exactly the issuing instruction's resident
+// consumers, at the same segment-resolved cycle the broadcast would have
+// delivered — event-driven simulation of a broadcast-structured machine,
+// with Stats counters (WakeupWakes vs. WakeupScanned) recording the work
+// avoided. The waiter lists and all other steady-state bookkeeping live in
+// a reusable Scratch, so a run allocates nothing per cycle and a trace
+// carries nothing but its instruction columns.
 package pipeline
 
 import (
@@ -100,7 +102,7 @@ type Stats struct {
 	FetchBlockedCycles uint64 // cycles fetch was stalled on a mispredict
 
 	// Wakeup accounting (out-of-order core only): WakeupWakes counts
-	// operand wakeups actually delivered through the consumer index;
+	// operand wakeups actually delivered through the waiter lists;
 	// WakeupScanned counts the window entries a per-issue broadcast scan
 	// would have examined for the same schedule. Their ratio is the
 	// algorithmic saving of event-driven wakeup — the simulated machine
@@ -195,12 +197,6 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	// the shared window when unified).
 	qpair := [2]*issueQueue{intQ, fpQ}
 
-	// The reverse dependence adjacency: who consumes each instruction's
-	// result. Built on first use and shared by every run of the trace, it
-	// lets issue wake a producer's actual consumers directly instead of
-	// re-scanning every window entry per issued instruction.
-	consumers := tr.ConsumerIndexOf()
-
 	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
 	lat.init(&p, hier)
@@ -210,6 +206,14 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	scr.arenas(n)
 	times := scr.times       // paired data/complete timestamps (see instTimes)
 	queuePos := scr.queuePos // issue-queue position while resident
+	// Waiter lists: who in the window awaits each instruction's result.
+	// They let issue wake a producer's actual consumers directly instead
+	// of re-scanning every window entry per issued instruction. The node
+	// pool restarts empty each run, reusing its storage; waitFree heads
+	// its free list.
+	waitHead := scr.waitHead
+	waiters := scr.waiters[:0]
+	waitFree := int32(-1)
 
 	// Front-end depth in cycles: fetch (instruction cache / predictor),
 	// decode, rename, dispatch.
@@ -363,7 +367,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				if f := flags[idx]; f&(trace.FlagLoad|trace.FlagStore) == 0 {
 					completeLat = lat.exec[class[idx]]
 				} else {
-					completeLat = lat.latency(f, class[idx], addrs[idx], &stats)
+					completeLat = lat.latency(f, class[idx], uint64(addrs[idx]), &stats)
 				}
 				d := cycle + maxInt64(completeLat, wakeLoop)
 				times[idx] = instTimes{data: d, complete: cycle + completeLat}
@@ -385,22 +389,24 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				}
 				queuePos[idx] = -1
 				// Wakeup. The machine broadcasts the completing tag across
-				// every window entry; the simulator walks the consumer
-				// index and delivers to the dependents actually resident in
-				// a queue. With a segmented window the tag reaches segment
-				// s at d + s, so a consumer sitting in segment s when the
-				// producer issues sees its operand s cycles later (stage 1
-				// sees it immediately, preserving back-to-back issue for
-				// the oldest instructions). d always lands beyond the
-				// current cycle, so delivery order within a cycle cannot
-				// change this cycle's selection — exactly like the
+				// every window entry; the simulator walks idx's waiter list
+				// and delivers to the entries that registered on it at
+				// dispatch, all of them resident (a consumer cannot issue
+				// before its producer). With a segmented window the tag
+				// reaches segment s at d + s, so a consumer sitting in
+				// segment s when the producer issues sees its operand s
+				// cycles later (stage 1 sees it immediately, preserving
+				// back-to-back issue for the oldest instructions). d always
+				// lands beyond the current cycle, and delivery only takes
+				// maxima, minima and bit-sets, so neither delivery order
+				// nor list order can change a schedule — exactly like the
 				// broadcast scan this replaces.
 				stats.WakeupScanned += uint64(resident)
-				for _, c := range consumers.Consumers(idx) {
+				for nd := waitHead[idx]; nd >= 0; {
+					node := &waiters[nd]
+					c, next := node.consumer, node.next
+					node.next, waitFree, nd = waitFree, nd, next
 					pq := queuePos[c]
-					if pq < 0 {
-						continue // not dispatched yet, or operand resolved at dispatch
-					}
 					// queuePos carries the consumer's queue in its high
 					// bit, so delivery needs no second lookup into flags.
 					dq := qpair[pq>>qposQueueShift]
@@ -435,6 +441,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 						}
 					}
 				}
+				waitHead[idx] = -1
 			}
 		}
 		// Remove issued entries (the paper's collapsing window). Machines
@@ -486,6 +493,23 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			}
 			if e.src2 == -1 && e.acc < w2 {
 				e.acc = w2
+			}
+			// Register each pending operand on its producer's waiter
+			// list; an entry whose two operands share a producer
+			// registers twice, and the first delivery resolves both.
+			for _, src := range [2]int32{e.src1, e.src2} {
+				if src < 0 {
+					continue
+				}
+				nd := waitFree
+				if nd >= 0 {
+					waitFree = waiters[nd].next
+				} else {
+					nd = int32(len(waiters))
+					waiters = append(waiters, waiter{})
+				}
+				waiters[nd] = waiter{consumer: di, next: waitHead[src]}
+				waitHead[src] = nd
 			}
 			readyAt := int64(pending)
 			scheduled := e.src1 == -1 && e.src2 == -1
@@ -610,6 +634,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		}
 	}
 
+	scr.waiters = waiters // keep the pool's storage for the next run
+
 	total := uint64(n - warmIdx)
 	if warmCycle < 0 {
 		warmCycle = 0
@@ -627,7 +653,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 // usable as soon as the value exists (completeAt — the wakeup loop taxes
 // only in-window tag broadcasts, not register-file reads of older results).
 // Otherwise the operand stays pending until the producer's issue delivers
-// it through the consumer index.
+// it through the producer's waiter list.
 func resolveOperand(src int32, times []instTimes, cycle int64, slot *int32) int64 {
 	if src < 0 {
 		return 0

@@ -7,7 +7,8 @@ import (
 )
 
 // Scratch is the reusable simulation state of one Run: the
-// per-instruction timestamp arenas, issue-queue storage, selection and
+// per-instruction timestamp arenas, the out-of-order core's wakeup
+// waiter lists, issue-queue storage, selection and
 // pre-selection scratch, the frontend ring buffer, and the (resettable)
 // branch predictor and cache hierarchy. A fresh Scratch is valid; reuse
 // only amortizes allocations.
@@ -27,6 +28,16 @@ type Scratch struct {
 	// instead of two.
 	times    []instTimes
 	queuePos []int32 // queue-tagged issue-queue position (see qposMask), -1 while absent
+
+	// Waiter lists, the out-of-order core's wakeup index: waitHead[p] is
+	// the first node of producer p's list in the waiters pool (-1 when
+	// empty), and each node names one window entry with an operand still
+	// awaiting p. Dispatch pushes a node per pending operand; p's issue
+	// walks its list and recycles the nodes through a free list. At most
+	// two operands per window entry are pending, so the pool stays
+	// window-sized; its storage is kept across runs.
+	waitHead []int32
+	waiters  []waiter
 
 	queueStore [2]issueQueue
 	queueRefs  []*issueQueue // reused header for the active queue set
@@ -60,23 +71,31 @@ type instTimes struct {
 	data, complete int64
 }
 
+// waiter is one node of a producer's waiter list: a consumer's trace
+// index and the next node (-1 at the end).
+type waiter struct{ consumer, next int32 }
+
 // arenas sizes the per-instruction arrays for an n-instruction trace and
 // resets them to their start-of-run values.
 func (s *Scratch) arenas(n int) {
 	if cap(s.times) < n {
 		s.times = make([]instTimes, n)
 		s.queuePos = make([]int32, n)
+		s.waitHead = make([]int32, n)
 		s.fetchReady = make([]int64, n)
-		// queuePos self-restores: a completed run issues (and so clears
-		// the slot of) every instruction, so only fresh storage needs the
-		// -1 fill. fetchReady needs none at all — a slot is written at
-		// fetch before dispatch can read it.
+		// queuePos and waitHead self-restore: a completed run issues
+		// every instruction, which clears its queue slot and empties its
+		// waiter list, so only fresh storage needs the -1 fill.
+		// fetchReady needs none at all — a slot is written at fetch
+		// before dispatch can read it.
 		for i := range s.queuePos {
 			s.queuePos[i] = -1
+			s.waitHead[i] = -1
 		}
 	}
 	s.times = s.times[:n]
 	s.queuePos = s.queuePos[:n]
+	s.waitHead = s.waitHead[:n]
 	s.fetchReady = s.fetchReady[:n]
 	for i := 0; i < n; i++ {
 		s.times[i] = instTimes{data: pending, complete: pending}

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/promtext"
 )
@@ -161,6 +162,14 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 	reg.NewGaugeFunc("store_cursor",
 		"Highest assigned delta-sync cursor.",
 		func() float64 { return float64(s.cfg.Store.Stats().Cursor) })
+
+	// The process-wide trace cache, the same source /stats reads.
+	reg.NewGaugeFunc("trace_cache_traces",
+		"Traces held in the process-wide trace cache.",
+		func() float64 { t, _ := core.TraceCacheStats(); return float64(t) })
+	reg.NewGaugeFunc("trace_cache_bytes",
+		"Bytes of instruction columns held by the cached traces.",
+		func() float64 { _, b := core.TraceCacheStats(); return float64(b) })
 
 	reg.NewInfo("build_info",
 		"Build metadata; code_version is the cache-key version stamp.",

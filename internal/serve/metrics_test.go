@@ -103,6 +103,8 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 		{"sweep_queue_depth", float64(st.QueueDepth)},
 		{"sweep_running_points", float64(st.RunningPoints)},
 		{"sweep_draining", 0},
+		{"trace_cache_traces", float64(st.TraceCacheTraces)},
+		{"trace_cache_bytes", float64(st.TraceCacheBytes)},
 	}
 	for _, c := range checks {
 		if got := metricValue(t, exp, c.sample); got != c.want {
@@ -112,6 +114,10 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	if st.Requests != 2 || st.CacheHits != 4 || st.CacheMisses != 4 {
 		t.Errorf("unexpected traffic shape: requests=%d hits=%d misses=%d",
 			st.Requests, st.CacheHits, st.CacheMisses)
+	}
+	if st.TraceCacheTraces < 2 || st.TraceCacheBytes <= 0 {
+		t.Errorf("trace cache gauges = %d traces, %d bytes; want at least the gcc and swim traces",
+			st.TraceCacheTraces, st.TraceCacheBytes)
 	}
 	if got := metricValue(t, exp, "sweep_request_seconds_count"); got != 2 {
 		t.Errorf("sweep_request_seconds_count = %v, want 2 (one per sweep)", got)

@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -416,6 +417,11 @@ type Stats struct {
 	StoreAppendErrors int64 `json:"store_append_errors"`
 	StoreReadErrors   int64 `json:"store_read_errors"`
 
+	// The process-wide trace cache (see core.TraceCacheStats): traces
+	// generated so far and the bytes their instruction columns hold.
+	TraceCacheTraces int64 `json:"trace_cache_traces"`
+	TraceCacheBytes  int64 `json:"trace_cache_bytes"`
+
 	Requests      int64 `json:"requests"`
 	Rejected      int64 `json:"requests_rejected"`
 	Disconnects   int64 `json:"client_disconnects"`
@@ -430,6 +436,7 @@ type Stats struct {
 func (s *Server) StatsSnapshot() Stats {
 	queued, running, cacheSize, cacheBytes := s.sched.gauges()
 	ss := s.cfg.Store.Stats()
+	traces, traceBytes := core.TraceCacheStats()
 	st := Stats{
 		UptimeSeconds:     time.Since(s.start).Seconds(), // observation-only: never feeds a result body
 		QueueDepth:        queued,
@@ -449,6 +456,8 @@ func (s *Server) StatsSnapshot() Stats {
 		DiskEntries:       ss.DiskEntries,
 		StoreAppendErrors: ss.AppendErrors,
 		StoreReadErrors:   ss.ReadErrors,
+		TraceCacheTraces:  traces,
+		TraceCacheBytes:   traceBytes,
 		DedupJoins:        s.rec.Counter("dedup_joins"),
 		Requests:          s.rec.Counter("requests"),
 		Rejected:          s.rec.Counter("requests_rejected"),

@@ -13,12 +13,13 @@ import (
 // TestDroppedTraceFreesStream pins that nothing process-wide outlives a
 // trace: once every reference to a trace and its clones is gone, its
 // stream, its columns and the consumer index built from it are garbage,
-// however many simulations read them. A cache keyed by a column's
-// address, or holding anything derived from one, would keep them alive
-// forever.
+// however many simulations read them — even while the Scratch that ran
+// them is still alive. A cache keyed by a column's address, or holding
+// anything derived from one, would keep them alive forever.
 func TestDroppedTraceFreesStream(t *testing.T) {
 	const watched = 3
 	freed := make(chan string, watched)
+	s := pipeline.NewScratch()
 	func() {
 		p, _ := trace.ByName("176.gcc")
 		tr := p.Generate(5000, 99)
@@ -29,7 +30,6 @@ func TestDroppedTraceFreesStream(t *testing.T) {
 		params := pipeline.Params{Machine: m, Timing: config.Alpha21264Timing()}
 		pipeline.RunWith(params, tr, nil)
 		clone := tr.WithPrefetchCoverage(0.5)
-		s := pipeline.NewScratch()
 		pipeline.RunWith(params, clone, s)
 		pipeline.RunWith(params, clone, s)
 		ci := clone.ConsumerIndexOf()
@@ -51,4 +51,5 @@ func TestDroppedTraceFreesStream(t *testing.T) {
 			}
 		}
 	}
+	runtime.KeepAlive(s)
 }

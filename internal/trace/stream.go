@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/branch"
 	"repro/internal/isa"
@@ -29,13 +31,18 @@ const (
 // build replaces one per simulated grid cell. (PerfectBranches machines
 // just ignore FlagMispredict.)
 //
-// A stream is immutable once built, and the consumer index derived from
-// it is built at most once, on first use.
+// Addresses are stored in 32 bits: every suite footprint is at most
+// 32 MiB, and Builder.Append rejects an address that does not fit.
+//
+// A stream is immutable once built. It holds nothing the simulators
+// derive from it; their per-run state lives in pipeline.Scratch. The
+// only derived structure is the analysis-only consumer index (see
+// consumers.go), built at most once, and only if an analysis asks.
 type stream struct {
 	flags      []uint8
 	class      []isa.Class
 	src1, src2 []int32
-	addr       []uint64
+	addr       []uint32
 
 	consOnce sync.Once
 	cons     *ConsumerIndex
@@ -50,7 +57,7 @@ type Columns struct {
 	Class []isa.Class
 	// Src1 and Src2 are the producers' trace indices, -1 when ready.
 	Src1, Src2 []int32
-	Addr       []uint64 // effective address of loads and stores
+	Addr       []uint32 // effective address of loads and stores
 }
 
 // Len returns the number of instructions in the trace.
@@ -77,6 +84,21 @@ func (t *Trace) Columns() Columns {
 	}
 }
 
+// RetainedBytes returns the bytes the trace's columns hold: each
+// column's capacity times its element size. Clones share one stream, so
+// they report the same bytes. An analysis-only consumer index is not
+// counted; no simulator builds one.
+func (t *Trace) RetainedBytes() int64 {
+	s := t.s
+	if s == nil {
+		return 0
+	}
+	return int64(cap(s.flags))*int64(unsafe.Sizeof(uint8(0))) +
+		int64(cap(s.class))*int64(unsafe.Sizeof(isa.Class(0))) +
+		int64(cap(s.src1)+cap(s.src2))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(s.addr))*int64(unsafe.Sizeof(uint32(0)))
+}
+
 // Builder builds a trace's stream one instruction at a time. It is the
 // only way a stream is made — Generate uses it too — so hand-built test
 // traces get the same flags and predictor verdicts a generated trace
@@ -96,14 +118,18 @@ func NewBuilder(n int) *Builder {
 			class: make([]isa.Class, 0, n),
 			src1:  make([]int32, 0, n),
 			src2:  make([]int32, 0, n),
-			addr:  make([]uint64, 0, n),
+			addr:  make([]uint32, 0, n),
 		},
 		pred: branch.New(),
 	}
 }
 
-// Append adds in to the end of the stream.
+// Append adds in to the end of the stream. It panics if in.Addr does
+// not fit in 32 bits.
 func (b *Builder) Append(in Inst) {
+	if in.Addr>>32 != 0 {
+		panic(fmt.Sprintf("trace: address %#x does not fit in 32 bits", in.Addr))
+	}
 	var f uint8
 	if in.Class.IsFP() {
 		f |= FlagFP
@@ -129,7 +155,7 @@ func (b *Builder) Append(in Inst) {
 	s.class = append(s.class, in.Class)
 	s.src1 = append(s.src1, in.Src1)
 	s.src2 = append(s.src2, in.Src2)
-	s.addr = append(s.addr, in.Addr)
+	s.addr = append(s.addr, uint32(in.Addr))
 }
 
 // Trace returns meta carrying the built stream, which from then on is

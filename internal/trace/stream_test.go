@@ -2,31 +2,36 @@ package trace
 
 import (
 	"testing"
-	"unsafe"
+
+	"repro/internal/isa"
 )
 
-// streamBytes returns the bytes t's stream holds: every column's and the
-// consumer index's capacity, times its element size.
-func streamBytes(t *Trace) int {
-	s, ci := t.s, t.ConsumerIndexOf()
-	return cap(s.flags)*int(unsafe.Sizeof(s.flags[0])) +
-		cap(s.class)*int(unsafe.Sizeof(s.class[0])) +
-		(cap(s.src1)+cap(s.src2))*int(unsafe.Sizeof(s.src1[0])) +
-		cap(s.addr)*int(unsafe.Sizeof(s.addr[0])) +
-		(cap(ci.Offsets)+cap(ci.Edges))*int(unsafe.Sizeof(ci.Edges[0]))
-}
-
 // TestStreamMemoryBudget bounds what a trace retains per instruction.
-// The columns take 18 B (flags, class, two producers, an address) and
-// the consumer index about 4 B of row offsets plus 4 B per dependence
-// edge; a trace that also kept an array-of-structs copy, or columns
-// with append slack, would blow the budget.
+// The columns take 14 B (flags, class, two producers, a 32-bit address)
+// and nothing else is kept: the simulators' wakeup lists live in their
+// own scratch state. A trace that also kept an array-of-structs copy, a
+// consumer index, 64-bit addresses or columns with append slack would
+// blow the budget.
 func TestStreamMemoryBudget(t *testing.T) {
-	const n, budget = 200_000, 28.0
+	const n, budget = 200_000, 15.0
 	for _, p := range SPEC2000() {
 		tr := p.Generate(n, 1)
-		if got := float64(streamBytes(tr)) / n; got > budget {
-			t.Errorf("%s: stream holds %.1f B/inst, budget %.0f", p.Name, got, budget)
+		if got := float64(tr.RetainedBytes()) / n; got > budget {
+			t.Errorf("%s: trace retains %.1f B/inst, budget %.0f", p.Name, got, budget)
 		}
 	}
+}
+
+// TestAppendRejectsWideAddress: the address column is 32 bits wide, so
+// Append refuses an address it would truncate instead of storing a
+// different one.
+func TestAppendRejectsWideAddress(t *testing.T) {
+	b := NewBuilder(2)
+	b.Append(Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: 1<<32 - 8})
+	defer func() {
+		if recover() == nil {
+			t.Error("Append accepted the address 1<<32")
+		}
+	}()
+	b.Append(Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: 1 << 32})
 }

@@ -58,7 +58,8 @@ type Inst struct {
 	// or -1 when the operand is ready from the start (an old value or an
 	// immediate). Dependencies always point backwards.
 	Src1, Src2 int32
-	// Addr is the effective address for loads and stores.
+	// Addr is the effective address for loads and stores. A trace
+	// stores it in 32 bits; Builder.Append panics on a wider one.
 	Addr uint64
 	// PC identifies the branch site for the predictor; meaningful only for
 	// branches. The build consumes it (see Builder); a trace never stores
@@ -80,10 +81,10 @@ type Trace struct {
 	Name  string
 	Group Group
 
-	// s is the instruction stream: the columns Columns exposes plus the
-	// lazily built consumer index. Clones share it, so everything derived
-	// from the stream is built once and freed with the last trace that
-	// holds it.
+	// s is the instruction stream: the columns Columns exposes, plus the
+	// consumer index if an analysis asked for one. Clones share it, so
+	// everything derived from the stream is built once and freed with the
+	// last trace that holds it.
 	s *stream
 
 	// HotBytes and WarmBytes describe the benchmark's working-set tiers so
@@ -101,8 +102,7 @@ type Trace struct {
 }
 
 // WithPrefetchCoverage returns a copy of the trace with the given prefetch
-// coverage. The instruction stream, and with it the consumer index, is
-// shared with the receiver (it is read-only by contract), so the clone is
+// coverage. The instruction stream is shared with the receiver (it is read-only by contract), so the clone is
 // cheap regardless of trace length.
 func (t *Trace) WithPrefetchCoverage(cov float64) *Trace {
 	c := *t

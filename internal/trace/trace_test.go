@@ -181,7 +181,7 @@ func TestAddressesWithinFootprint(t *testing.T) {
 		tr := p.Generate(10000, 21)
 		cols := tr.Columns()
 		for i, c := range cols.Class {
-			if c.IsMem() && cols.Addr[i] >= p.FootprintBytes+64 {
+			if c.IsMem() && uint64(cols.Addr[i]) >= p.FootprintBytes+64 {
 				t.Fatalf("%s inst %d: address %d beyond footprint %d",
 					p.Name, i, cols.Addr[i], p.FootprintBytes)
 			}
