@@ -185,10 +185,18 @@ func (r SweepResult) NearOptimalUseful(g trace.Group, frac float64) float64 {
 }
 
 // OverheadSensitivity runs Figure 6: the same depth sweep under several
-// total-overhead values, returning one SweepResult per overhead, in order.
+// total-overhead values, returning one SweepResult per overhead, in order,
+// each equal to the DepthSweep of that overhead. The traces are fetched
+// once and every (overhead × clock point × benchmark) cell runs as one
+// grid, so the pool stays busy across overhead boundaries.
 func OverheadSensitivity(cfg SweepConfig, overheadsFO4 []float64) []SweepResult {
-	out := make([]SweepResult, 0, len(overheadsFO4))
-	for _, o := range overheadsFO4 {
+	out := make([]SweepResult, len(overheadsFO4))
+	if len(overheadsFO4) == 0 {
+		return out
+	}
+	cfg.fill()
+	specs := make([]pointSpec, 0, len(overheadsFO4)*len(cfg.UsefulGrid))
+	for i, o := range overheadsFO4 {
 		c := cfg
 		// Scale the Table 1 decomposition to the requested total.
 		t := fo4.PaperOverhead.Total()
@@ -197,7 +205,15 @@ func OverheadSensitivity(cfg SweepConfig, overheadsFO4 []float64) []SweepResult 
 			Skew:   fo4.PaperOverhead.Skew * o / t,
 			Jitter: fo4.PaperOverhead.Jitter * o / t,
 		}
-		out = append(out, DepthSweep(c))
+		out[i].Config = c
+		for _, useful := range c.UsefulGrid {
+			specs = append(specs, c.pointSpecFor(useful, nil))
+		}
+	}
+	points := runPoints(cfg, specs, cfg.traces())
+	g := len(cfg.UsefulGrid)
+	for i := range out {
+		out[i].Points = points[i*g : (i+1)*g : (i+1)*g]
 	}
 	return out
 }

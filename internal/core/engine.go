@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,12 +54,13 @@ type cellStats struct {
 // indexed [pi*len(traces)+ti]. Every cell is its own executor task, so
 // a grid of one benchmark still spreads over the whole pool. Tasks run
 // trace-major, each trace's cells in pipeline.GeometryOrder, and each
-// worker threads one reusable pipeline.Scratch through its tasks: the
-// Scratch re-prewarms its memory template only when the trace or the
-// geometry changes, so a worker taking consecutive cells of one
-// benchmark shares one prewarm walk. A cell's Stats never depend on
-// which worker ran it or what ran before, so results are bit-for-bit
-// identical at any worker count.
+// worker threads one pipeline.Scratch, taken from the engine's free list
+// (see scratches), through its tasks: the Scratch re-prewarms its memory
+// template only when the trace or the geometry changes, so a worker
+// taking consecutive cells of one benchmark shares one prewarm walk, and
+// a grid that follows one over the same benchmark may need none. A
+// cell's Stats never depend on which worker ran it or what ran before,
+// so results are bit-for-bit identical at any worker count.
 func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) []pipeline.Stats {
 	order := pipeline.GeometryOrder(params)
 	cells := make([]cell, 0, len(params)*len(traces))
@@ -68,12 +70,17 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 		}
 	}
 	cfg.Obs.Add("simulations", int64(len(cells)))
-	out, _ := exec.MapWithState(cfg.pool(), cells, pipeline.NewScratch,
+	var leased []*pipeline.Scratch
+	out, _ := exec.MapWithState(cfg.pool(), cells,
+		func() *pipeline.Scratch { return scratches.get(&leased) },
 		func(s *pipeline.Scratch, _ int, c cell) cellStats {
 			before := s.Prewarms()
 			st := pipeline.RunWith(params[c.pi], traces[c.ti], s)
 			return cellStats{st: st, prewarms: s.Prewarms() - before}
 		})
+	// Not deferred: a grid whose run panicked drops its Scratches rather
+	// than return one that stopped mid-run.
+	scratches.put(leased)
 
 	// On cancellation the unfinished slots hold zero Stats; callers check
 	// cancelled() before aggregating (a zero IPC would poison the
@@ -95,6 +102,52 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 	cfg.Obs.Add("wakeup_scanned", int64(scanned))
 	cfg.Obs.Add("prewarms", int64(prewarms))
 	return stats
+}
+
+// scratchFreeList holds worker Scratches between grids, most recently
+// returned last, so a study's grids reuse their workers' arenas, cache
+// arrays and prewarmed templates instead of building them per grid.
+// A Scratch is an allocation amortizer, never an input (every RunWith
+// re-initializes what it reads), so which grid or worker gets which one
+// cannot change a result. It keeps at most GOMAXPROCS Scratches, one per
+// worker a default-sized pool can run at once, so retention stays
+// bounded however wide a grid ran.
+type scratchFreeList struct {
+	mu   sync.Mutex
+	free []*pipeline.Scratch
+}
+
+// scratches is the sweep engine's process-wide Scratch free list.
+var scratches scratchFreeList
+
+// get pops the most recently returned Scratch, or makes a fresh one, and
+// appends it to *leased under the list's lock, so a grid's workers can
+// record what they took for the grid to put back.
+func (l *scratchFreeList) get(leased *[]*pipeline.Scratch) *pipeline.Scratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var s *pipeline.Scratch
+	if n := len(l.free); n > 0 {
+		s = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		s = pipeline.NewScratch()
+	}
+	*leased = append(*leased, s)
+	return s
+}
+
+// put returns a grid's Scratches, dropping those beyond the bound.
+func (l *scratchFreeList) put(ss []*pipeline.Scratch) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range ss {
+		if len(l.free) >= runtime.GOMAXPROCS(0) {
+			return
+		}
+		l.free = append(l.free, s)
+	}
 }
 
 // traceKey identifies one generated trace. Profile is a comparable value

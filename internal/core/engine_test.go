@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/fo4"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -169,5 +173,110 @@ func TestCachedTraceGeneratesOnce(t *testing.T) {
 	if traces1-traces0 != 1 || bytes1-bytes0 != got[0].RetainedBytes() {
 		t.Errorf("cache gauges grew by %d traces and %d bytes, want 1 and %d",
 			traces1-traces0, bytes1-bytes0, got[0].RetainedBytes())
+	}
+}
+
+// overheadSweepsOneByOne is Figure 6 as it ran before it became one
+// grid: a DepthSweep per overhead, each with its own trace fetch and its
+// own grid. It is the oracle for OverheadSensitivity.
+func overheadSweepsOneByOne(cfg SweepConfig, overheadsFO4 []float64) []SweepResult {
+	out := make([]SweepResult, 0, len(overheadsFO4))
+	for _, o := range overheadsFO4 {
+		c := cfg
+		t := fo4.PaperOverhead.Total()
+		c.Overhead = fo4.Overhead{
+			Latch:  fo4.PaperOverhead.Latch * o / t,
+			Skew:   fo4.PaperOverhead.Skew * o / t,
+			Jitter: fo4.PaperOverhead.Jitter * o / t,
+		}
+		out = append(out, DepthSweep(c))
+	}
+	return out
+}
+
+// TestOverheadSensitivityIsOneGrid: Figure 6 runs as one grid — one
+// trace fetch per benchmark and one executor task per (overhead × clock
+// point × benchmark) cell — and returns exactly what seven separate
+// DepthSweeps return, Config included, at one and two workers. An empty
+// overhead list fetches nothing.
+func TestOverheadSensitivityIsOneGrid(t *testing.T) {
+	overheads := []float64{0, 1, 2, 3, 4, 5, 6}
+	for _, workers := range []int{1, 2} {
+		cfg := smallConfig()
+		cfg.Workers = workers
+		want := overheadSweepsOneByOne(cfg, overheads)
+		cfg.Obs = obs.New(nil)
+		got := OverheadSensitivity(cfg, overheads)
+		for i := range got {
+			got[i].Config.Obs = nil // the oracle ran unrecorded
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: OverheadSensitivity differs from one DepthSweep per overhead", workers)
+		}
+		cells := len(overheads) * len(cfg.UsefulGrid) * len(cfg.Benchmarks)
+		if got, want := cfg.Obs.Snapshot().Tasks.Count, cells+len(cfg.Benchmarks); got != want {
+			t.Errorf("workers=%d: ran %d executor tasks, want %d (one per cell plus one trace fetch per benchmark)", workers, got, want)
+		}
+	}
+
+	cfg := smallConfig()
+	cfg.Obs = obs.New(nil)
+	if got := OverheadSensitivity(cfg, nil); got == nil || len(got) != 0 {
+		t.Errorf("no overheads: got %#v, want an empty result", got)
+	}
+	if snap := cfg.Obs.Snapshot(); snap.Tasks.Count != 0 || len(snap.Counters) != 0 {
+		t.Errorf("no overheads: ran %d tasks and counted %v, want nothing", snap.Tasks.Count, snap.Counters)
+	}
+}
+
+// TestGridReusesWorkerScratch: the engine's Scratches outlive a grid, so
+// at one worker a second identical one-benchmark sweep finds its memory
+// template already prewarmed — and returns the same result.
+func TestGridReusesWorkerScratch(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Benchmarks = cfg.Benchmarks[:1]
+	cfg.Workers = 1
+	first := DepthSweep(cfg)
+	cfg.Obs = obs.New(nil)
+	second := DepthSweep(cfg)
+	if got := cfg.Obs.Counter("prewarms"); got != 0 {
+		t.Errorf("repeated sweep at one worker prewarmed %d times, want 0", got)
+	}
+	first.Config.Obs = nil
+	second.Config.Obs = nil
+	if !reflect.DeepEqual(first, second) {
+		t.Error("repeated sweep on a reused Scratch differs from the first")
+	}
+}
+
+// TestGridAfterOtherGeometryMatchesRun: a grid whose workers' Scratches
+// last served another memory geometry and a longer trace — Cray-1S flat
+// memory at n = 3000, then the Alpha's caches at n = 2000 — still equals
+// pipeline.Run cell by cell, as does the grid before it.
+func TestGridAfterOtherGeometryMatchesRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, step := range []struct {
+			machine config.Machine
+			n       int
+		}{
+			{config.Cray1SMemorySystem(), 3000},
+			{config.Alpha21264(), 2000},
+		} {
+			cfg := smallConfig()
+			cfg.Machine = step.machine
+			cfg.Instructions = step.n
+			cfg.Workers = workers
+			res := DepthSweep(cfg)
+			traces := res.Config.traces()
+			for _, pt := range res.Points {
+				p := pipeline.Params{Machine: res.Config.Machine, Timing: res.Config.Machine.Resolve(pt.Clock), Warmup: res.Config.Warmup}
+				for ti, b := range pt.PerBench {
+					if want := pipeline.Run(p, traces[ti]); b.Stats != want {
+						t.Errorf("workers=%d n=%d u=%v %s: cell diverges from pipeline.Run:\n got %+v\nwant %+v",
+							workers, step.n, pt.Useful, b.Name, b.Stats, want)
+					}
+				}
+			}
+		}
 	}
 }

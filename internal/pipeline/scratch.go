@@ -9,16 +9,17 @@ import (
 // Scratch is the reusable simulation state of one Run: the
 // per-instruction timestamp arenas, the out-of-order core's wakeup
 // waiter lists, issue-queue storage, selection and
-// pre-selection scratch, the frontend ring buffer, and the (resettable)
-// branch predictor and cache hierarchy. A fresh Scratch is valid; reuse
-// only amortizes allocations.
+// pre-selection scratch, the trace-indexed fetchReady arena that holds
+// the frontend queue, and the (resettable) branch predictor and cache
+// hierarchy. A fresh Scratch is valid; reuse only amortizes allocations.
 //
 // Contract: a Scratch may serve any number of sequential RunWith calls —
 // every run fully re-initializes the state it reads, so results are a
 // pure function of (Params, Trace) regardless of what ran before — but
-// it must never be shared by concurrent runs. The sweep engine and the
-// sweep daemon keep one Scratch per worker; plain Run builds a fresh
-// one. Traces stay immutable throughout: a Scratch only ever
+// it must never be shared by concurrent runs. The sweep engine lends
+// one to each worker of a grid from a free list that outlives the grid,
+// and the sweep daemon's workers each own one for the daemon's life;
+// plain Run builds a fresh one. Traces stay immutable throughout: a Scratch only ever
 // holds simulator-private state, never trace data.
 type Scratch struct {
 	// Per-instruction arenas, sized to the trace on each run. The data

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/obs/promtext"
 )
 
@@ -70,13 +71,22 @@ func metricValue(t *testing.T, exposition []byte, sample string) float64 {
 // /stats — they read the same recorder and store, so any disagreement
 // is a double-count.
 func TestMetricsAgreeWithStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	srv, ts := newTestServer(t, Config{Workers: 2})
 	body := `{"useful":[4,8],"benchmarks":["gcc","swim"],"instructions":4000}`
 	for i := 0; i < 2; i++ { // second pass hits the cache on all 4 points
 		resp := postSweep(t, ts.URL, body)
 		if _, done := readStream(t, resp); !done {
 			t.Fatal("stream ended without the done trailer")
 		}
+	}
+	// A worker settles its batch, dropping the running gauge, only after
+	// every point's line has streamed, so the trailer can arrive first;
+	// wait for the gauges to settle so the two scrapes below read one
+	// quiescent state.
+	if !clitest.WaitUntil(clitest.DefaultWait, func() bool {
+		return srv.StatsSnapshot().RunningPoints == 0
+	}) {
+		t.Fatalf("workers never settled: %+v", srv.StatsSnapshot())
 	}
 
 	exp := scrapeMetrics(t, ts.URL)
