@@ -32,9 +32,10 @@ lint-stats:
 # flag parser, the run-manifest validator, the linter's suppression
 # directive parser, and the /sweep grid parser (where client-controlled
 # floats meet index arithmetic); plus Scratch reuse and the simulator's
-# Stats conservation laws over synthetic traces and point sets, and the
+# Stats conservation laws over synthetic traces and point sets, the
 # point cache key (equal options hash identically, which the result
-# cache and the durable store both depend on). 10s
+# cache and the durable store both depend on), and the trace stream's
+# narrow columns (every accepted instruction decodes back exactly). 10s
 # per target keeps it CI-sized; drop -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSimFlags -fuzztime 10s ./internal/cliflags
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzScratchReuse -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzTraceColumns -fuzztime 10s ./internal/trace
 
 # A fast pass over the benchmark harness: one iteration each, so every
 # experiment driver executes end to end without the full -bench cost.

@@ -29,7 +29,7 @@ func Private(t *trace.Trace) ([]uint8, int32) {
 	var sum int32
 	for i, f := range cols.Flags {
 		if f&trace.FlagBranch != 0 {
-			sum += cols.Src1[i]
+			sum += trace.Producer(int32(i), cols.Dep1[i])
 		}
 	}
 	for _, c := range t.ConsumerIndexOf().Consumers(0) {

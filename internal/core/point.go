@@ -198,33 +198,47 @@ const pointKeySchema = "repro/point/v1"
 // only in default-vs-explicit fields, alias spellings, or nil-vs-empty
 // slices — produce the same key; any meaningful change (and any
 // codeVersion change) produces a different one.
+//
+// The encoding is built on the stack with strconv's Append functions and
+// hashed in place, since every served point computes its key.
 func (o PointOptions) Key(codeVersion string) string {
 	o = o.Normalize()
-	var b strings.Builder
-	b.WriteString(pointKeySchema)
-	b.WriteByte('\n')
-	b.WriteString(codeVersion)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "machine=%s\n", o.Machine)
-	fmt.Fprintf(&b, "bench=%s\n", o.Benchmark)
-	fmt.Fprintf(&b, "useful=%s\n", strconv.FormatFloat(o.Useful, 'g', -1, 64))
-	fmt.Fprintf(&b, "overhead=%s\n", strconv.FormatFloat(o.OverheadFO4, 'g', -1, 64))
-	fmt.Fprintf(&b, "window=%d\n", o.Window)
-	fmt.Fprintf(&b, "stages=%d\n", o.WindowStages)
-	b.WriteString("preselect=")
+	var buf [512]byte
+	b := append(buf[:0], pointKeySchema...)
+	b = append(b, '\n')
+	b = append(b, codeVersion...)
+	b = append(b, "\nmachine="...)
+	b = append(b, o.Machine...)
+	b = append(b, "\nbench="...)
+	b = append(b, o.Benchmark...)
+	b = append(b, "\nuseful="...)
+	b = strconv.AppendFloat(b, o.Useful, 'g', -1, 64)
+	b = append(b, "\noverhead="...)
+	b = strconv.AppendFloat(b, o.OverheadFO4, 'g', -1, 64)
+	b = append(b, "\nwindow="...)
+	b = strconv.AppendInt(b, int64(o.Window), 10)
+	b = append(b, "\nstages="...)
+	b = strconv.AppendInt(b, int64(o.WindowStages), 10)
+	b = append(b, "\npreselect="...)
 	for i, q := range o.PreSelect {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", q)
+		b = strconv.AppendInt(b, int64(q), 10)
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "naive=%t\n", o.NaivePipelining)
-	fmt.Fprintf(&b, "n=%d\n", o.Instructions)
-	fmt.Fprintf(&b, "warmup=%d\n", o.Warmup)
-	fmt.Fprintf(&b, "seed=%d\n", o.Seed)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	b = append(b, "\nnaive="...)
+	b = strconv.AppendBool(b, o.NaivePipelining)
+	b = append(b, "\nn="...)
+	b = strconv.AppendInt(b, int64(o.Instructions), 10)
+	b = append(b, "\nwarmup="...)
+	b = strconv.AppendInt(b, int64(o.Warmup), 10)
+	b = append(b, "\nseed="...)
+	b = strconv.AppendUint(b, o.Seed, 10)
+	b = append(b, '\n')
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // ProfileByName resolves a Table 2 benchmark by its full name

@@ -99,6 +99,36 @@ func TestKeyChangesWithEveryMeaningfulField(t *testing.T) {
 	}
 }
 
+// TestKeyGolden pins Key's bytes. The durable store addresses results
+// by key, so a change here orphans every stored result and breaks warm
+// restarts; bump pointKeySchema instead. The keys were captured from the
+// fmt-based encoding that the strconv one replaced.
+func TestKeyGolden(t *testing.T) {
+	cases := []struct {
+		o    PointOptions
+		code string
+		want string
+	}{
+		{PointOptions{Benchmark: "176.gcc", Useful: 6.5, Instructions: 20000, Seed: 1}, "abc",
+			"fad3512e8d673d5143b3d602cd32055f2af7abc829237ab13e08464fc76c18f9"},
+		{PointOptions{Machine: "inorder", Benchmark: "171.swim", Useful: 4.25, OverheadFO4: 3,
+			Window: 32, WindowStages: 4, PreSelect: []int{5, 2, 1}, NaivePipelining: true,
+			Instructions: 30000, Warmup: 1000, Seed: 7}, "abc",
+			"3821b708f53efbbc5394bc6885e06707e149a00ab46eeae5a2f949dedefe85de"},
+		{PointOptions{Benchmark: "mcf", Useful: 1e-7, OverheadFO4: NoOverhead, Warmup: NoWarmup, Seed: 1<<63 + 5}, "",
+			"bcb5eede09142cfec18d89629beb6f7def6f61a48908ddedb972223f2066c098"},
+	}
+	for i, c := range cases {
+		if got := c.o.Key(c.code); got != c.want {
+			t.Errorf("case %d: Key = %s, want %s", i, got, c.want)
+		}
+	}
+	o := cases[1].o
+	if a := testing.AllocsPerRun(100, func() { o.Key("abc") }); a > 1 {
+		t.Errorf("Key allocates %v times per call, want at most 1 (its result)", a)
+	}
+}
+
 func TestValidateRejectsBadPoints(t *testing.T) {
 	bad := []struct {
 		name string

@@ -71,9 +71,9 @@ func characterize(p trace.Profile, tr *trace.Trace) WorkloadRow {
 	var memAccesses, memToDRAM uint64
 	cols := tr.Columns()
 	for i, f := range cols.Flags {
-		counts[cols.Class[i]]++
-		if s := cols.Src1[i]; s >= 0 {
-			depSum += float64(int32(i) - s)
+		counts[trace.ClassOf(f)]++
+		if d := cols.Dep1[i]; d != 0 {
+			depSum += float64(d)
 			depN++
 		}
 		switch {

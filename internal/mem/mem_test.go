@@ -103,8 +103,8 @@ func TestSPECWorkloadMissRates(t *testing.T) {
 		tr := p.Generate(200000, 5)
 		h := NewHierarchy(NewCache(64<<10, 64, 2), NewCache(2<<20, 64, 2))
 		cols := tr.Columns()
-		for i, c := range cols.Class {
-			if c.IsMem() {
+		for i, f := range cols.Flags {
+			if trace.ClassOf(f).IsMem() {
 				h.Access(uint64(cols.Addr[i]))
 			}
 		}

@@ -49,8 +49,8 @@ func FuzzScratchReuse(f *testing.F) {
 				if fl&trace.FlagLoad != 0 {
 					loads[v]++
 				}
-				for _, src := range [2]int32{cols.Src1[i], cols.Src2[i]} {
-					if src >= 0 {
+				for _, d := range [2]uint16{cols.Dep1[i], cols.Dep2[i]} {
+					if d != 0 {
 						deps[v]++
 					}
 				}

@@ -19,8 +19,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 
 	// The trace's depth-invariant columns; see runOutOfOrder.
 	cols := tr.Columns()
-	flags, class := cols.Flags, cols.Class
-	src1s, src2s, addrs := cols.Src1, cols.Src2, cols.Addr
+	flags, dep1s, dep2s, addrs := cols.Flags, cols.Dep1, cols.Dep2, cols.Addr
 
 	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
@@ -31,16 +30,10 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	frontDepth := int64(maxInt(tmg.IL1, tmg.BPred) + 1) // fetch + decode
 	commitDepth := int64(tmg.RegRead + 1 + 1)           // regread + wb + commit
 
-	// Result availability for consumers. Zeroed (not pending) to match
-	// the recurrence's contract: slot i is written at step i, and sources
-	// always point backwards, so a zero is only ever read for a
-	// malformed forward dependence — where it deterministically means
-	// "ready", exactly as a freshly allocated array would.
+	// Result availability for consumers: slot i is written at step i,
+	// and every producer sits strictly earlier (see trace.Producer).
 	scr.arenas(n)
 	times := scr.times
-	for i := range times {
-		times[i].data = 0
-	}
 
 	var (
 		fetchCycle   int64 // cycle the current fetch group started
@@ -78,10 +71,10 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			earliest = issueCycle
 		}
 		ready := earliest
-		if s1 := src1s[i]; s1 >= 0 && times[s1].data > ready {
+		if s1 := trace.Producer(int32(i), dep1s[i]); s1 >= 0 && times[s1].data > ready {
 			ready = times[s1].data
 		}
-		if s2 := src2s[i]; s2 >= 0 && times[s2].data > ready {
+		if s2 := trace.Producer(int32(i), dep2s[i]); s2 >= 0 && times[s2].data > ready {
 			ready = times[s2].data
 		}
 
@@ -105,7 +98,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		issued := issueCycle
 
 		// ---- Execute.
-		execLat := lat.latency(f, class[i], uint64(addrs[i]), &stats)
+		execLat := lat.latency(f, uint64(addrs[i]), &stats)
 		times[i].data = issued + execLat
 
 		// ---- Branches: resolve at execute; a misprediction stalls fetch

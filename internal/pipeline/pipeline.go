@@ -177,12 +177,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		stages = 1
 	}
 
-	// The depth-invariant columns: class flags, operand producers, data
+	// The depth-invariant columns: class flags, operand distances, data
 	// addresses and the predictor's per-branch verdicts, built once when
 	// the trace was (see trace.Columns) and shared by every run of it.
 	cols := tr.Columns()
-	flags, class := cols.Flags, cols.Class
-	src1s, src2s, addrs := cols.Src1, cols.Src2, cols.Addr
+	flags, dep1s, dep2s, addrs := cols.Flags, cols.Dep1, cols.Dep2, cols.Addr
 
 	// Issue queues: the 21264's separate integer and floating-point queues
 	// by default, or one shared window when UnifiedWindow is set (the
@@ -365,9 +364,9 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				// cache hierarchy.
 				var completeLat int64
 				if f := flags[idx]; f&(trace.FlagLoad|trace.FlagStore) == 0 {
-					completeLat = lat.exec[class[idx]]
+					completeLat = lat.exec[trace.ClassOf(f)]
 				} else {
-					completeLat = lat.latency(f, class[idx], uint64(addrs[idx]), &stats)
+					completeLat = lat.latency(f, uint64(addrs[idx]), &stats)
 				}
 				d := cycle + maxInt64(completeLat, wakeLoop)
 				times[idx] = instTimes{data: d, complete: cycle + completeLat}
@@ -464,7 +463,10 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		}
 
 		// ---- Dispatch from the frontend queue into the issue queues.
+		// capStall is the stall counter a dispatch blocked on window or
+		// ROB space charged, nil if none was.
 		dispatchedNow := 0
+		var capStall *uint64
 		for dispIdx < fetchIdx && dispatchedNow < m.FetchWidth {
 			if fetchReady[dispIdx] > cycle {
 				break
@@ -474,10 +476,12 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			q := qpair[qsel]
 			if q.live >= q.cap {
 				stats.WindowFullStalls++
+				capStall = &stats.WindowFullStalls
 				break
 			}
 			if dispIdx-head >= m.ROB {
 				stats.ROBFullStalls++
+				capStall = &stats.ROBFullStalls
 				break
 			}
 			if len(q.entries) == cap(q.entries) {
@@ -486,8 +490,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				q.compact(queuePos, int32(qsel)<<qposQueueShift)
 			}
 			e := winEntry{idx: di, src1: -1, src2: -1}
-			w1 := resolveOperand(src1s[di], times, cycle, &e.src1)
-			w2 := resolveOperand(src2s[di], times, cycle, &e.src2)
+			w1 := resolveOperand(trace.Producer(di, dep1s[di]), times, cycle, &e.src1)
+			w2 := resolveOperand(trace.Producer(di, dep2s[di]), times, cycle, &e.src2)
 			if e.src1 == -1 && e.acc < w1 {
 				e.acc = w1
 			}
@@ -594,12 +598,14 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		// is bounded below by known timestamps: the ROB head's completion
 		// (commit), each queue's next-ready bound (issue — a true lower
 		// bound, see issueSelect), the frontend queue's head arrival
-		// (dispatch; a dispatch blocked on window or ROB space instead
-		// waits on an issue or commit, which the first two bounds cover),
-		// and the blocking branch's resolution (fetch). Jumping to the
-		// earliest bound skips exactly the cycles the loop would have
-		// walked through doing nothing — mispredict stalls and long memory
-		// waits — after accounting their per-cycle statistics in bulk.
+		// (dispatch), and the blocking branch's resolution (fetch). A
+		// dispatch blocked on window or ROB space has an arrived head and
+		// waits on an issue or commit instead, which the first two bounds
+		// cover; it charges its stall counter once per skipped cycle.
+		// Jumping to the earliest bound skips exactly the cycles the loop
+		// would have walked through doing nothing — mispredict stalls,
+		// long memory waits and full windows — after accounting their
+		// per-cycle statistics in bulk.
 		// Partitioned selection couples consecutive cycles through its
 		// latches, so it never skips.
 		if committed == 0 && dispatchedNow == 0 && !fetched && !resumed &&
@@ -614,7 +620,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			if nq == 2 && fpQ.nextReady < next {
 				next = fpQ.nextReady
 			}
-			if dispIdx < fetchIdx {
+			if dispIdx < fetchIdx && capStall == nil {
 				if r := fetchReady[dispIdx]; r < next {
 					next = r
 				}
@@ -628,6 +634,9 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				stats.SumWindowOcc += uint64(resident) * skipped
 				if fetchBlock >= 0 {
 					stats.FetchBlockedCycles += skipped
+				}
+				if capStall != nil {
+					*capStall += skipped
 				}
 				cycle = next
 			}
@@ -979,7 +988,7 @@ func (e *latEnv) init(p *Params, hier *mem.Hierarchy) {
 
 // latency returns the total execution latency of an instruction in
 // cycles, resolving loads through the cache hierarchy.
-func (e *latEnv) latency(f uint8, cls isa.Class, addr uint64, stats *Stats) int64 {
+func (e *latEnv) latency(f uint8, addr uint64, stats *Stats) int64 {
 	switch {
 	case f&trace.FlagLoad != 0:
 		lvl := mem.L1Hit
@@ -1008,7 +1017,7 @@ func (e *latEnv) latency(f uint8, cls isa.Class, addr uint64, stats *Stats) int6
 		}
 		return e.exec[isa.Store]
 	default:
-		return e.exec[cls]
+		return e.exec[trace.ClassOf(f)]
 	}
 }
 

@@ -221,8 +221,8 @@ func TestLoadStatsAccountAllLoads(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
 	s := Run(paramsAt(6), tr)
 	var loads uint64
-	for _, c := range tr.Columns().Class {
-		if c.String() == "load" {
+	for _, f := range tr.Columns().Flags {
+		if trace.ClassOf(f).String() == "load" {
 			loads++
 		}
 	}

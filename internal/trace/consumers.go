@@ -32,22 +32,22 @@ func (t *Trace) ConsumerIndexOf() *ConsumerIndex {
 	if s == nil {
 		return &ConsumerIndex{Offsets: make([]int32, 1)}
 	}
-	s.consOnce.Do(func() { s.cons = buildConsumerIndex(s.src1, s.src2) })
+	s.consOnce.Do(func() { s.cons = buildConsumerIndex(s.dep1, s.dep2) })
 	return s.cons
 }
 
 // buildConsumerIndex builds the CSR adjacency in two passes: count the
 // out-degree of every producer, prefix-sum into row offsets, then fill.
-// Dependencies always point backwards (see Inst), so the result is a DAG
-// adjacency whose edge lists are sorted by consumer index.
-func buildConsumerIndex(src1, src2 []int32) *ConsumerIndex {
-	n := len(src1)
+// Dependencies always point backwards (see Producer), so the result is a
+// DAG adjacency whose edge lists are sorted by consumer index.
+func buildConsumerIndex(dep1, dep2 []uint16) *ConsumerIndex {
+	n := len(dep1)
 	offsets := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		if s := src1[i]; s >= 0 {
+	for i := int32(0); i < int32(n); i++ {
+		if s := Producer(i, dep1[i]); s >= 0 {
 			offsets[s+1]++
 		}
-		if s := src2[i]; s >= 0 {
+		if s := Producer(i, dep2[i]); s >= 0 {
 			offsets[s+1]++
 		}
 	}
@@ -57,13 +57,13 @@ func buildConsumerIndex(src1, src2 []int32) *ConsumerIndex {
 	edges := make([]int32, offsets[n])
 	next := make([]int32, n)
 	copy(next, offsets[:n])
-	for i := 0; i < n; i++ {
-		if s := src1[i]; s >= 0 {
-			edges[next[s]] = int32(i)
+	for i := int32(0); i < int32(n); i++ {
+		if s := Producer(i, dep1[i]); s >= 0 {
+			edges[next[s]] = i
 			next[s]++
 		}
-		if s := src2[i]; s >= 0 {
-			edges[next[s]] = int32(i)
+		if s := Producer(i, dep2[i]); s >= 0 {
+			edges[next[s]] = i
 			next[s]++
 		}
 	}

@@ -20,7 +20,8 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 	deps := 0
 	cols := tr.Columns()
 	for i := range cols.Flags {
-		for _, s := range []int32{cols.Src1[i], cols.Src2[i]} {
+		for _, d := range []uint16{cols.Dep1[i], cols.Dep2[i]} {
+			s := Producer(int32(i), d)
 			if s < 0 {
 				continue
 			}
@@ -53,7 +54,7 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 				t.Fatalf("producer %d consumer list not sorted: %d after %d", p, c, prev)
 			}
 			prev = c
-			if cols.Src1[c] != p && cols.Src2[c] != p {
+			if Producer(c, cols.Dep1[c]) != p && Producer(c, cols.Dep2[c]) != p {
 				t.Fatalf("edge %d→%d has no matching source operand", p, c)
 			}
 		}

@@ -56,7 +56,8 @@ type Inst struct {
 	Class isa.Class
 	// Src1 and Src2 are the trace indices of the producing instructions,
 	// or -1 when the operand is ready from the start (an old value or an
-	// immediate). Dependencies always point backwards.
+	// immediate). Dependencies always point backwards, at most MaxDep
+	// instructions; Builder.Append panics on any other producer.
 	Src1, Src2 int32
 	// Addr is the effective address for loads and stores. A trace
 	// stores it in 32 bits; Builder.Append panics on a wider one.
@@ -305,6 +306,7 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 	}
 
 	recentLoads := make([]int32, 0, 8)
+	lastProd := -1 // the latest value producer appended
 	stride := p.StrideBytes
 	if stride == 0 {
 		stride = 8
@@ -325,21 +327,26 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 
 		// Dependencies: walk back a geometric distance to the nearest
 		// value producer. Stores consume a value; branches consume flags.
+		// A producer more than MaxDep back counts as ready, as the
+		// stream cannot name it; none of the suite's comes near.
 		pick := func() int32 {
 			if r.Float64() < p.IndepFrac {
 				return -1 // fresh value: new loop iteration or constant
 			}
 			if p.LoadDepFrac > 0 && len(recentLoads) > 0 && r.Float64() < p.LoadDepFrac {
-				return recentLoads[r.Intn(len(recentLoads))]
+				if j := recentLoads[r.Intn(len(recentLoads))]; i-int(j) <= MaxDep {
+					return j
+				}
+				return -1
 			}
 			d := r.Geometric(p.DepDistMean)
-			j := i - d
-			for j >= 0 {
-				c := b.s.class[j]
-				if c != isa.Store && c != isa.Branch {
+			// Nothing after lastProd produces a value, so the walk can
+			// start there; a mix of almost only stores and branches then
+			// costs no long walks.
+			for j := min(i-d, lastProd); j >= 0 && i-j <= MaxDep; j-- {
+				if b.s.flags[j]&(FlagStore|FlagBranch) == 0 {
 					return int32(j)
 				}
-				j--
 			}
 			return -1
 		}
@@ -386,6 +393,9 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 			in.Taken = s.next(r)
 		}
 		b.Append(in)
+		if cl != isa.Store && cl != isa.Branch {
+			lastProd = i
+		}
 	}
 	return b.Trace(Trace{
 		Name: p.Name, Group: p.Group,

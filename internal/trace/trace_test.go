@@ -21,8 +21,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	c := p.Generate(5000, 43).Columns()
 	same := 0
 	for i := range a.Flags {
-		if a.Flags[i] == c.Flags[i] && a.Class[i] == c.Class[i] && a.Src1[i] == c.Src1[i] &&
-			a.Src2[i] == c.Src2[i] && a.Addr[i] == c.Addr[i] {
+		if a.Flags[i] == c.Flags[i] && a.Dep1[i] == c.Dep1[i] &&
+			a.Dep2[i] == c.Dep2[i] && a.Addr[i] == c.Addr[i] {
 			same++
 		}
 	}
@@ -36,12 +36,13 @@ func TestDependenciesPointBackwardToProducers(t *testing.T) {
 		tr := p.Generate(20000, 7)
 		cols := tr.Columns()
 		for i := range cols.Flags {
-			for _, s := range []int32{cols.Src1[i], cols.Src2[i]} {
+			for _, d := range []uint16{cols.Dep1[i], cols.Dep2[i]} {
+				s := Producer(int32(i), d)
 				if s < -1 || s >= int32(i) {
 					t.Fatalf("%s inst %d: source %d out of range", p.Name, i, s)
 				}
 				if s >= 0 {
-					c := cols.Class[s]
+					c := ClassOf(cols.Flags[s])
 					if c == isa.Store || c == isa.Branch {
 						t.Fatalf("%s inst %d depends on non-producer %v", p.Name, i, c)
 					}
@@ -80,8 +81,8 @@ func TestMixRealized(t *testing.T) {
 		p, _ := ByName(name)
 		tr := p.Generate(60000, 11)
 		var counts [isa.NumClasses]int
-		for _, c := range tr.Columns().Class {
-			counts[c]++
+		for _, f := range tr.Columns().Flags {
+			counts[ClassOf(f)]++
 		}
 		total := 0.0
 		for _, w := range p.Mix {
@@ -102,9 +103,9 @@ func TestVectorCodesHaveMoreILP(t *testing.T) {
 	// integer benchmarks — the property behind Figure 4a/5's ordering.
 	meanDist := func(tr *Trace) float64 {
 		var sum, n float64
-		for i, s1 := range tr.Columns().Src1 {
-			if s1 >= 0 {
-				sum += float64(int32(i) - s1)
+		for _, d := range tr.Columns().Dep1 {
+			if d != 0 {
+				sum += float64(d)
 				n++
 			}
 		}
@@ -180,8 +181,8 @@ func TestAddressesWithinFootprint(t *testing.T) {
 	for _, p := range SPEC2000() {
 		tr := p.Generate(10000, 21)
 		cols := tr.Columns()
-		for i, c := range cols.Class {
-			if c.IsMem() && uint64(cols.Addr[i]) >= p.FootprintBytes+64 {
+		for i, f := range cols.Flags {
+			if ClassOf(f).IsMem() && uint64(cols.Addr[i]) >= p.FootprintBytes+64 {
 				t.Fatalf("%s inst %d: address %d beyond footprint %d",
 					p.Name, i, cols.Addr[i], p.FootprintBytes)
 			}
