@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record telemetry-smoke chaos-smoke run-regression-seeds cover profile check
+.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
 
 build:
 	$(GO) build ./...
@@ -74,12 +74,6 @@ bench-compare:
 bench-record:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCH_TIME) . > /tmp/bench_record.txt
 	$(GO) run ./cmd/benchdiff -record BENCH_baseline.json /tmp/bench_record.txt
-
-# End-to-end telemetry check: run a small sweep with profiling and a
-# manifest, then assert the manifest parses and carries the required keys.
-telemetry-smoke:
-	$(GO) run ./cmd/pipesweep -n 2000 -cpuprofile /tmp/cpu.pprof -manifest /tmp/manifest.json > /dev/null
-	$(GO) run ./cmd/manifestcheck /tmp/manifest.json
 
 # Chaos smoke: two bounded runs of the seeded fault-injection harness
 # (internal/chaos) against the real sweepd binary — one pinned seed so

@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzManifestCheck drives manifest validation — the external input
-// surface of cmd/manifestcheck and the CI telemetry smoke step — with
-// arbitrary documents. Invalid input must be rejected with an error,
-// never a panic, and anything accepted must keep validating across a
-// JSON round trip (checkBytes asserts that internally).
+// surface of cmd/manifestcheck — with arbitrary documents. Invalid
+// input must be rejected with an error, never a panic, and anything
+// accepted must keep validating across a JSON round trip (checkBytes
+// asserts that internally).
 func FuzzManifestCheck(f *testing.F) {
 	valid, err := json.Marshal(obs.NewManifest("fuzz", map[string]any{"n": 1}, time.Second, obs.New(nil).Snapshot()))
 	if err != nil {

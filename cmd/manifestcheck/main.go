@@ -1,7 +1,7 @@
 // Command manifestcheck validates a run-manifest JSON produced by any
 // study binary's -manifest flag: it must parse, carry the required
 // environment and telemetry keys, and round-trip through encoding/json.
-// CI's telemetry smoke step runs it against a fresh cmd/pipesweep
+// internal/clitest runs it against a fresh, profiled cmd/pipesweep
 // manifest; use it locally to sanity-check recorded perf runs.
 package main
 

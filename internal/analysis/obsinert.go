@@ -14,10 +14,9 @@ import (
 // receiver. Everything else on the Recorder reads recorded state back
 // out, which only the telemetry layer itself may do.
 var recorderWrites = map[string]bool{
-	"Add":       true,
-	"Study":     true,
-	"TaskStart": true,
-	"TaskDone":  true,
+	"Add":   true,
+	"Study": true,
+	"Task":  true,
 }
 
 // ObsInertAnalyzer enforces telemetry inertness: simulation packages

@@ -1,4 +1,4 @@
-// Package ok only writes telemetry in, through the four
+// Package ok only writes telemetry in, through the three
 // observation-only Recorder methods the hook contract allows.
 package ok
 
@@ -8,6 +8,5 @@ import "repro/internal/obs"
 func Record(r *obs.Recorder) {
 	defer r.Study("fixture")()
 	r.Add("simulations", 1)
-	r.TaskStart(0, 0, 0)
-	r.TaskDone(0, 0, 0)
+	r.Task(0, 0, 0)
 }

@@ -198,10 +198,15 @@ func TestManifestcheck(t *testing.T) {
 
 	// The ok path carries environment-dependent fields (go version,
 	// GOMAXPROCS, wall time), so pin its shape, not its bytes: record a
-	// real manifest with pipesweep and validate it.
-	manifest := filepath.Join(t.TempDir(), "run.json")
-	if _, stderr, exit := run(t, "pipesweep", "-fig", "4a", "-n", "500", "-workers", "1", "-manifest", manifest); exit != 0 {
-		t.Fatalf("pipesweep -manifest exit = %d: %s", exit, stderr)
+	// real manifest with a profiled pipesweep run and validate it.
+	dir := t.TempDir()
+	manifest, profile := filepath.Join(dir, "run.json"), filepath.Join(dir, "cpu.pprof")
+	if _, stderr, exit := run(t, "pipesweep", "-fig", "4a", "-n", "500", "-workers", "1",
+		"-cpuprofile", profile, "-manifest", manifest); exit != 0 {
+		t.Fatalf("pipesweep -cpuprofile -manifest exit = %d: %s", exit, stderr)
+	}
+	if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
+		t.Fatalf("pipesweep -cpuprofile left no profile: %v", err)
 	}
 	stdout, stderr, exit = run(t, "manifestcheck", manifest)
 	if exit != 0 {

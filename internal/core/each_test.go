@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/fo4"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -41,6 +42,39 @@ func eachGrid() []PointOptions {
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Window: 32, WindowStages: 4},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Machine: "inorder"},
+	}
+}
+
+// TestSweepAndEachCountAlike: a one-benchmark DepthSweep and
+// SimulateEach over the same points record the same "simulations",
+// "wakeup_wakes" and "wakeup_scanned", so a study manifest and the
+// daemon's /stats count a simulation the same way.
+func TestSweepAndEachCountAlike(t *testing.T) {
+	grid := []float64{4, 6, 8}
+	sweepRec, eachRec := obs.New(nil), obs.New(nil)
+	DepthSweep(SweepConfig{
+		Machine:      config.Alpha21264(),
+		Overhead:     fo4.PaperOverhead,
+		UsefulGrid:   grid,
+		Benchmarks:   []trace.Profile{mustProfile("176.gcc")},
+		Instructions: 5000,
+		Workers:      2,
+		Obs:          sweepRec,
+	})
+	opts := make([]PointOptions, len(grid))
+	for i, u := range grid {
+		opts[i] = PointOptions{Benchmark: "gcc", Useful: u, Instructions: 5000}
+	}
+	if err := SimulateEach(opts, nil, eachRec, func(int, BenchPoint) {}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eachRec.Counter("simulations"); got != int64(len(grid)) {
+		t.Errorf("SimulateEach over %d points counted %d simulations", len(grid), got)
+	}
+	for _, name := range []string{"simulations", "wakeup_wakes", "wakeup_scanned"} {
+		if s, e := sweepRec.Counter(name), eachRec.Counter(name); s != e {
+			t.Errorf("%s: DepthSweep counted %d, SimulateEach %d", name, s, e)
+		}
 	}
 }
 

@@ -25,12 +25,11 @@ import (
 )
 
 // pool builds the executor configuration for this sweep, wiring the
-// sweep's recorder (when present) onto the executor's observation hooks.
+// sweep's recorder (when present) onto the executor's observation hook.
 func (c SweepConfig) pool() exec.Pool {
 	p := exec.Pool{Workers: c.Workers, Ctx: c.Context}
 	if c.Obs != nil {
-		p.OnTaskStart = c.Obs.TaskStart
-		p.OnTaskDone = c.Obs.TaskDone
+		p.OnTask = c.Obs.Task
 	}
 	return p
 }
@@ -43,11 +42,20 @@ func (c SweepConfig) cancelled() bool {
 // cell is one (params, trace) cell of a study grid, by index.
 type cell struct{ pi, ti int }
 
-// cellStats is one simulated cell plus the prewarms its worker's Scratch
-// did for it (telemetry only).
-type cellStats struct {
-	st       pipeline.Stats
-	prewarms uint64
+// run simulates one point on s and counts it into rec: "simulations",
+// the simulator's work-sharing economy ("wakeup_wakes", the wakes
+// delivered through the waiter lists, against "wakeup_scanned", the
+// window entries a per-issue broadcast scan would have touched) and the
+// memory-template "prewarms" s ran for it. Every simulation the package
+// runs, grid cell or served point, goes through here.
+func run(p pipeline.Params, tr *trace.Trace, s *pipeline.Scratch, rec *obs.Recorder) pipeline.Stats {
+	before := s.Prewarms()
+	st := pipeline.RunWith(p, tr, s)
+	rec.Add("simulations", 1)
+	rec.Add("wakeup_wakes", int64(st.WakeupWakes))
+	rec.Add("wakeup_scanned", int64(st.WakeupScanned))
+	rec.Add("prewarms", int64(s.Prewarms()-before))
+	return st
 }
 
 // runGrid simulates the full (params × traces) product and returns stats
@@ -69,14 +77,11 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 			cells = append(cells, cell{pi: pi, ti: ti})
 		}
 	}
-	cfg.Obs.Add("simulations", int64(len(cells)))
 	var leased []*pipeline.Scratch
 	out, _ := exec.MapWithState(cfg.pool(), cells,
 		func() *pipeline.Scratch { return scratches.get(&leased) },
-		func(s *pipeline.Scratch, _ int, c cell) cellStats {
-			before := s.Prewarms()
-			st := pipeline.RunWith(params[c.pi], traces[c.ti], s)
-			return cellStats{st: st, prewarms: s.Prewarms() - before}
+		func(s *pipeline.Scratch, _ int, c cell) pipeline.Stats {
+			return run(params[c.pi], traces[c.ti], s, cfg.Obs)
 		})
 	// Not deferred: a grid whose run panicked drops its Scratches rather
 	// than return one that stopped mid-run.
@@ -86,21 +91,9 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 	// cancelled() before aggregating (a zero IPC would poison the
 	// harmonic means).
 	stats := make([]pipeline.Stats, len(cells))
-	var wakes, scanned, prewarms uint64
 	for k, c := range cells {
-		st := out[k].st
-		stats[c.pi*len(traces)+c.ti] = st
-		wakes += st.WakeupWakes
-		scanned += st.WakeupScanned
-		prewarms += out[k].prewarms
+		stats[c.pi*len(traces)+c.ti] = out[k]
 	}
-	// The simulator's work-sharing economy, for the run manifest: wakes
-	// delivered through the waiter lists versus the window entries a
-	// per-issue broadcast scan would have touched, and the memory
-	// template prewarms the workers' Scratches did for the grid.
-	cfg.Obs.Add("wakeup_wakes", int64(wakes))
-	cfg.Obs.Add("wakeup_scanned", int64(scanned))
-	cfg.Obs.Add("prewarms", int64(prewarms))
 	return stats
 }
 
@@ -264,16 +257,8 @@ func runPoints(cfg SweepConfig, specs []pointSpec, traces []*trace.Trace) []Swee
 	stats := runGrid(cfg, specParams, traces)
 
 	points := make([]SweepPoint, len(specs))
-	// Aggregation scratch, reused across specs: group membership is a
-	// property of the trace list alone, so the per-group series only need
-	// truncation between specs (the group array is indexed by trace.Group;
-	// reading it in trace.Groups() order below keeps the fold order of the
-	// historical map-based aggregation).
 	var groups [3][]float64
-	for g := range groups {
-		groups[g] = make([]float64, 0, len(traces))
-	}
-	all := make([]float64, 0, len(traces))
+	bips := make([]float64, len(traces))
 	for si, sp := range specs {
 		pt := SweepPoint{
 			Useful:    sp.useful,
@@ -285,29 +270,40 @@ func runPoints(cfg SweepConfig, specs []pointSpec, traces []*trace.Trace) []Swee
 			points[si] = pt
 			continue
 		}
-		for g := range groups {
-			groups[g] = groups[g][:0]
-		}
-		all = all[:0]
 		pt.PerBench = make([]BenchPoint, 0, len(traces))
 		for ti, tr := range traces {
 			s := stats[si*len(traces)+ti]
-			b := metrics.BIPS(s.IPC, pt.FreqHz)
+			bips[ti] = metrics.BIPS(s.IPC, pt.FreqHz)
 			pt.PerBench = append(pt.PerBench, BenchPoint{
-				Name: tr.Name, Group: tr.Group, IPC: s.IPC, BIPS: b, Stats: s,
+				Name: tr.Name, Group: tr.Group, IPC: s.IPC, BIPS: bips[ti], Stats: s,
 			})
-			groups[tr.Group] = append(groups[tr.Group], b)
-			all = append(all, b)
 		}
-		for _, g := range trace.Groups() {
-			if xs := groups[g]; len(xs) > 0 {
-				pt.GroupBIPS[g] = metrics.HarmonicMean(xs)
-			}
-		}
-		pt.AllBIPS = metrics.HarmonicMean(all)
+		pt.GroupBIPS, pt.AllBIPS = groupMeans(traces, bips, &groups)
 		points[si] = pt
 	}
 	return points
+}
+
+// groupMeans returns the harmonic means of xs, where xs[ti] belongs to
+// traces[ti], per benchmark group and over the whole suite. groups is
+// per-group scratch (indexed by trace.Group) reused across calls. Each
+// series keeps benchmark order and the groups are read in
+// trace.Groups() order, the fold order of the historical map-based
+// aggregation, so every mean is bit-for-bit what it always was.
+func groupMeans(traces []*trace.Trace, xs []float64, groups *[3][]float64) (map[trace.Group]float64, float64) {
+	for g := range groups {
+		groups[g] = groups[g][:0]
+	}
+	for ti, tr := range traces {
+		groups[tr.Group] = append(groups[tr.Group], xs[ti])
+	}
+	means := map[trace.Group]float64{}
+	for _, g := range trace.Groups() {
+		if xs := groups[g]; len(xs) > 0 {
+			means[g] = metrics.HarmonicMean(xs)
+		}
+	}
+	return means, metrics.HarmonicMean(xs)
 }
 
 // runPoint evaluates one clock point; mod, when non-nil, may adjust the
@@ -339,34 +335,18 @@ func runIPCVariants(cfg SweepConfig, traces []*trace.Trace, base pipeline.Params
 	stats := runGrid(cfg, variantParams, traces)
 
 	out := make([]ipcPoint, len(mods))
-	// Aggregation scratch, reused across variants exactly as in runPoints.
 	var groups [3][]float64
-	for g := range groups {
-		groups[g] = make([]float64, 0, len(traces))
-	}
-	all := make([]float64, 0, len(traces))
+	ipcs := make([]float64, len(traces))
 	for mi := range mods {
-		pt := ipcPoint{groups: map[trace.Group]float64{}}
 		if cfg.cancelled() {
-			out[mi] = pt
+			out[mi] = ipcPoint{groups: map[trace.Group]float64{}}
 			continue
 		}
-		for g := range groups {
-			groups[g] = groups[g][:0]
+		for ti := range traces {
+			ipcs[ti] = stats[mi*len(traces)+ti].IPC
 		}
-		all = all[:0]
-		for ti, tr := range traces {
-			s := stats[mi*len(traces)+ti]
-			groups[tr.Group] = append(groups[tr.Group], s.IPC)
-			all = append(all, s.IPC)
-		}
-		for _, g := range trace.Groups() {
-			if xs := groups[g]; len(xs) > 0 {
-				pt.groups[g] = metrics.HarmonicMean(xs)
-			}
-		}
-		pt.all = metrics.HarmonicMean(all)
-		out[mi] = pt
+		g, all := groupMeans(traces, ipcs, &groups)
+		out[mi] = ipcPoint{groups: g, all: all}
 	}
 	return out
 }

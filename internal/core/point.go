@@ -335,7 +335,7 @@ func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
 // are validated before any runs; on success emit gets each point exactly
 // once, on the calling goroutine, as soon as it finishes. s must not be
 // shared by concurrent calls. rec, observation only, receives the trace
-// cache counters and each run's "prewarms", counted before its emit.
+// cache counters and each run's counts (see run), added before its emit.
 func SimulateEach(opts []PointOptions, s *pipeline.Scratch, rec *obs.Recorder, emit func(i int, p BenchPoint)) error {
 	if len(opts) == 0 {
 		return nil
@@ -366,10 +366,7 @@ func SimulateEach(opts []PointOptions, s *pipeline.Scratch, rec *obs.Recorder, e
 		params[i], clocks[i] = o.params()
 	}
 	for _, i := range pipeline.GeometryOrder(params) {
-		before := s.Prewarms()
-		st := pipeline.RunWith(params[i], tr, s)
-		rec.Add("prewarms", int64(s.Prewarms()-before))
-		emit(i, pointResult(st, tr, clocks[i]))
+		emit(i, pointResult(run(params[i], tr, s, rec), tr, clocks[i]))
 	}
 	return nil
 }

@@ -6,8 +6,9 @@
 // construction: results are slotted by item index, never by completion
 // order, so the output of Map is byte-for-byte identical at any worker
 // count, and Workers == 1 degenerates to a plain serial loop on the
-// caller's goroutine. Pull is the same pool over a stream of work that
-// arrives over time, for the sweep daemon's long-lived workers.
+// caller's goroutine. Pull is the pool's one worker loop, over a stream
+// of work that arrives over time, as for the sweep daemon's long-lived
+// workers; Map runs it over a grid's item indexes.
 package exec
 
 import (
@@ -26,60 +27,27 @@ type Pool struct {
 	// ordinary loop bit-for-bit), and higher values cap the pool.
 	Workers int
 
-	// Ctx cancels a run early; nil means the run cannot be cancelled.
+	// Ctx cancels a Map early; nil means it cannot be cancelled.
 	Ctx context.Context
 
-	// OnTaskStart, when non-nil, is called on the worker's goroutine just
-	// before job index runs. worker identifies the worker (0..size-1; the
-	// serial path is always worker 0) and queueWait is the time elapsed
-	// between Map submitting the grid and this job being picked up.
-	// OnTaskDone is called right after the job returns, with its duration.
+	// OnTask, when non-nil, is called on the worker's goroutine after
+	// each task returns. worker identifies the worker (0..size-1; the
+	// serial path is always worker 0), queueWait is the time from the
+	// task's ready time (Map's submission of the grid, or the time Pull's
+	// next reports) to its start, and run is the task's duration.
 	//
-	// Hook contract: hooks are observation-only. Map never alters
-	// scheduling, ordering or results based on them, so output stays
-	// byte-for-byte identical whether they are set or nil; hooks must be
-	// safe for concurrent calls (every worker invokes them) and must not
-	// mutate items or results. internal/obs.Recorder satisfies both
-	// signatures directly.
-	OnTaskStart func(worker, index int, queueWait time.Duration)
-	OnTaskDone  func(worker, index int, dur time.Duration)
-
-	// Skip, when non-nil, is consulted once per job at the moment a
-	// worker would otherwise run it: a true return abandons that job —
-	// its result slot keeps the zero value and neither observation hook
-	// fires. It exists so a long-lived caller (the sweep-serving daemon)
-	// can cancel individual not-yet-started tasks whose requesters have
-	// gone away without tearing down the whole run the way Ctx does.
-	//
-	// Contract: Skip selects which slots get filled; it must never
-	// influence the value computed for a job that does run. fn stays a
-	// pure function of (index, item), so every filled slot is
-	// byte-for-byte identical at any worker count regardless of how Skip
-	// answered for other jobs. Skip must be safe for concurrent calls
-	// and should be monotonic (once true for an index, stay true): a
-	// job observed as skipped never runs later.
-	Skip func(index int) bool
+	// Hook contract: the hook is observation-only. The pool never alters
+	// scheduling, ordering or results based on it, so output stays
+	// byte-for-byte identical whether it is set or nil; it must be safe
+	// for concurrent calls (every worker invokes it) and must not mutate
+	// items or results. internal/obs.Recorder.Task satisfies the
+	// signature directly.
+	OnTask func(worker int, queueWait, run time.Duration)
 }
 
-// hooked reports whether any observation hook is set.
-func (p Pool) hooked() bool { return p.OnTaskStart != nil || p.OnTaskDone != nil }
-
-// hookClock reads the wall clock for the observation hooks.
+// hookClock reads the wall clock for the observation hook.
 func hookClock() time.Time {
-	return time.Now() //reprolint:allow nondeterminism: task timing feeds the observation hooks only, never task results
-}
-
-// observe runs one task between the observation hooks: OnTaskStart with
-// the time since submitted, OnTaskDone with the task's duration.
-func (p Pool) observe(worker, index int, submitted time.Time, task func()) {
-	start := hookClock()
-	if p.OnTaskStart != nil {
-		p.OnTaskStart(worker, index, start.Sub(submitted))
-	}
-	task()
-	if p.OnTaskDone != nil {
-		p.OnTaskDone(worker, index, hookClock().Sub(start))
-	}
+	return time.Now() //reprolint:allow nondeterminism: task timing feeds the observation hook only, never task results
 }
 
 // size resolves the worker count for n items.
@@ -124,70 +92,32 @@ func Map[T, R any](p Pool, items []T, fn func(int, T) R) ([]R, error) {
 // The sweep engine uses it to thread one pipeline.Scratch per worker
 // through a study grid; its newState takes the Scratch from a free list
 // that outlives the grid, so a state may arrive having served earlier
-// grids.
+// grids. It is Pull over the item indexes, every item ready at the
+// moment MapWithState is called.
 //
 // Determinism contract: state is an allocation amortizer, never an
 // input. fn's result must be a pure function of (index, item) alone —
 // identical whether the state is fresh or has served any prior sequence
-// of jobs, in this call or an earlier one — because which jobs share a state instance depends on
-// scheduling, and any leakage through the state would break Map's
-// worker-count invariance.
+// of jobs, in this call or an earlier one — because which jobs share a
+// state instance depends on scheduling, and any leakage through the
+// state would break Map's worker-count invariance.
 func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(state S, index int, item T) R) ([]R, error) {
 	results := make([]R, len(items))
 	if len(items) == 0 {
 		return results, nil
 	}
 	ctx := p.ctx()
-	workers := p.size(len(items))
-
-	// call wraps fn with the observation hooks; when no hook is set it is
-	// fn itself modulo the worker id, so the hot path stays time.Now-free.
-	call := func(w int, s S, i int, it T) R { return fn(s, i, it) }
-	if p.hooked() {
-		submitted := hookClock()
-		call = func(w int, s S, i int, it T) (r R) {
-			p.observe(w, i, submitted, func() { r = fn(s, i, it) })
-			return r
+	p.Workers = p.size(len(items))
+	submitted := hookClock()
+	var claimed atomic.Int64
+	next := func() (int, time.Time, bool) {
+		if ctx.Err() != nil {
+			return 0, submitted, false
 		}
+		i := int(claimed.Add(1)) - 1
+		return i, submitted, i < len(items)
 	}
-
-	if workers == 1 {
-		state := newState()
-		for i, it := range items {
-			if err := ctx.Err(); err != nil {
-				return results, err
-			}
-			if p.Skip != nil && p.Skip(i) {
-				continue
-			}
-			results[i] = call(0, state, i, it)
-		}
-		return results, ctx.Err()
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			state := newState()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if p.Skip != nil && p.Skip(i) {
-					continue
-				}
-				results[i] = call(w, state, i, items[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	Pull(p, newState, next, func(s S, i int) { results[i] = fn(s, i, items[i]) })
 	return results, ctx.Err()
 }
 
@@ -201,15 +131,13 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 // the next one at once instead of waiting for the slowest unit of a
 // fixed batch.
 //
-// Units carry no index and fill no result slots; fn publishes its own
-// output, and — as with MapWithState — must compute it as a pure
-// function of the unit, never of the state or of which worker runs it.
-// next must be safe for concurrent calls. The observation hooks fire
-// once per unit: index counts units in pull order and queueWait runs
-// from the ready time next reports for the unit. Ctx and Skip do not
-// apply: next alone decides what runs and when the stream ends.
+// Units fill no result slots; fn publishes its own output, and — as with
+// MapWithState — must compute it as a pure function of the unit, never
+// of the state or of which worker runs it. next must be safe for
+// concurrent calls. OnTask fires once per unit, with queueWait from the
+// ready time next reports for the unit. Ctx does not apply: next alone
+// decides what runs and when the stream ends.
 func Pull[T, S any](p Pool, newState func() S, next func() (unit T, ready time.Time, ok bool), fn func(state S, unit T)) {
-	var pulled atomic.Int64
 	work := func(w int) {
 		state := newState()
 		for {
@@ -217,11 +145,13 @@ func Pull[T, S any](p Pool, newState func() S, next func() (unit T, ready time.T
 			if !ok {
 				return
 			}
-			if !p.hooked() {
+			if p.OnTask == nil {
 				fn(state, u)
 				continue
 			}
-			p.observe(w, int(pulled.Add(1))-1, ready, func() { fn(state, u) })
+			start := hookClock()
+			fn(state, u)
+			p.OnTask(w, start.Sub(ready), hookClock().Sub(start))
 		}
 	}
 	workers := p.size(math.MaxInt)

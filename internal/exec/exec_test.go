@@ -183,27 +183,17 @@ func TestPoolSize(t *testing.T) {
 func TestHooksObserveEveryTask(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
-		started := map[int]int{}
-		done := map[int]int{}
-		maxWorker := 0
+		calls, maxWorker := 0, 0
 		p := Pool{
 			Workers: workers,
-			OnTaskStart: func(w, i int, queueWait time.Duration) {
+			OnTask: func(w int, queueWait, run time.Duration) {
 				mu.Lock()
-				started[i]++
+				calls++
 				if w > maxWorker {
 					maxWorker = w
 				}
-				if queueWait < 0 {
-					t.Errorf("negative queue wait %v", queueWait)
-				}
-				mu.Unlock()
-			},
-			OnTaskDone: func(w, i int, d time.Duration) {
-				mu.Lock()
-				done[i]++
-				if d < 0 {
-					t.Errorf("negative duration %v", d)
+				if queueWait < 0 || run < 0 {
+					t.Errorf("negative queue wait %v or run %v", queueWait, run)
 				}
 				mu.Unlock()
 			},
@@ -214,16 +204,11 @@ func TestHooksObserveEveryTask(t *testing.T) {
 		}
 		for i, v := range got {
 			if v != i*2 {
-				t.Fatalf("workers=%d: hooks disturbed results: slot %d = %d", workers, i, v)
+				t.Fatalf("workers=%d: hook disturbed results: slot %d = %d", workers, i, v)
 			}
 		}
-		if len(started) != 57 || len(done) != 57 {
-			t.Fatalf("workers=%d: started %d / done %d indexes, want 57", workers, len(started), len(done))
-		}
-		for i := 0; i < 57; i++ {
-			if started[i] != 1 || done[i] != 1 {
-				t.Fatalf("workers=%d: index %d started %d / done %d times", workers, i, started[i], done[i])
-			}
+		if calls != 57 {
+			t.Fatalf("workers=%d: hook fired %d times, want 57", workers, calls)
 		}
 		if maxWorker >= (p.size(57)) {
 			t.Errorf("workers=%d: worker id %d out of range", workers, maxWorker)
@@ -248,9 +233,8 @@ func TestHooksDoNotChangeOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooked, err := Map(Pool{
-		Workers:     4,
-		OnTaskStart: func(w, i int, q time.Duration) {},
-		OnTaskDone:  func(w, i int, d time.Duration) {},
+		Workers: 4,
+		OnTask:  func(w int, q, d time.Duration) {},
 	}, items(123), fn)
 	if err != nil {
 		t.Fatal(err)
@@ -258,72 +242,6 @@ func TestHooksDoNotChangeOutput(t *testing.T) {
 	for i := range plain {
 		if plain[i] != hooked[i] {
 			t.Fatalf("slot %d: plain %d != hooked %d", i, plain[i], hooked[i])
-		}
-	}
-}
-
-func TestSkipDropsJobsAndKeepsSlots(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var started, done atomic.Int64
-		p := Pool{
-			Workers:     workers,
-			Skip:        func(i int) bool { return i%3 == 0 },
-			OnTaskStart: func(w, i int, q time.Duration) { started.Add(1) },
-			OnTaskDone:  func(w, i int, d time.Duration) { done.Add(1) },
-		}
-		got, err := Map(p, items(30), func(i, v int) int { return v + 1 })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		ran := 0
-		for i, v := range got {
-			if i%3 == 0 {
-				if v != 0 {
-					t.Fatalf("workers=%d: skipped slot %d = %d, want zero value", workers, i, v)
-				}
-				continue
-			}
-			ran++
-			if v != i+1 {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, v, i+1)
-			}
-		}
-		if started.Load() != int64(ran) || done.Load() != int64(ran) {
-			t.Fatalf("workers=%d: hooks fired %d/%d times for %d run jobs (skips must not fire hooks)",
-				workers, started.Load(), done.Load(), ran)
-		}
-	}
-}
-
-func TestSkipNilRunsEverything(t *testing.T) {
-	got, err := Map(Pool{Workers: 2}, items(20), func(i, v int) int { return v + 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d, want %d", i, v, i+1)
-		}
-	}
-}
-
-func TestSkipConsultedOncePerJob(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var calls [50]atomic.Int64
-		p := Pool{
-			Workers: workers,
-			Skip: func(i int) bool {
-				calls[i].Add(1)
-				return false
-			},
-		}
-		if _, err := Map(p, items(50), func(i, v int) int { return v }); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range calls {
-			if n := calls[i].Load(); n != 1 {
-				t.Fatalf("workers=%d: Skip(%d) consulted %d times, want 1", workers, i, n)
-			}
 		}
 	}
 }
@@ -344,27 +262,22 @@ func feed(n int) func() (int, time.Time, bool) {
 }
 
 // TestPullRunsEveryUnitOncePerWorkerState: every pulled unit runs
-// exactly once, each worker builds one state, and the hooks fire once
-// per unit with indexes counting units in pull order.
+// exactly once, each worker builds one state, and the hook fires once
+// per unit.
 func TestPullRunsEveryUnitOncePerWorkerState(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var mu sync.Mutex
 		ran := map[int]int{}
-		started, finished := map[int]int{}, 0
+		hooked := 0
 		var states atomic.Int32
 		p := Pool{
 			Workers: workers,
-			OnTaskStart: func(w, i int, queueWait time.Duration) {
+			OnTask: func(w int, queueWait, run time.Duration) {
 				mu.Lock()
-				started[i]++
-				if w < 0 || w >= workers || queueWait < 0 {
-					t.Errorf("workers=%d: start hook got worker %d, queue wait %v", workers, w, queueWait)
+				hooked++
+				if w < 0 || w >= workers || queueWait < 0 || run < 0 {
+					t.Errorf("workers=%d: hook got worker %d, queue wait %v, run %v", workers, w, queueWait, run)
 				}
-				mu.Unlock()
-			},
-			OnTaskDone: func(_, _ int, _ time.Duration) {
-				mu.Lock()
-				finished++
 				mu.Unlock()
 			},
 		}
@@ -377,12 +290,12 @@ func TestPullRunsEveryUnitOncePerWorkerState(t *testing.T) {
 		if got := int(states.Load()); got != workers {
 			t.Errorf("workers=%d: built %d states, want one per worker", workers, got)
 		}
-		if len(ran) != 40 || len(started) != 40 || finished != 40 {
-			t.Fatalf("workers=%d: ran %d units, started hooks for %d, done hooks %d; want 40 each", workers, len(ran), len(started), finished)
+		if len(ran) != 40 || hooked != 40 {
+			t.Fatalf("workers=%d: ran %d units, hook fired %d times; want 40 each", workers, len(ran), hooked)
 		}
 		for u := 0; u < 40; u++ {
-			if ran[u] != 1 || started[u] != 1 {
-				t.Fatalf("workers=%d: unit %d ran %d times, start hook index %d seen %d times", workers, u, ran[u], u, started[u])
+			if ran[u] != 1 {
+				t.Fatalf("workers=%d: unit %d ran %d times", workers, u, ran[u])
 			}
 		}
 	}

@@ -48,8 +48,7 @@ func RunWorkloadTable(o Options) WorkloadTable {
 	profiles := MatchBenchmarks(o.Bench)
 	pool := exec.Pool{Workers: o.Workers, Ctx: o.Context}
 	if o.Obs != nil {
-		pool.OnTaskStart = o.Obs.TaskStart
-		pool.OnTaskDone = o.Obs.TaskDone
+		pool.OnTask = o.Obs.Task
 	}
 	rows, _ := exec.Map(pool, profiles, func(_ int, p trace.Profile) WorkloadRow {
 		return characterize(p, p.Generate(o.Instructions, o.Seed))

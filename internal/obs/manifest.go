@@ -56,7 +56,7 @@ func WriteManifest(path string, m Manifest) error {
 }
 
 // Validate checks the fields every emitted manifest must carry. It is the
-// contract cmd/manifestcheck and the CI telemetry smoke step assert.
+// contract cmd/manifestcheck asserts.
 func (m Manifest) Validate() error {
 	switch {
 	case m.Command == "":

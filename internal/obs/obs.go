@@ -1,6 +1,6 @@
 // Package obs is the run-telemetry layer shared by every study binary:
 // structured logging on log/slog, a Recorder of counters and spans fed by
-// the executor's task hooks, a run-manifest JSON export, and CPU/heap/
+// the executor's task hook, a run-manifest JSON export, and CPU/heap/
 // execution-trace profiling wiring.
 //
 // Telemetry is observation-only by contract: nothing in this package may
@@ -114,30 +114,20 @@ func (r *Recorder) Counter(name string) int64 {
 	return r.counters[name]
 }
 
-// TaskStart records one executor task being picked up; queueWait is how
-// long the task waited between its grid being submitted and this start.
-// The signature matches exec.Pool's OnTaskStart hook.
-func (r *Recorder) TaskStart(worker, index int, queueWait time.Duration) {
+// Task records one completed executor task: the worker that ran it,
+// how long it waited between its ready time and its start, and how long
+// it ran. The signature matches exec.Pool's OnTask hook.
+func (r *Recorder) Task(worker int, queueWait, run time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.queueWaits = append(r.queueWaits, queueWait)
-	r.mu.Unlock()
-}
-
-// TaskDone records one completed executor task and its duration. The
-// signature matches exec.Pool's OnTaskDone hook.
-func (r *Recorder) TaskDone(worker, index int, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tasks = append(r.tasks, d)
+	r.tasks = append(r.tasks, run)
 	r.workerTasks[worker]++
 	if n := len(r.open); n > 0 {
 		s := r.open[n-1]
-		s.tasks = append(s.tasks, d)
+		s.tasks = append(s.tasks, run)
 	}
 	r.mu.Unlock()
 }

@@ -11,8 +11,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Add("x", 1)
 	r.Study("s")() // closer of a nil recorder's study must also be callable
-	r.TaskStart(0, 0, time.Millisecond)
-	r.TaskDone(0, 0, time.Millisecond)
+	r.Task(0, time.Millisecond, time.Millisecond)
 	snap := r.Snapshot()
 	if snap.Counters == nil || snap.WorkerTasks == nil {
 		t.Error("nil recorder snapshot must have non-nil maps")
@@ -36,12 +35,12 @@ func TestCounters(t *testing.T) {
 func TestTaskAttributionToInnermostStudy(t *testing.T) {
 	r := New(nil)
 	endOuter := r.Study("outer")
-	r.TaskDone(0, 0, 10*time.Millisecond) // attributes to outer
+	r.Task(0, 0, 10*time.Millisecond) // attributes to outer
 	endInner := r.Study("inner")
-	r.TaskDone(1, 1, 20*time.Millisecond) // attributes to inner
-	r.TaskDone(1, 2, 30*time.Millisecond)
+	r.Task(1, 0, 20*time.Millisecond) // attributes to inner
+	r.Task(1, 0, 30*time.Millisecond)
 	endInner()
-	r.TaskDone(0, 3, 40*time.Millisecond) // back to outer
+	r.Task(0, 0, 40*time.Millisecond) // back to outer
 	endOuter()
 
 	snap := r.Snapshot()
@@ -71,8 +70,7 @@ func TestDurationStats(t *testing.T) {
 	for i, d := range []time.Duration{
 		30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
 	} {
-		r.TaskStart(0, i, time.Duration(i)*time.Millisecond)
-		r.TaskDone(0, i, d)
+		r.Task(0, time.Duration(i)*time.Millisecond, d)
 	}
 	snap := r.Snapshot()
 	if snap.Tasks.Count != 3 || snap.Tasks.MinMS != 10 || snap.Tasks.P50MS != 20 ||
@@ -107,8 +105,7 @@ func TestRecorderConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.TaskStart(w, i, time.Microsecond)
-				r.TaskDone(w, i, time.Microsecond)
+				r.Task(w, time.Microsecond, time.Microsecond)
 				r.Add("n", 1)
 			}
 		}(w)

@@ -46,8 +46,7 @@ func TestRunLifecycleWritesProfilesAndManifest(t *testing.T) {
 	run.SetConfig("seed", 7)
 	rec := run.Recorder()
 	end := rec.Study("demo")
-	rec.TaskStart(0, 0, 0)
-	rec.TaskDone(0, 0, time.Millisecond)
+	rec.Task(0, 0, time.Millisecond)
 	rec.Add("trace_cache_hits", 3)
 	end()
 	if err := run.Close(); err != nil {
@@ -119,7 +118,7 @@ func TestManifestValidate(t *testing.T) {
 func TestManifestJSONRoundTrip(t *testing.T) {
 	rec := New(nil)
 	end := rec.Study("s")
-	rec.TaskDone(2, 0, 5*time.Millisecond)
+	rec.Task(2, 0, 5*time.Millisecond)
 	rec.Add("simulations", 9)
 	end()
 	m := NewManifest("round", map[string]any{"n": 2000}, 123*time.Millisecond, rec.Snapshot())

@@ -98,17 +98,17 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 	// Live queue gauges, read from the scheduler at scrape time.
 	reg.NewGaugeFunc("sweep_queue_depth",
 		"Admitted points waiting for a batch.", func() float64 {
-			q, _, _, _ := s.sched.gauges()
+			q, _ := s.sched.gauges()
 			return float64(q)
 		})
 	reg.NewGaugeFunc("sweep_running_points",
 		"Points in batches the workers are running.", func() float64 {
-			_, r, _, _ := s.sched.gauges()
+			_, r := s.sched.gauges()
 			return float64(r)
 		})
 	reg.NewGaugeFunc("sweep_inflight_points",
 		"Queued plus running points.", func() float64 {
-			q, r, _, _ := s.sched.gauges()
+			q, r := s.sched.gauges()
 			return float64(q + r)
 		})
 	reg.NewGaugeFunc("sweep_draining",

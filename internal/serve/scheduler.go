@@ -271,11 +271,7 @@ func identOf(o core.PointOptions) traceIdent {
 // Scratch, pull batches until close has begun and the queue is empty.
 func (s *scheduler) run() {
 	defer close(s.stopped)
-	pool := exec.Pool{
-		Workers:     s.workers,
-		OnTaskStart: s.rec.TaskStart,
-		OnTaskDone:  s.rec.TaskDone,
-	}
+	pool := exec.Pool{Workers: s.workers, OnTask: s.rec.Task}
 	exec.Pull(pool, pipeline.NewScratch, s.next, s.runBatch)
 }
 
@@ -381,7 +377,7 @@ func (s *scheduler) settle(batch []*job) {
 	}
 }
 
-// finishJob publishes one simulated job: marshal, count, finalize. err
+// finishJob publishes one simulated job: marshal, finalize. err
 // is the should-not-happen guard for points that were validated at
 // admission; it surfaces on the stream without caching.
 func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) {
@@ -400,9 +396,6 @@ func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) {
 	// by every stream that hits this point, so it must never be
 	// appended to after it leaves this worker.
 	line = append(line, '\n')
-	s.rec.Add("simulations", 1)
-	s.rec.Add("wakeup_wakes", int64(res.Stats.WakeupWakes))
-	s.rec.Add("wakeup_scanned", int64(res.Stats.WakeupScanned))
 	s.finalize(j, line)
 	// The trace's scheduler hop: ties the simulation and store
 	// fill back to the request that caused them.
@@ -442,10 +435,9 @@ func (s *scheduler) close() {
 	<-s.stopped
 }
 
-// gauges reports the live queue and cache state for /healthz and /stats.
-func (s *scheduler) gauges() (queued, running, cacheSize int, cacheBytes int64) {
+// gauges reports the live queue state for /healthz, /stats and /metrics.
+func (s *scheduler) gauges() (queued, running int) {
 	s.mu.Lock()
-	queued, running = len(s.queue), s.running
-	s.mu.Unlock()
-	return queued, running, s.cache.Len(), s.cache.Bytes()
+	defer s.mu.Unlock()
+	return len(s.queue), s.running
 }

@@ -74,7 +74,7 @@ func longThenShort(t *testing.T, workers int) (longDone, longLanes int) {
 	}
 	long := admitGrid(t, s, "gcc", useful, 60000)
 	if !clitest.WaitUntil(clitest.DefaultWait, func() bool {
-		_, running, _, _ := s.gauges()
+		_, running := s.gauges()
 		return running == len(long)
 	}) {
 		t.Fatal("the long batch was never claimed whole")
@@ -118,7 +118,7 @@ func TestCloseDrainsAdmittedJobs(t *testing.T) {
 		t.Fatalf("close returned with %d of %d admitted jobs finished", n, len(jobs))
 	}
 	awaitJobs(t, jobs)
-	if q, r, _, _ := s.gauges(); q != 0 || r != 0 || len(s.inflight) != 0 {
+	if q, r := s.gauges(); q != 0 || r != 0 || len(s.inflight) != 0 {
 		t.Fatalf("after close: queue %d running %d inflight %d", q, r, len(s.inflight))
 	}
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})

@@ -366,7 +366,7 @@ type Health struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	queued, _, _, _ := s.sched.gauges()
+	queued, _ := s.sched.gauges()
 	h := Health{Status: "ok", QueueDepth: queued}
 	status := http.StatusOK
 	if s.draining.Load() {
@@ -434,7 +434,7 @@ type Stats struct {
 // StatsSnapshot assembles the current Stats; exported so tests and
 // embedding binaries can read it without HTTP.
 func (s *Server) StatsSnapshot() Stats {
-	queued, running, cacheSize, cacheBytes := s.sched.gauges()
+	queued, running := s.sched.gauges()
 	ss := s.cfg.Store.Stats()
 	traces, traceBytes := core.TraceCacheStats()
 	st := Stats{
@@ -442,8 +442,8 @@ func (s *Server) StatsSnapshot() Stats {
 		QueueDepth:        queued,
 		RunningPoints:     running,
 		InflightPoints:    queued + running,
-		CacheSize:         cacheSize,
-		CacheBytes:        cacheBytes,
+		CacheSize:         ss.MemEntries,
+		CacheBytes:        ss.MemBytes,
 		CacheHits:         s.rec.Counter("point_cache_hits"),
 		CacheMisses:       s.rec.Counter("point_cache_misses"),
 		CacheEvictions:    ss.Evictions,

@@ -266,13 +266,6 @@ func (d *Durable) Put(key string, line []byte) {
 	d.mem.put(key, line, false)
 }
 
-// Len is the warm layer's resident entry count (the disk index is
-// DiskEntries in Stats).
-func (d *Durable) Len() int { return d.mem.Len() }
-
-// Bytes is the warm layer's resident line bytes.
-func (d *Durable) Bytes() int64 { return d.mem.Bytes() }
-
 // Cursor is the last assigned delta-sync cursor.
 func (d *Durable) Cursor() uint64 {
 	d.mu.Lock()

@@ -19,8 +19,8 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, line(`{"k":"a"}`)) {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
-	if m.Len() != 1 || m.Bytes() != int64(len(line(`{"k":"a"}`))) {
-		t.Fatalf("Len=%d Bytes=%d after one put", m.Len(), m.Bytes())
+	if st := m.Stats(); st.MemEntries != 1 || st.MemBytes != int64(len(line(`{"k":"a"}`))) {
+		t.Fatalf("MemEntries=%d MemBytes=%d after one put", st.MemEntries, st.MemBytes)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestMemoryRePutKeepsOneCopy(t *testing.T) {
 	l := line("same")
 	m.Put("k", l)
 	m.Put("k", l)
-	if m.Len() != 1 || m.Bytes() != int64(len(l)) {
-		t.Fatalf("re-put double-counted: Len=%d Bytes=%d", m.Len(), m.Bytes())
+	if st := m.Stats(); st.MemEntries != 1 || st.MemBytes != int64(len(l)) {
+		t.Fatalf("re-put double-counted: MemEntries=%d MemBytes=%d", st.MemEntries, st.MemBytes)
 	}
 }
