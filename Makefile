@@ -23,8 +23,9 @@ vet:
 lint:
 	$(GO) run ./cmd/reprolint -stats ./...
 
-# Per-rule wall time and finding counts as JSON on stdout, for the CI
-# timing artifact and local profiling of the rule suite.
+# Per-rule wall time and finding counts as JSON on stdout (the shape of
+# the CI timing artifact), findings on stderr; exits nonzero on any
+# finding like lint.
 lint-stats:
 	$(GO) run ./cmd/reprolint -stats-json ./...
 

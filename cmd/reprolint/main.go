@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	reprolint [-json] [-rules a,b] [-baseline f] [-write-baseline f]
-//	          [-stats] [-stats-json] [package patterns]
+//	reprolint [-json] [-rules a,b] [-stats] [-stats-json] [package patterns]
 //
 // Patterns are module-relative: "./..." (the default) means the whole
 // module, "./internal/..." a subtree, "./internal/core" or
@@ -19,12 +18,10 @@
 // reachability findings (or as a JSON array with -json); any finding
 // makes the exit status 1; load or usage errors exit 2.
 //
-// -write-baseline records the current findings; a later run with
-// -baseline fails only on findings not in the recording (matched by
-// rule, file and message — line numbers may drift), so a new rule can
-// land strict while its pre-existing findings are burned down.
 // -stats prints per-rule wall time and finding counts to stderr;
-// -stats-json emits the same as JSON on stdout for tooling.
+// -stats-json emits the same as JSON on stdout for tooling and moves
+// the findings to stderr, so one run both lints and writes the timing
+// artifact.
 package main
 
 import (
@@ -49,12 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	rules := fs.String("rules", "", "comma-separated rule names to run (default: all)")
 	list := fs.Bool("list", false, "list the rules and the invariants they encode, then exit")
-	baseline := fs.String("baseline", "", "fail only on findings not present in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this file and exit 0")
 	stats := fs.Bool("stats", false, "print per-rule wall time and finding counts to stderr")
-	statsJSON := fs.Bool("stats-json", false, "emit per-rule wall time and finding counts as JSON on stdout")
+	statsJSON := fs.Bool("stats-json", false, "emit per-rule wall time and finding counts as JSON on stdout, findings on stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: reprolint [-json] [-rules a,b] [-baseline f] [-write-baseline f] [-stats] [-stats-json] [package patterns]")
+		fmt.Fprintln(stderr, "usage: reprolint [-json] [-rules a,b] [-stats] [-stats-json] [package patterns]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -107,25 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the analyzer package sits in its own nondeterminism scope.
 	findings, ruleStats := analysis.RunStats(l, selected, analyzers, analysis.Options{Now: time.Now})
 
-	if *writeBaseline != "" {
-		if err := writeJSONFile(*writeBaseline, findingsOrEmpty(findings)); err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "reprolint: baseline of %d finding(s) written to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
-	baselined := 0
-	if *baseline != "" {
-		var err error
-		findings, baselined, err = applyBaseline(*baseline, findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-	}
-
 	if *stats {
 		for _, s := range ruleStats {
 			fmt.Fprintf(stderr, "reprolint: %-16s %8.1fms  %d finding(s)\n", s.Rule, s.Seconds*1000, s.Findings)
@@ -143,24 +119,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "reprolint:", err)
 			return 2
 		}
-	} else if !*statsJSON {
+	} else {
+		out := stdout
+		if *statsJSON { // stdout carries the stats JSON
+			out = stderr
+		}
 		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
+			fmt.Fprintln(out, f)
 		}
 	}
 	if len(findings) > 0 {
 		if !*asJSON {
-			switch {
-			case baselined > 0:
-				fmt.Fprintf(stderr, "reprolint: %d new finding(s) beyond the %d baselined\n", len(findings), baselined)
-			default:
-				fmt.Fprintf(stderr, "reprolint: %d finding(s)\n", len(findings))
-			}
+			fmt.Fprintf(stderr, "reprolint: %d finding(s)\n", len(findings))
 		}
 		return 1
-	}
-	if baselined > 0 && !*asJSON {
-		fmt.Fprintf(stderr, "reprolint: no regressions (%d baselined finding(s) remain)\n", baselined)
 	}
 	return 0
 }
@@ -176,55 +148,6 @@ func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := encodeJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// baselineKey identifies a finding across line drift: the rule, the
-// file, and the exact message. Two identical violations in one file
-// count twice — the baseline is a multiset.
-func baselineKey(f analysis.Finding) string {
-	return f.Rule + "\x00" + f.File + "\x00" + f.Message
-}
-
-// applyBaseline filters findings down to regressions: each baseline
-// entry forgives one matching finding. It returns the surviving
-// findings and how many were forgiven.
-func applyBaseline(path string, findings []analysis.Finding) ([]analysis.Finding, int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("reading baseline: %w", err)
-	}
-	var base []analysis.Finding
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return nil, 0, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	budget := map[string]int{}
-	for _, f := range base {
-		budget[baselineKey(f)]++
-	}
-	var kept []analysis.Finding
-	forgiven := 0
-	for _, f := range findings {
-		k := baselineKey(f)
-		if budget[k] > 0 {
-			budget[k]--
-			forgiven++
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept, forgiven, nil
 }
 
 // filter selects the loaded packages matching any pattern. A pattern is

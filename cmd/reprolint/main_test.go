@@ -216,7 +216,7 @@ func TestTransitiveViolation(t *testing.T) {
 
 // TestJSONSchema pins the -json output shape: exactly these keys, with
 // chain present only on reachability findings. Downstream tooling
-// (baselines, dashboards) parses this; changing it is a contract break.
+// (dashboards) parses this; changing it is a contract break.
 func TestJSONSchema(t *testing.T) {
 	root := writeModule(t, transitiveModule)
 	chdir(t, root)
@@ -268,56 +268,29 @@ func TestJSONSchema(t *testing.T) {
 	}
 }
 
-// TestBaseline: -write-baseline records the current findings; -baseline
-// forgives exactly those and fails only on regressions.
-func TestBaseline(t *testing.T) {
+// TestStatsJSONListsFindings: the single CI lint step, -stats
+// -stats-json, still fails on a finding, lists it on stderr next to the
+// per-rule timings, and keeps stdout a parseable timing artifact.
+func TestStatsJSONListsFindings(t *testing.T) {
 	root := writeModule(t, transitiveModule)
 	chdir(t, root)
 
 	var out, errb bytes.Buffer
-	if code := run([]string{"-write-baseline", "findings.json", "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-write-baseline exit = %d; stderr: %s", code, errb.String())
+	if code := run([]string{"-stats", "-stats-json", "./..."}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1; stderr: %s", code, errb.String())
 	}
-
-	// Same findings, baselined: no regressions, exit 0.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", "findings.json", "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
+	var stats []analysis.RuleStat
+	if err := json.Unmarshal(out.Bytes(), &stats); err != nil {
+		t.Fatalf("stdout is not the stats JSON: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(errb.String(), "no regressions") {
-		t.Errorf("stderr should note the baselined findings: %s", errb.String())
-	}
-
-	// Inject a second, different violation: only it is a regression.
-	if err := os.WriteFile(filepath.Join(root, "internal", "core", "extra.go"), []byte(`// Package core grows a clock read.
-package core
-
-import "time"
-
-// Drift reads the wall clock.
-func Drift() int64 { return time.Now().Unix() }
-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", "findings.json", "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("regression run exit = %d, want 1; stdout: %s stderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "internal/core/extra.go:7: nondeterminism:") {
-		t.Errorf("regression finding missing from output:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "internal/util/util.go") {
-		t.Errorf("baselined finding should not be re-reported:\n%s", out.String())
-	}
-	if !strings.Contains(errb.String(), "new finding(s) beyond") {
-		t.Errorf("stderr should separate regressions from baselined findings: %s", errb.String())
-	}
-
-	// A missing baseline file is a usage error, not a silent pass.
-	if code := run([]string{"-baseline", "nosuch.json", "./..."}, &out, &errb); code != 2 {
-		t.Errorf("missing baseline exit = %d, want 2", code)
+	for _, want := range []string{
+		"internal/util/util.go:7: nondeterminism:",
+		"reprolint: nondeterminism",
+		"reprolint: 1 finding(s)",
+	} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, errb.String())
+		}
 	}
 }
 

@@ -111,15 +111,6 @@ func NewCallGraph(fset *token.FileSet, mod string, pkgs []*Package) *CallGraph {
 // Nodes returns every node in deterministic (package, position) order.
 func (g *CallGraph) Nodes() []*Node { return g.list }
 
-// NodeOf returns the node for a declared function object, nil if the
-// object is not part of the analyzed packages.
-func (g *CallGraph) NodeOf(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[fn.Origin()]
-}
-
 // Edges returns n's outgoing edges in discovery (source) order.
 func (n *Node) Edges() []Edge { return n.edges }
 
@@ -239,16 +230,4 @@ func (g *CallGraph) CalleesOf(info *types.Info, call *ast.CallExpr) []*Node {
 		return nil
 	}
 	return g.resolve(f)
-}
-
-// EnclosingNode returns the node whose declaration lexically contains
-// pos, nil when pos sits outside every declared function (package-level
-// declarations).
-func (g *CallGraph) EnclosingNode(pkg *Package, pos token.Pos) *Node {
-	for _, n := range g.list {
-		if n.Pkg == pkg && n.Decl.Pos() <= pos && pos <= n.Decl.End() {
-			return n
-		}
-	}
-	return nil
 }

@@ -24,10 +24,6 @@ var simPackages = map[string]bool{
 	"internal/wire":        true,
 }
 
-// IsSimPackage reports whether the module-root-relative directory rel
-// is one of the simulation packages the determinism rules protect.
-func IsSimPackage(rel string) bool { return simPackages[rel] }
-
 func inSim(rel string) bool { return simPackages[rel] }
 
 // inSimOrRuntime adds the executor, telemetry and result-store layers,

@@ -115,9 +115,6 @@ func (c *Circuit) Node(name string) Node {
 	return Node(len(c.names) - 1)
 }
 
-// NodeName returns the name given to n when it was created.
-func (c *Circuit) NodeName(n Node) string { return c.names[n] }
-
 // R adds a resistor of r kΩ between a and b.
 func (c *Circuit) R(a, b Node, r float64) {
 	if r <= 0 {

@@ -265,7 +265,7 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: %s: issue queues %d/%d invalid", m.Name, m.IntWindow, m.FPWindow)
 	case m.UnifiedWindow < 0:
 		return fmt.Errorf("config: %s: unified window %d < 0", m.Name, m.UnifiedWindow)
-	case m.ROB < maxOf(m.IntWindow, m.FPWindow, m.UnifiedWindow):
+	case m.ROB < max(m.IntWindow, m.FPWindow, m.UnifiedWindow):
 		return fmt.Errorf("config: %s: in-flight limit %d below window capacity", m.Name, m.ROB)
 	case !m.Cray1SMemory && m.MemLatencyFO4 <= 0:
 		return fmt.Errorf("config: %s: memory latency %.1f FO4 invalid", m.Name, m.MemLatencyFO4)
@@ -273,14 +273,4 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: %s: Cray memory latency %.1f FO4 invalid", m.Name, m.CrayMemFO4)
 	}
 	return nil
-}
-
-func maxOf(xs ...int) int {
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x > best {
-			best = x
-		}
-	}
-	return best
 }

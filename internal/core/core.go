@@ -198,13 +198,7 @@ func OverheadSensitivity(cfg SweepConfig, overheadsFO4 []float64) []SweepResult 
 	specs := make([]pointSpec, 0, len(overheadsFO4)*len(cfg.UsefulGrid))
 	for i, o := range overheadsFO4 {
 		c := cfg
-		// Scale the Table 1 decomposition to the requested total.
-		t := fo4.PaperOverhead.Total()
-		c.Overhead = fo4.Overhead{
-			Latch:  fo4.PaperOverhead.Latch * o / t,
-			Skew:   fo4.PaperOverhead.Skew * o / t,
-			Jitter: fo4.PaperOverhead.Jitter * o / t,
-		}
+		c.Overhead = scaledOverhead(o)
 		out[i].Config = c
 		for _, useful := range c.UsefulGrid {
 			specs = append(specs, c.pointSpecFor(useful, nil))

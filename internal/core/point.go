@@ -273,16 +273,22 @@ func (o PointOptions) machine() config.Machine {
 }
 
 // overhead resolves OverheadFO4 to the Table 1 decomposition scaled to
-// the requested total, exactly like OverheadSensitivity.
+// the requested total, the same scaling OverheadSensitivity applies.
 func (o PointOptions) overhead() fo4.Overhead {
 	if o.OverheadFO4 == NoOverhead {
 		return fo4.Overhead{}
 	}
+	return scaledOverhead(o.OverheadFO4)
+}
+
+// scaledOverhead scales Table 1's latch/skew/jitter split to a total of
+// total FO4.
+func scaledOverhead(total float64) fo4.Overhead {
 	t := fo4.PaperOverhead.Total()
 	return fo4.Overhead{
-		Latch:  fo4.PaperOverhead.Latch * o.OverheadFO4 / t,
-		Skew:   fo4.PaperOverhead.Skew * o.OverheadFO4 / t,
-		Jitter: fo4.PaperOverhead.Jitter * o.OverheadFO4 / t,
+		Latch:  fo4.PaperOverhead.Latch * total / t,
+		Skew:   fo4.PaperOverhead.Skew * total / t,
+		Jitter: fo4.PaperOverhead.Jitter * total / t,
 	}
 }
 

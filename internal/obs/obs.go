@@ -12,6 +12,7 @@ package obs
 
 import (
 	"log/slog"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -102,9 +103,7 @@ func (r *Recorder) Study(name string) func() {
 }
 
 // Counter returns the current value of one named counter (0 when the
-// counter has never been incremented, or on a nil recorder). The serving
-// layer's /stats endpoint reads individual gauges through it without
-// paying for a full Snapshot.
+// counter has never been incremented, or on a nil recorder).
 func (r *Recorder) Counter(name string) int64 {
 	if r == nil {
 		return 0
@@ -112,6 +111,18 @@ func (r *Recorder) Counter(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters[name]
+}
+
+// Counters copies every counter under one lock, so values derived from
+// several counters agree, without paying for a full Snapshot's duration
+// summaries. A nil recorder yields an empty map.
+func (r *Recorder) Counters() map[string]int64 {
+	if r == nil {
+		return map[string]int64{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.counters)
 }
 
 // Task records one completed executor task: the worker that ran it,

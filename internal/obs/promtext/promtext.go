@@ -10,7 +10,7 @@
 //   - Observation-only. Nothing in this package may influence
 //     simulation results; simulation packages are forbidden from even
 //     importing it (the reprolint obsinert rule), so every value flows
-//     in through the serving layer or an obs.Recorder bridge.
+//     in through the serving layer.
 //   - Nil-safe instruments. Every instrument method is a no-op on a nil
 //     receiver, so a daemon with metrics disabled threads nil handles
 //     instead of guarding each call site.
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -147,19 +146,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
-}
-
-// Handler serves the registry as an HTTP endpoint with the exposition
-// content type. A nil registry serves 404 (metrics disabled).
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if r == nil {
-			http.NotFound(w, req)
-			return
-		}
-		w.Header().Set("Content-Type", ContentType)
-		r.WriteTo(w)
-	})
 }
 
 // Counter is a monotonically increasing integer metric.
@@ -301,9 +287,10 @@ func (g *Gauge) Value() float64 {
 }
 
 // NewCounterFunc registers a counter whose value is read from fn at
-// scrape time — the bridge for totals that already live elsewhere (an
-// obs.Recorder counter, a store.Stats field), so /metrics and /stats
-// render the same source of truth instead of double-counting.
+// render time — the bridge for totals that already live elsewhere. The
+// caller takes one snapshot of those sources per scrape and renders
+// under its own lock, so every fn of one exposition reads the same
+// snapshot (sweepd's /metrics renders the value /stats serves).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return

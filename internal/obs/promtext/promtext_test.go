@@ -2,7 +2,6 @@ package promtext
 
 import (
 	"math"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -175,30 +174,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	var b strings.Builder
 	if n, err := r.WriteTo(&b); n != 0 || err != nil || b.Len() != 0 {
 		t.Errorf("nil WriteTo = (%d, %v, %q)", n, err, b.String())
-	}
-
-	// Nil registry handler serves 404 — "metrics disabled" is visible to
-	// a scraper, not an empty page.
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 404 {
-		t.Errorf("nil handler status = %d, want 404", rec.Code)
-	}
-}
-
-func TestHandlerContentType(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("c", "c")
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if got := rec.Header().Get("Content-Type"); got != ContentType {
-		t.Errorf("Content-Type = %q, want %q", got, ContentType)
-	}
-	if !strings.Contains(rec.Body.String(), "# TYPE c counter") {
-		t.Errorf("body missing TYPE line:\n%s", rec.Body.String())
 	}
 }
 

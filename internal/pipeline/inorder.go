@@ -27,8 +27,8 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	perfectBranches := m.PerfectBranches
 	stats := Stats{}
 
-	frontDepth := int64(maxInt(tmg.IL1, tmg.BPred) + 1) // fetch + decode
-	commitDepth := int64(tmg.RegRead + 1 + 1)           // regread + wb + commit
+	frontDepth := int64(max(tmg.IL1, tmg.BPred) + 1) // fetch + decode
+	commitDepth := int64(tmg.RegRead + 1 + 1)        // regread + wb + commit
 
 	// Result availability for consumers: slot i is written at step i,
 	// and every producer sits strictly earlier (see trace.Producer).

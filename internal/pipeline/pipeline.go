@@ -117,14 +117,6 @@ type Stats struct {
 	BatchSharedDecode uint64 `json:"-"`
 }
 
-// AvgWindowOcc returns the mean issue-window occupancy per cycle.
-func (s Stats) AvgWindowOcc() float64 {
-	if s.SimCycles == 0 {
-		return 0
-	}
-	return float64(s.SumWindowOcc) / float64(s.SimCycles)
-}
-
 // Run simulates tr on the configured machine and returns its statistics.
 //
 // Run is safe for concurrent use: all simulation state (predictor tables,
@@ -216,7 +208,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 
 	// Front-end depth in cycles: fetch (instruction cache / predictor),
 	// decode, rename, dispatch.
-	frontDepth := maxInt(tmg.IL1, tmg.BPred) + 1 + tmg.Rename + 1
+	frontDepth := max(tmg.IL1, tmg.BPred) + 1 + tmg.Rename + 1
 	// The frontend pipeline holds FetchWidth instructions per stage for
 	// frontDepth stages (plus slack for dispatch backpressure).
 	frontCap := m.FetchWidth * (frontDepth + 2)
@@ -368,7 +360,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				} else {
 					completeLat = lat.latency(f, uint64(addrs[idx]), &stats)
 				}
-				d := cycle + maxInt64(completeLat, wakeLoop)
+				d := cycle + max(completeLat, wakeLoop)
 				times[idx] = instTimes{data: d, complete: cycle + completeLat}
 				if idx == fetchBlock {
 					fetchResume = cycle + completeLat + extraMisp
@@ -522,7 +514,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				// operands are visible, no earlier than the next cycle
 				// (dispatch follows this cycle's selection).
 				readyAt = e.acc
-				c := maxInt64(e.acc, cycle+1)
+				c := max(e.acc, cycle+1)
 				if c < q.nextReady {
 					q.nextReady = c
 				}
@@ -1031,18 +1023,4 @@ func newHierarchy(m config.Machine) *mem.Hierarchy {
 		mem.NewCache(s.DL1.CapacityBytes, s.DL1.BlockBytes, s.DL1.Assoc),
 		mem.NewCache(s.L2.CapacityBytes, s.L2.BlockBytes, s.L2.Assoc),
 	)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,19 +1,22 @@
 package serve
 
-// The /metrics surface. Everything here is derived observation: the
-// counters a scrape renders are either read at scrape time from the same
-// obs.Recorder and store.Stats() that back /stats (so the two endpoints
-// can never disagree — one source of truth, two renderings), or are
-// serving-layer instruments (latency histograms, reject reasons) that
-// /stats never carried. Nothing in this file may influence a sweep body;
-// the telemetry-inertness test pins that.
+// The /metrics surface. A scrape takes one Server.snapshot — the value
+// /stats serves, minus its duration summaries — and renders every
+// stats family in the table below from it, so one exposition reads each
+// source once: sweep_inflight_points always equals sweep_queue_depth
+// plus sweep_running_points, and every counter agrees with a /stats
+// body taken at the same instant. The serving-path instruments (latency
+// histograms, reject reasons, stream bytes) are direct promtext
+// instruments that /stats never carried. Nothing in this file may
+// influence a sweep body; the telemetry-inertness test pins that.
 
 import (
+	"bytes"
+	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/promtext"
 )
 
@@ -31,18 +34,58 @@ type serverMetrics struct {
 	streamBytes   *promtext.Counter    // sweep_stream_bytes_total
 	slow          *promtext.Counter    // sweep_slow_requests_total
 	httpInflight  *promtext.Gauge      // sweep_http_requests_inflight
+
+	scrapeMu sync.Mutex // held from snapshot to rendered body; guards cur
+	cur      Stats      // the snapshot statFamilies read while rendering
 }
 
-// counterFromRec bridges one obs.Recorder counter into the registry,
-// read at scrape time.
-func counterFromRec(reg *promtext.Registry, rec *obs.Recorder, name, help, key string) {
-	reg.NewCounterFunc(name, help, func() float64 { return float64(rec.Counter(key)) })
+// statFamily is one /metrics family rendered from the scrape's Stats.
+type statFamily struct {
+	name, help, typ string // typ is "counter" or "gauge"
+	value           func(*Stats) float64
 }
 
-// newServerMetrics builds the registry for one Server. The collectors
-// close over s and read s.sched / s.cfg.Store lazily at scrape time, so
-// this runs before the scheduler exists; disabled metrics produce a nil
-// registry whose Handler serves 404.
+// statFamilies lists every family read from the snapshot. Counter-like
+// store fields render as counters (they are monotone inside one
+// process); occupancy fields as gauges.
+var statFamilies = []statFamily{
+	{"sweep_requests_total", "Admitted /sweep requests.", "counter", func(st *Stats) float64 { return float64(st.Requests) }},
+	{"sweep_requests_rejected_total", "Rejected /sweep requests, all reasons.", "counter", func(st *Stats) float64 { return float64(st.Rejected) }},
+	{"sweep_client_disconnects_total", "Streams dropped by the client before completion.", "counter", func(st *Stats) float64 { return float64(st.Disconnects) }},
+	{"sweep_points_done_total", "Points simulated and published.", "counter", func(st *Stats) float64 { return float64(st.PointsDone) }},
+	{"sweep_points_dropped_total", "Admitted points abandoned by every requester before running.", "counter", func(st *Stats) float64 { return float64(st.PointsDropped) }},
+	{"sweep_simulations_total", "Simulations actually executed (misses that ran).", "counter", func(st *Stats) float64 { return float64(st.Telemetry.Counters["simulations"]) }},
+	{"sweep_prewarms_total", "Memory-template prewarms the workers' Scratches ran.", "counter", func(st *Stats) float64 { return float64(st.Telemetry.Counters["prewarms"]) }},
+	{"sweep_point_cache_hits_total", "Points served from the result store or joined in flight.", "counter", func(st *Stats) float64 { return float64(st.CacheHits) }},
+	{"sweep_point_cache_misses_total", "Points that required a fresh simulation.", "counter", func(st *Stats) float64 { return float64(st.CacheMisses) }},
+	{"sweep_dedup_joins_total", "Singleflight joins onto an already in-flight point.", "counter", func(st *Stats) float64 { return float64(st.DedupJoins) }},
+	{"sweep_delta_pulls_total", "Completed GET /results delta-sync pulls.", "counter", func(st *Stats) float64 { return float64(st.Telemetry.Counters["delta_pulls"]) }},
+
+	{"sweep_queue_depth", "Admitted points waiting for a batch.", "gauge", func(st *Stats) float64 { return float64(st.QueueDepth) }},
+	{"sweep_running_points", "Points in batches the workers are running.", "gauge", func(st *Stats) float64 { return float64(st.RunningPoints) }},
+	{"sweep_inflight_points", "Queued plus running points.", "gauge", func(st *Stats) float64 { return float64(st.InflightPoints) }},
+
+	{"store_mem_entries", "Result lines resident in the warm layer.", "gauge", func(st *Stats) float64 { return float64(st.CacheSize) }},
+	{"store_mem_bytes", "Bytes of result lines resident in the warm layer.", "gauge", func(st *Stats) float64 { return float64(st.CacheBytes) }},
+	{"store_evictions_total", "Warm-layer LRU evictions.", "counter", func(st *Stats) float64 { return float64(st.CacheEvictions) }},
+	{"store_warm_hits_total", "Hits served from warm-start replayed lines.", "counter", func(st *Stats) float64 { return float64(st.WarmHits) }},
+	{"store_disk_hits_total", "Hits re-read from a segment after a memory miss.", "counter", func(st *Stats) float64 { return float64(st.DiskHits) }},
+	{"store_disk_entries", "Distinct keys indexed in the segment log.", "gauge", func(st *Stats) float64 { return float64(st.DiskEntries) }},
+	{"store_segments", "Live segment files.", "gauge", func(st *Stats) float64 { return float64(st.Segments) }},
+	{"store_bytes", "Total bytes across live segment files.", "gauge", func(st *Stats) float64 { return float64(st.StoreBytes) }},
+	{"store_compactions_total", "Sealed segments retired by the compaction coordinator.", "counter", func(st *Stats) float64 { return float64(st.Compactions) }},
+	{"store_append_errors_total", "Failed segment appends (result stayed memory-only).", "counter", func(st *Stats) float64 { return float64(st.StoreAppendErrors) }},
+	{"store_read_errors_total", "Indexed records that could not be re-read (served as a miss).", "counter", func(st *Stats) float64 { return float64(st.StoreReadErrors) }},
+	{"store_cursor", "Highest assigned delta-sync cursor.", "gauge", func(st *Stats) float64 { return float64(st.StoreCursor) }},
+
+	{"trace_cache_traces", "Traces held in the process-wide trace cache.", "gauge", func(st *Stats) float64 { return float64(st.TraceCacheTraces) }},
+	{"trace_cache_bytes", "Bytes of instruction columns held by the cached traces.", "gauge", func(st *Stats) float64 { return float64(st.TraceCacheBytes) }},
+}
+
+// newServerMetrics builds the registry for one Server. The stats
+// families read m.cur and the rest only s.draining and s.start, so this
+// runs before the scheduler exists; disabled metrics produce a nil
+// registry.
 func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 	var reg *promtext.Registry
 	if enabled {
@@ -70,47 +113,14 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 		return m
 	}
 
-	// Request/point economy: the same recorder counters /stats renders.
-	rec := s.rec
-	counterFromRec(reg, rec, "sweep_requests_total",
-		"Admitted /sweep requests.", "requests")
-	counterFromRec(reg, rec, "sweep_requests_rejected_total",
-		"Rejected /sweep requests, all reasons.", "requests_rejected")
-	counterFromRec(reg, rec, "sweep_client_disconnects_total",
-		"Streams dropped by the client before completion.", "client_disconnects")
-	counterFromRec(reg, rec, "sweep_points_done_total",
-		"Points simulated and published.", "points_done")
-	counterFromRec(reg, rec, "sweep_points_dropped_total",
-		"Admitted points abandoned by every requester before running.", "points_dropped")
-	counterFromRec(reg, rec, "sweep_simulations_total",
-		"Simulations actually executed (misses that ran).", "simulations")
-	counterFromRec(reg, rec, "sweep_prewarms_total",
-		"Memory-template prewarms the workers' Scratches ran.", "prewarms")
-	counterFromRec(reg, rec, "sweep_point_cache_hits_total",
-		"Points served from the result store or joined in flight.", "point_cache_hits")
-	counterFromRec(reg, rec, "sweep_point_cache_misses_total",
-		"Points that required a fresh simulation.", "point_cache_misses")
-	counterFromRec(reg, rec, "sweep_dedup_joins_total",
-		"Singleflight joins onto an already in-flight point.", "dedup_joins")
-	counterFromRec(reg, rec, "sweep_delta_pulls_total",
-		"Completed GET /results delta-sync pulls.", "delta_pulls")
-
-	// Live queue gauges, read from the scheduler at scrape time.
-	reg.NewGaugeFunc("sweep_queue_depth",
-		"Admitted points waiting for a batch.", func() float64 {
-			q, _ := s.sched.gauges()
-			return float64(q)
-		})
-	reg.NewGaugeFunc("sweep_running_points",
-		"Points in batches the workers are running.", func() float64 {
-			_, r := s.sched.gauges()
-			return float64(r)
-		})
-	reg.NewGaugeFunc("sweep_inflight_points",
-		"Queued plus running points.", func() float64 {
-			q, r := s.sched.gauges()
-			return float64(q + r)
-		})
+	for _, f := range statFamilies {
+		fn := func() float64 { return f.value(&m.cur) }
+		if f.typ == "counter" {
+			reg.NewCounterFunc(f.name, f.help, fn)
+		} else {
+			reg.NewGaugeFunc(f.name, f.help, fn)
+		}
+	}
 	reg.NewGaugeFunc("sweep_draining",
 		"1 once BeginDrain has been called, else 0.", func() float64 {
 			if s.draining.Load() {
@@ -122,55 +132,6 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 		"Seconds since the server was built.", func() float64 {
 			return time.Since(s.start).Seconds()
 		})
-
-	// Store economy, one Stats() snapshot per family read. Counter-like
-	// fields render as counters (they are monotone inside one process);
-	// occupancy fields as gauges.
-	reg.NewGaugeFunc("store_mem_entries",
-		"Result lines resident in the warm layer.",
-		func() float64 { return float64(s.cfg.Store.Stats().MemEntries) })
-	reg.NewGaugeFunc("store_mem_bytes",
-		"Bytes of result lines resident in the warm layer.",
-		func() float64 { return float64(s.cfg.Store.Stats().MemBytes) })
-	reg.NewCounterFunc("store_evictions_total",
-		"Warm-layer LRU evictions.",
-		func() float64 { return float64(s.cfg.Store.Stats().Evictions) })
-	reg.NewCounterFunc("store_warm_hits_total",
-		"Hits served from warm-start replayed lines.",
-		func() float64 { return float64(s.cfg.Store.Stats().WarmHits) })
-	reg.NewCounterFunc("store_disk_hits_total",
-		"Hits re-read from a segment after a memory miss.",
-		func() float64 { return float64(s.cfg.Store.Stats().DiskHits) })
-	reg.NewGaugeFunc("store_disk_entries",
-		"Distinct keys indexed in the segment log.",
-		func() float64 { return float64(s.cfg.Store.Stats().DiskEntries) })
-	reg.NewGaugeFunc("store_segments",
-		"Live segment files.",
-		func() float64 { return float64(s.cfg.Store.Stats().Segments) })
-	reg.NewGaugeFunc("store_bytes",
-		"Total bytes across live segment files.",
-		func() float64 { return float64(s.cfg.Store.Stats().StoreBytes) })
-	reg.NewCounterFunc("store_compactions_total",
-		"Sealed segments retired by the compaction coordinator.",
-		func() float64 { return float64(s.cfg.Store.Stats().Compactions) })
-	reg.NewCounterFunc("store_append_errors_total",
-		"Failed segment appends (result stayed memory-only).",
-		func() float64 { return float64(s.cfg.Store.Stats().AppendErrors) })
-	reg.NewCounterFunc("store_read_errors_total",
-		"Indexed records that could not be re-read (served as a miss).",
-		func() float64 { return float64(s.cfg.Store.Stats().ReadErrors) })
-	reg.NewGaugeFunc("store_cursor",
-		"Highest assigned delta-sync cursor.",
-		func() float64 { return float64(s.cfg.Store.Stats().Cursor) })
-
-	// The process-wide trace cache, the same source /stats reads.
-	reg.NewGaugeFunc("trace_cache_traces",
-		"Traces held in the process-wide trace cache.",
-		func() float64 { t, _ := core.TraceCacheStats(); return float64(t) })
-	reg.NewGaugeFunc("trace_cache_bytes",
-		"Bytes of instruction columns held by the cached traces.",
-		func() float64 { _, b := core.TraceCacheStats(); return float64(b) })
-
 	reg.NewInfo("build_info",
 		"Build metadata; code_version is the cache-key version stamp.",
 		map[string]string{
@@ -178,4 +139,23 @@ func newServerMetrics(enabled bool, s *Server) *serverMetrics {
 			"go":           runtime.Version(),
 		})
 	return m
+}
+
+// handleMetrics is GET /metrics: one snapshot and one render per scrape,
+// both under scrapeMu so concurrent scrapes never share cur. The body is
+// written after the lock is released, so a slow scraper never holds up
+// another. Disabled metrics serve 404.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m := s.metrics
+	if m.reg == nil {
+		http.NotFound(w, r)
+		return
+	}
+	var body bytes.Buffer
+	m.scrapeMu.Lock()
+	m.cur = s.snapshot()
+	m.reg.WriteTo(&body)
+	m.scrapeMu.Unlock()
+	w.Header().Set("Content-Type", promtext.ContentType)
+	w.Write(body.Bytes())
 }

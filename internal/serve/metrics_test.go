@@ -16,11 +16,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clitest"
 	"repro/internal/obs/promtext"
+	"repro/internal/store"
 )
 
 // scrapeMetrics GETs /metrics and returns the body.
@@ -143,6 +145,113 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	}
 	if !strings.Contains(string(exp), `build_info{code_version="`) {
 		t.Error("build_info carries no code_version label")
+	}
+}
+
+// statsCountingStore counts Stats() calls on the store it wraps.
+type statsCountingStore struct {
+	store.ResultStore
+	calls atomic.Int64
+}
+
+func (c *statsCountingStore) Stats() store.Stats {
+	c.calls.Add(1)
+	return c.ResultStore.Stats()
+}
+
+// TestOneStoreReadPerScrape: a /metrics scrape and a /stats request
+// each read the store once — one snapshot renders every family, rather
+// than one Stats() call (and one store lock) per family.
+func TestOneStoreReadPerScrape(t *testing.T) {
+	cs := &statsCountingStore{ResultStore: store.NewMemory(64, nil)}
+	_, ts := newTestServer(t, Config{Workers: 1, Store: cs})
+	for _, path := range []string{"/metrics", "/stats"} {
+		before := cs.calls.Load()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := cs.calls.Load() - before; got != 1 {
+			t.Errorf("GET %s called Store.Stats() %d times, want 1", path, got)
+		}
+	}
+}
+
+// TestScrapesConsistentUnderLoad: while concurrent sweeps move points
+// through the queue and another scraper contends for the scrape lock,
+// every /metrics body is one snapshot (inflight = queued + running) and
+// every /stats body fills its top-level counters from the same read as
+// telemetry.counters.
+func TestScrapesConsistentUnderLoad(t *testing.T) {
+	const clients = 4
+	_, ts := newTestServer(t, Config{Workers: 2})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(clients + 1)
+	go func() { // a second scraper, so scrapes contend for the scrape lock
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Errorf("background scrape: %v", err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		go func() {
+			defer wg.Done()
+			// Seeds overlap between neighbours, so the load mixes fresh
+			// simulations with dedup joins and cache hits.
+			body := `{"useful_min":2,"useful_max":16,"useful_step":2,"benchmarks":["gcc","swim"],"instructions":6000,"seed":` + strconv.Itoa(c/2+1) + `}`
+			resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("client %d: %v", c, err)
+				return
+			}
+			if _, ok, err := readStreamErr(resp); err != nil || !ok {
+				t.Errorf("client %d: done=%v err=%v", c, ok, err)
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+
+	for scrapes := 0; ; scrapes++ {
+		exp := scrapeMetrics(t, ts.URL)
+		q := metricValue(t, exp, "sweep_queue_depth")
+		r := metricValue(t, exp, "sweep_running_points")
+		if in := metricValue(t, exp, "sweep_inflight_points"); in != q+r {
+			t.Fatalf("scrape %d: sweep_inflight_points = %v, want queue %v + running %v", scrapes, in, q, r)
+		}
+		st := getStats(t, ts.URL)
+		c := st.Telemetry.Counters
+		for _, pair := range []struct {
+			field string
+			got   int64
+			key   string
+		}{
+			{"cache_hits", st.CacheHits, "point_cache_hits"},
+			{"cache_misses", st.CacheMisses, "point_cache_misses"},
+			{"requests", st.Requests, "requests"},
+			{"dedup_joins", st.DedupJoins, "dedup_joins"},
+			{"points_done", st.PointsDone, "points_done"},
+		} {
+			if pair.got != c[pair.key] {
+				t.Fatalf("scrape %d: /stats %s = %d, telemetry.counters.%s = %d", scrapes, pair.field, pair.got, pair.key, c[pair.key])
+			}
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
 

@@ -190,9 +190,8 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(), // uptime gauge only; /stats is off the deterministic result path
 	}
-	// Metrics before the scheduler: the registry's collectors close over
-	// s and only dereference s.sched at scrape time, while the scheduler
-	// needs the histogram handles at construction.
+	// Metrics before the scheduler, which needs the histogram handles at
+	// construction.
 	s.metrics = newServerMetrics(!cfg.DisableMetrics, s)
 	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log, s.metrics)
 	s.delta, _ = cfg.Store.(DeltaSource)
@@ -200,7 +199,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/results", s.handleResults)
-	s.mux.Handle("/metrics", s.metrics.reg.Handler())
+	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.handler = s.withTrace(s.mux)
 	return s
 }
@@ -431,12 +430,16 @@ type Stats struct {
 	Telemetry obs.Snapshot `json:"telemetry"`
 }
 
-// StatsSnapshot assembles the current Stats; exported so tests and
-// embedding binaries can read it without HTTP.
-func (s *Server) StatsSnapshot() Stats {
+// snapshot reads every source of Stats exactly once: the scheduler's
+// gauges, one Store.Stats(), the trace cache, and the recorder's
+// counters under one lock, which also fill Telemetry.Counters. It
+// leaves out the duration summaries, whose cost grows with uptime, so a
+// /metrics scrape, which renders this value, stays cheap.
+func (s *Server) snapshot() Stats {
 	queued, running := s.sched.gauges()
 	ss := s.cfg.Store.Stats()
 	traces, traceBytes := core.TraceCacheStats()
+	c := s.rec.Counters()
 	st := Stats{
 		UptimeSeconds:     time.Since(s.start).Seconds(), // observation-only: never feeds a result body
 		QueueDepth:        queued,
@@ -444,8 +447,8 @@ func (s *Server) StatsSnapshot() Stats {
 		InflightPoints:    queued + running,
 		CacheSize:         ss.MemEntries,
 		CacheBytes:        ss.MemBytes,
-		CacheHits:         s.rec.Counter("point_cache_hits"),
-		CacheMisses:       s.rec.Counter("point_cache_misses"),
+		CacheHits:         c["point_cache_hits"],
+		CacheMisses:       c["point_cache_misses"],
 		CacheEvictions:    ss.Evictions,
 		WarmHits:          ss.WarmHits,
 		DiskHits:          ss.DiskHits,
@@ -458,17 +461,29 @@ func (s *Server) StatsSnapshot() Stats {
 		StoreReadErrors:   ss.ReadErrors,
 		TraceCacheTraces:  traces,
 		TraceCacheBytes:   traceBytes,
-		DedupJoins:        s.rec.Counter("dedup_joins"),
-		Requests:          s.rec.Counter("requests"),
-		Rejected:          s.rec.Counter("requests_rejected"),
-		Disconnects:       s.rec.Counter("client_disconnects"),
-		PointsDone:        s.rec.Counter("points_done"),
-		PointsDropped:     s.rec.Counter("points_dropped"),
-		Telemetry:         s.rec.Snapshot(),
+		DedupJoins:        c["dedup_joins"],
+		Requests:          c["requests"],
+		Rejected:          c["requests_rejected"],
+		Disconnects:       c["client_disconnects"],
+		PointsDone:        c["points_done"],
+		PointsDropped:     c["points_dropped"],
+		Telemetry:         obs.Snapshot{Counters: c},
 	}
 	if total := st.CacheHits + st.CacheMisses; total > 0 {
 		st.CacheHitRatio = float64(st.CacheHits) / float64(total)
 	}
+	return st
+}
+
+// StatsSnapshot assembles the /stats body: snapshot plus the recorder's
+// duration summaries, with telemetry.counters kept as the same read
+// that filled cache_hits, requests and the rest. Exported so tests and
+// embedding binaries can read it without HTTP.
+func (s *Server) StatsSnapshot() Stats {
+	st := s.snapshot()
+	tel := s.rec.Snapshot()
+	tel.Counters = st.Telemetry.Counters
+	st.Telemetry = tel
 	return st
 }
 

@@ -302,7 +302,7 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 	// Stream walkers.
 	streams := make([]uint64, max(1, p.Streams))
 	for i := range streams {
-		streams[i] = (r.Uint64() % max64(1, p.FootprintBytes)) &^ 7
+		streams[i] = (r.Uint64() % max(1, p.FootprintBytes)) &^ 7
 	}
 
 	recentLoads := make([]int32, 0, 8)
@@ -378,7 +378,7 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 			case r.Float64() < 0.85:
 				in.Addr = r.Uint64() % warm
 			default:
-				in.Addr = r.Uint64() % max64(64, p.FootprintBytes)
+				in.Addr = r.Uint64() % max(64, p.FootprintBytes)
 			}
 			in.Addr &^= 7
 			if cl == isa.Load {
@@ -410,18 +410,4 @@ func hashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
