@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
+.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile bench-module check
 
 build:
 	$(GO) build ./...
@@ -117,5 +117,13 @@ profile:
 	@echo "wrote cpu.pprof, mem.pprof, profile-manifest.json"
 	@echo "inspect with: $(GO) tool pprof -top cpu.pprof"
 
+# The benchmark program is its own module (benchmark/go.mod), so the
+# root build, tests and lint skip it. It imports internal APIs (obs,
+# serve, promtext), so vet, test and lint it on its own: a change to
+# those packages that breaks the benchmark fails here, not at the next
+# benchmark run.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./... && $(GO) run repro/cmd/reprolint ./...
+
 # The documented pre-push command.
-check: build vet test race lint
+check: build vet test race lint bench-module

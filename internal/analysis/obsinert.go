@@ -14,9 +14,10 @@ import (
 // receiver. Everything else on the Recorder reads recorded state back
 // out, which only the telemetry layer itself may do.
 var recorderWrites = map[string]bool{
-	"Add":   true,
-	"Study": true,
-	"Task":  true,
+	"Add":     true,
+	"Observe": true,
+	"Study":   true,
+	"Task":    true,
 }
 
 // ObsInertAnalyzer enforces telemetry inertness: simulation packages
@@ -25,10 +26,9 @@ var recorderWrites = map[string]bool{
 // could steer control flow by what was observed, breaking the
 // byte-for-byte telemetry-invariance guarantee. The same contract bans
 // importing the scrape-surface metrics registry (internal/obs/promtext)
-// outright: its instruments are readable (Counter.Value, Gauge.Value,
-// histogram snapshots), so simulation code holding one could branch on
-// observed state — values flow into the registry only through the
-// serving layer or scrape-time bridges. The reachability pass extends
+// outright: it renders recorded telemetry back out, so simulation code
+// holding one could branch on observed state — values reach it only
+// through the serving layer's per-scrape snapshot. The reachability pass extends
 // the contract to every function a simulation entry point can reach,
 // excepting the telemetry layer itself.
 func ObsInertAnalyzer() *Analyzer {
@@ -55,8 +55,8 @@ func runObsInert(p *Pass) {
 }
 
 // scanObsRead checks one AST node for a read of recorded telemetry (a
-// non-write obs.Recorder method call, or any use of a promtext
-// instrument), reporting through the given sink.
+// non-write obs.Recorder method call, or any use of the promtext
+// registry), reporting through the given sink.
 func scanObsRead(info *types.Info, mod string, n ast.Node, report func(pos token.Pos, format string, args ...any)) bool {
 	x, ok := n.(*ast.SelectorExpr)
 	if !ok {

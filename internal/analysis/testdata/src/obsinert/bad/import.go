@@ -1,7 +1,7 @@
 package bad
 
 // Even a blank import of the scrape-surface registry is forbidden in
-// simulation code: promtext instruments are readable, so holding one is
-// a telemetry feedback loop waiting to happen.
+// simulation code: promtext renders recorded telemetry back out, so
+// holding it is a telemetry feedback loop waiting to happen.
 
 import _ "repro/internal/obs/promtext" // want obsinert

@@ -86,7 +86,6 @@ var Params100nm = Params{
 // Circuit is a netlist under construction.
 type Circuit struct {
 	Params  Params
-	names   []string
 	devices []device
 	pinned  []bool // node has an ideal voltage source attached
 
@@ -100,19 +99,18 @@ type Circuit struct {
 // ground node exists from the start.
 func New(p Params) *Circuit {
 	c := &Circuit{Params: p}
-	c.names = append(c.names, "gnd")
 	c.pinned = append(c.pinned, true)
 	return c
 }
 
 // NumNodes returns the number of nodes, including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
+func (c *Circuit) NumNodes() int { return len(c.pinned) }
 
-// Node creates and returns a new named node.
+// Node creates and returns a new node. The name documents the netlist
+// at the call site; the circuit does not keep it.
 func (c *Circuit) Node(name string) Node {
-	c.names = append(c.names, name)
 	c.pinned = append(c.pinned, false)
-	return Node(len(c.names) - 1)
+	return Node(len(c.pinned) - 1)
 }
 
 // R adds a resistor of r kΩ between a and b.

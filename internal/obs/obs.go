@@ -1,7 +1,11 @@
-// Package obs is the run-telemetry layer shared by every study binary:
-// structured logging on log/slog, a Recorder of counters and spans fed by
-// the executor's task hook, a run-manifest JSON export, and CPU/heap/
-// execution-trace profiling wiring.
+// Package obs is the run-telemetry layer shared by every study binary
+// and the sweep daemon: structured logging on log/slog, a Recorder of
+// counters, fixed-bucket duration histograms and spans fed by the
+// executor's task hook, a run-manifest JSON export, and CPU/heap/
+// execution-trace profiling wiring. The Recorder is the one telemetry
+// registry: the manifest, sweepd's /stats and its /metrics exposition
+// (package promtext) each render a Snapshot of it, and its memory is
+// fixed however long the process runs.
 //
 // Telemetry is observation-only by contract: nothing in this package may
 // influence simulation results. Recorders hang off configuration structs
@@ -12,25 +16,24 @@ package obs
 
 import (
 	"log/slog"
-	"maps"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// Recorder accumulates counters and spans for one run. All methods are
-// safe for concurrent use and no-ops on a nil receiver, so callers thread
-// a *Recorder without guarding every call site.
+// Recorder accumulates counters, histograms and spans for one run. All
+// methods are safe for concurrent use and no-ops on a nil receiver, so
+// callers thread a *Recorder without guarding every call site.
 type Recorder struct {
 	log *slog.Logger
 
 	mu          sync.Mutex
 	counters    map[string]int64
+	hists       map[string]*Histogram // named histograms over LatencyBuckets
 	studies     []*study
 	open        []*study // stack: the innermost study collects task durations
-	tasks       []time.Duration
-	queueWaits  []time.Duration
+	tasks       Histogram
+	queueWaits  Histogram
 	workerTasks map[int]int64
 }
 
@@ -41,7 +44,7 @@ type study struct {
 	start time.Time
 	wall  time.Duration
 	done  bool
-	tasks []time.Duration
+	tasks Histogram
 }
 
 // New returns an empty recorder; log may be nil for silent recording.
@@ -49,11 +52,15 @@ func New(log *slog.Logger) *Recorder {
 	return &Recorder{
 		log:         log,
 		counters:    map[string]int64{},
+		hists:       map[string]*Histogram{},
+		tasks:       NewHistogram(taskBuckets),
+		queueWaits:  NewHistogram(taskBuckets),
 		workerTasks: map[int]int64{},
 	}
 }
 
-// Add increments a named counter.
+// Add moves a named counter by delta. A level that goes both ways, such
+// as requests in flight, is a counter moved by +1 and -1.
 func (r *Recorder) Add(name string, delta int64) {
 	if r == nil {
 		return
@@ -72,7 +79,7 @@ func (r *Recorder) Study(name string) func() {
 	if r == nil {
 		return func() {}
 	}
-	s := &study{name: name, start: time.Now()} //reprolint:allow nondeterminism: span wall time is telemetry output, observation-only by contract
+	s := &study{name: name, start: time.Now(), tasks: NewHistogram(taskBuckets)} //reprolint:allow nondeterminism: span wall time is telemetry output, observation-only by contract
 	r.mu.Lock()
 	r.studies = append(r.studies, s)
 	r.open = append(r.open, s)
@@ -94,7 +101,7 @@ func (r *Recorder) Study(name string) func() {
 				break
 			}
 		}
-		wall, n := s.wall, len(s.tasks)
+		wall, n := s.wall, s.tasks.Count()
 		r.mu.Unlock()
 		if r.log != nil {
 			r.log.Debug("study done", "study", name, "wall", wall, "tasks", n)
@@ -113,63 +120,49 @@ func (r *Recorder) Counter(name string) int64 {
 	return r.counters[name]
 }
 
-// Counters copies every counter under one lock, so values derived from
-// several counters agree, without paying for a full Snapshot's duration
-// summaries. A nil recorder yields an empty map.
-func (r *Recorder) Counters() map[string]int64 {
-	if r == nil {
-		return map[string]int64{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return maps.Clone(r.counters)
-}
-
 // Task records one completed executor task: the worker that ran it,
 // how long it waited between its ready time and its start, and how long
-// it ran. The signature matches exec.Pool's OnTask hook.
+// it ran. The signature matches exec.Pool's OnTask hook. It allocates
+// nothing once the worker has been seen.
 func (r *Recorder) Task(worker int, queueWait, run time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.queueWaits = append(r.queueWaits, queueWait)
-	r.tasks = append(r.tasks, run)
+	r.queueWaits.Observe(queueWait)
+	r.tasks.Observe(run)
 	r.workerTasks[worker]++
 	if n := len(r.open); n > 0 {
-		s := r.open[n-1]
-		s.tasks = append(s.tasks, run)
+		r.open[n-1].tasks.Observe(run)
 	}
 	r.mu.Unlock()
 }
 
-// DurationStats summarizes a duration sample in milliseconds.
+// Observe records one duration into a named histogram over
+// LatencyBuckets, built on first use.
+func (r *Recorder) Observe(name string, d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	h := r.hists[name]
+	if h == nil {
+		nh := NewHistogram(LatencyBuckets)
+		h = &nh
+		r.hists[name] = h
+	}
+	h.Observe(d)
+	r.mu.Unlock()
+}
+
+// DurationStats summarizes a duration histogram in milliseconds (see
+// Histogram.Stats: p50_ms is a bucket estimate, the rest are exact).
 type DurationStats struct {
 	Count   int     `json:"count"`
 	MinMS   float64 `json:"min_ms"`
 	P50MS   float64 `json:"p50_ms"`
 	MaxMS   float64 `json:"max_ms"`
 	TotalMS float64 `json:"total_ms"`
-}
-
-func summarize(ds []time.Duration) DurationStats {
-	if len(ds) == 0 {
-		return DurationStats{}
-	}
-	ms := make([]float64, len(ds))
-	total := 0.0
-	for i, d := range ds {
-		ms[i] = float64(d) / float64(time.Millisecond)
-		total += ms[i]
-	}
-	sort.Float64s(ms)
-	return DurationStats{
-		Count:   len(ms),
-		MinMS:   ms[0],
-		P50MS:   ms[len(ms)/2],
-		MaxMS:   ms[len(ms)-1],
-		TotalMS: total,
-	}
 }
 
 // StudyStats is one study span in a snapshot.
@@ -187,13 +180,28 @@ type Snapshot struct {
 	Tasks       DurationStats    `json:"tasks"`
 	QueueWait   DurationStats    `json:"queue_wait"`
 	WorkerTasks map[string]int64 `json:"worker_tasks"`
+
+	// Histograms holds every named histogram with its buckets, for
+	// renderers that need them (sweepd's /metrics). It stays out of the
+	// JSON, whose shape manifest and /stats readers depend on.
+	Histograms map[string]Histogram `json:"-"`
+}
+
+// Histogram returns one named histogram, empty over LatencyBuckets when
+// nothing has been observed under that name.
+func (s Snapshot) Histogram(name string) Histogram {
+	if h, ok := s.Histograms[name]; ok {
+		return h
+	}
+	return NewHistogram(LatencyBuckets)
 }
 
 // Snapshot copies the recorder's current state; a nil recorder yields an
 // empty (but non-nil-mapped) snapshot. Open studies report the wall time
-// elapsed so far.
+// elapsed so far. It takes O(counters + workers + studies + buckets),
+// however many tasks the recorder has seen.
 func (r *Recorder) Snapshot() Snapshot {
-	snap := Snapshot{Counters: map[string]int64{}, WorkerTasks: map[string]int64{}}
+	snap := Snapshot{Counters: map[string]int64{}, WorkerTasks: map[string]int64{}, Histograms: map[string]Histogram{}}
 	if r == nil {
 		return snap
 	}
@@ -205,6 +213,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	for w, n := range r.workerTasks {
 		snap.WorkerTasks[strconv.Itoa(w)] = n
 	}
+	for name, h := range r.hists {
+		snap.Histograms[name] = h.clone()
+	}
 	for _, s := range r.studies {
 		wall := s.wall
 		if !s.done {
@@ -212,11 +223,11 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		snap.Studies = append(snap.Studies, StudyStats{
 			Name:   s.name,
-			WallMS: float64(wall) / float64(time.Millisecond),
-			Tasks:  summarize(s.tasks),
+			WallMS: ms(wall),
+			Tasks:  s.tasks.Stats(),
 		})
 	}
-	snap.Tasks = summarize(r.tasks)
-	snap.QueueWait = summarize(r.queueWaits)
+	snap.Tasks = r.tasks.Stats()
+	snap.QueueWait = r.queueWaits.Stats()
 	return snap
 }

@@ -1,9 +1,11 @@
-// Package promtext is the daemon-grade metrics core behind sweepd's
-// GET /metrics: a stdlib-only registry of counters, gauges and
-// fixed-bucket histograms rendered in Prometheus text exposition format
-// 0.0.4. It exists because internal/obs.Recorder is an end-of-run
-// snapshot (manifests), while a daemon that never exits needs a surface
-// a scraper can poll continuously.
+// Package promtext renders sweepd's GET /metrics: a stdlib-only
+// registry of counter, gauge, histogram and info families, each read
+// from a caller function at render time and written in Prometheus text
+// exposition format 0.0.4, plus Lint, which checks such an exposition.
+// It holds no metric state of its own: the values live in
+// internal/obs.Recorder, and the caller takes one snapshot per scrape
+// that every family function reads, so an exposition agrees with the
+// /stats body built from the same snapshot.
 //
 // Design contract, mirroring internal/obs:
 //
@@ -11,13 +13,10 @@
 //     simulation results; simulation packages are forbidden from even
 //     importing it (the reprolint obsinert rule), so every value flows
 //     in through the serving layer.
-//   - Nil-safe instruments. Every instrument method is a no-op on a nil
-//     receiver, so a daemon with metrics disabled threads nil handles
-//     instead of guarding each call site.
-//   - Concurrency-safe. Counters and histogram cells are atomics; a
-//     scrape renders a point-in-time snapshot that is internally
-//     consistent per family (histogram buckets are cumulative and
-//     monotone within one exposition).
+//   - Deterministic. Families render sorted by name and labels sorted,
+//     so the same snapshot renders the same bytes.
+//   - A nil *Registry is valid: it registers nothing and renders an
+//     empty exposition.
 //
 // The package name avoids internal/metrics, which is the paper's
 // BIPS/IPC accounting and entirely unrelated.
@@ -31,7 +30,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // ContentType is the exposition content type a scraper negotiates.
@@ -55,9 +56,7 @@ type family struct {
 }
 
 // Registry holds metric families and renders them sorted by name. The
-// zero value is not usable; call NewRegistry. A nil *Registry is a
-// valid "metrics disabled" registry: every constructor returns a nil
-// instrument whose methods no-op.
+// zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -124,8 +123,9 @@ func escapeLabel(v string) string {
 }
 
 // WriteTo renders every family, sorted by name, in text exposition
-// format 0.0.4: a # HELP and # TYPE line per family followed by its
-// samples.
+// format 0.0.4 straight into w: a # HELP and # TYPE line per family
+// followed by its samples. It stops at the first write error and
+// returns the bytes written.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
 		return 0, nil
@@ -136,159 +136,37 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	var b strings.Builder
+	cw := &countingWriter{w: w}
 	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+		fmt.Fprintf(cw, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
+		fmt.Fprintf(cw, "# TYPE %s %s\n", f.name, f.typ)
 		for _, s := range f.collect() {
-			fmt.Fprintf(&b, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
+			fmt.Fprintf(cw, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
 		}
 	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
+	return cw.n, cw.err
 }
 
-// Counter is a monotonically increasing integer metric.
-type Counter struct {
-	v atomic.Int64
+// countingWriter counts the bytes written through it and turns every
+// write after the first error into a no-op that reports it.
+type countingWriter struct {
+	w   io.Writer
+	n   int64
+	err error
 }
 
-// NewCounter registers a counter. Returns nil (a no-op instrument) on a
-// nil registry.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	if r == nil {
-		return nil
+func (c *countingWriter) Write(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
 	}
-	c := &Counter{}
-	r.register(name, help, "counter", func() []sample {
-		return []sample{{value: formatValue(float64(c.v.Load()))}}
-	})
-	return c
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add increments the counter; negative deltas are ignored (counters are
-// monotone by definition).
-func (c *Counter) Add(delta int64) {
-	if c == nil || delta <= 0 {
-		return
-	}
-	c.v.Add(delta)
-}
-
-// Value reads the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// CounterVec is a family of counters split by one label.
-type CounterVec struct {
-	label string
-
-	mu    sync.Mutex
-	cells map[string]*Counter
-}
-
-// NewCounterVec registers a one-label counter family. Cells materialize
-// on first use and render sorted by label value.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	if !validName(label) || strings.Contains(label, ":") {
-		panic(fmt.Sprintf("promtext: invalid label name %q", label))
-	}
-	v := &CounterVec{label: label, cells: map[string]*Counter{}}
-	r.register(name, help, "counter", func() []sample {
-		v.mu.Lock()
-		vals := make([]string, 0, len(v.cells))
-		for val := range v.cells { //reprolint:allow mapiter: label values are collected then sorted before rendering; scrape bytes stay order-stable
-			vals = append(vals, val)
-		}
-		sort.Strings(vals)
-		out := make([]sample, 0, len(vals))
-		for _, val := range vals {
-			out = append(out, sample{
-				labels: fmt.Sprintf("{%s=\"%s\"}", v.label, escapeLabel(val)),
-				value:  formatValue(float64(v.cells[val].Value())),
-			})
-		}
-		v.mu.Unlock()
-		return out
-	})
-	return v
-}
-
-// With returns the counter cell for one label value, creating it on
-// first use. Nil-safe: a nil vec returns a nil (no-op) counter.
-func (v *CounterVec) With(value string) *Counter {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.cells[value]
-	if !ok {
-		c = &Counter{}
-		v.cells[value] = c
-	}
-	return c
-}
-
-// Gauge is a float metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// NewGauge registers a gauge; nil-safe like NewCounter.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(name, help, "gauge", func() []sample {
-		return []sample{{value: formatValue(g.Value())}}
-	})
-	return g
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	c.err = err
+	return n, err
 }
 
 // NewCounterFunc registers a counter whose value is read from fn at
-// render time — the bridge for totals that already live elsewhere. The
-// caller takes one snapshot of those sources per scrape and renders
+// render time. The caller takes one snapshot per scrape and renders
 // under its own lock, so every fn of one exposition reads the same
 // snapshot (sweepd's /metrics renders the value /stats serves).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
@@ -340,105 +218,50 @@ func (r *Registry) NewInfo(name, help string, labels map[string]string) {
 	})
 }
 
-// Histogram is a fixed-bucket distribution: observation counts per
-// upper bound plus a sum, rendered cumulatively the Prometheus way.
-// Buckets are chosen at construction and never change, so concurrent
-// Observe calls touch only atomics.
-type Histogram struct {
-	bounds []float64      // strictly increasing upper bounds; +Inf is implicit
-	counts []atomic.Int64 // len(bounds)+1: one cell per bound plus the +Inf overflow
-	sum    atomic.Uint64  // float64 bits, CAS-accumulated
-}
-
-// DefBuckets is the default latency bucket ladder, in seconds: wide
-// enough for a multi-second simulation batch, fine enough to see a
-// sub-millisecond cache hit.
-var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// NewHistogram registers a histogram over the given bucket upper
-// bounds, which must be strictly increasing; nil buckets means
-// DefBuckets. Nil-safe like NewCounter.
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
+// NewCounterVecFunc registers a one-label counter family read from fn
+// at render time: fn calls cell once per label value, in the order the
+// cells render.
+func (r *Registry) NewCounterVecFunc(name, help, label string, fn func(cell func(value string, v float64))) {
 	if r == nil {
-		return nil
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("promtext: histogram %s buckets not strictly increasing at %v", name, buckets[i]))
-		}
-	}
-	if len(buckets) > 0 && math.IsInf(buckets[len(buckets)-1], +1) {
-		buckets = buckets[:len(buckets)-1] // +Inf is implicit
-	}
-	h := &Histogram{bounds: append([]float64(nil), buckets...)}
-	h.counts = make([]atomic.Int64, len(h.bounds)+1)
-	r.register(name, help, "histogram", func() []sample { return h.snapshot() })
-	return h
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf cell
-	h.counts[i].Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
+	if !validName(label) || strings.Contains(label, ":") {
+		panic(fmt.Sprintf("promtext: invalid label name %q", label))
 	}
-}
-
-// snapshot renders the cumulative bucket lines, sum and count. The cell
-// reads are a point-in-time snapshot: cumulative counts are computed
-// from one pass, so within a single exposition buckets are monotone and
-// _count equals the +Inf bucket by construction.
-func (h *Histogram) snapshot() []sample {
-	cells := make([]int64, len(h.counts))
-	for i := range h.counts {
-		cells[i] = h.counts[i].Load()
-	}
-	out := make([]sample, 0, len(cells)+2)
-	var cum int64
-	for i, b := range h.bounds {
-		cum += cells[i]
-		out = append(out, sample{
-			suffix: "_bucket",
-			labels: fmt.Sprintf("{le=%q}", formatValue(b)),
-			value:  formatValue(float64(cum)),
+	r.register(name, help, "counter", func() []sample {
+		var out []sample
+		fn(func(value string, v float64) {
+			out = append(out, sample{
+				labels: fmt.Sprintf("{%s=\"%s\"}", label, escapeLabel(value)),
+				value:  formatValue(v),
+			})
 		})
-	}
-	cum += cells[len(cells)-1]
-	out = append(out, sample{suffix: "_bucket", labels: `{le="+Inf"}`, value: formatValue(float64(cum))})
-	out = append(out, sample{suffix: "_sum", value: formatValue(math.Float64frombits(h.sum.Load()))})
-	out = append(out, sample{suffix: "_count", value: formatValue(float64(cum))})
-	return out
+		return out
+	})
 }
 
-// Sum reads the accumulated observation sum (0 on nil), for tests.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
+// NewHistogramFunc registers a histogram family read from fn at render
+// time. Bucket bounds and the sum render in seconds, the Prometheus
+// base unit, and the buckets cumulatively with the +Inf bucket equal to
+// _count.
+func (r *Registry) NewHistogramFunc(name, help string, fn func() obs.Histogram) {
+	if r == nil {
+		return
 	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Count reads the total observation count (0 on nil), for tests.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
+	r.register(name, help, "histogram", func() []sample {
+		h := fn()
+		var out []sample
+		h.Buckets(func(le time.Duration, cum int64) {
+			out = append(out, sample{
+				suffix: "_bucket",
+				labels: fmt.Sprintf("{le=%q}", formatValue(le.Seconds())),
+				value:  formatValue(float64(cum)),
+			})
+		})
+		n := formatValue(float64(h.Count()))
+		return append(out,
+			sample{suffix: "_bucket", labels: `{le="+Inf"}`, value: n},
+			sample{suffix: "_sum", value: formatValue(h.Sum().Seconds())},
+			sample{suffix: "_count", value: n})
+	})
 }

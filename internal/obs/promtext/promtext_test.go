@@ -1,35 +1,42 @@
 package promtext
 
 import (
+	"errors"
 	"math"
 	"strings"
-	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestExpositionShape(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("sweep_requests_total", "Total /sweep requests.")
-	c.Add(3)
-	g := r.NewGauge("sweep_inflight_points", "Points now simulating.")
-	g.Set(2)
-	v := r.NewCounterVec("sweep_rejects_total", "Rejected requests by reason.", "reason")
-	v.With("queue_full").Add(4)
-	v.With("bad_request").Inc()
-	h := r.NewHistogram("sweep_request_seconds", "Request latency.", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
+	r.NewCounterFunc("sweep_requests_total", "Total /sweep requests.", func() float64 { return 3 })
+	r.NewGaugeFunc("sweep_inflight_points", "Points now simulating.", func() float64 { return 2 })
+	r.NewCounterVecFunc("sweep_rejects_total", "Rejected requests by reason.", "reason", func(cell func(string, float64)) {
+		cell("bad_request", 1)
+		cell("queue_full", 4)
+	})
+	h := obs.NewHistogram([]time.Duration{100 * time.Millisecond, time.Second})
+	h.Observe(50 * time.Millisecond)
+	h.Observe(500 * time.Millisecond)
+	h.Observe(5 * time.Second)
+	r.NewHistogramFunc("sweep_request_seconds", "Request latency.", func() obs.Histogram { return h })
 	r.NewInfo("build_info", "Build metadata.", map[string]string{
 		"version": "pr7", "code_version": "cv1",
 	})
 	r.NewGaugeFunc("store_entries", "Store entries.", func() float64 { return 7 })
 
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
+	n, err := r.WriteTo(&b)
+	if err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	got := b.String()
+	if n != int64(len(got)) {
+		t.Errorf("WriteTo returned %d bytes, wrote %d", n, len(got))
+	}
 
 	want := strings.Join([]string{
 		`# HELP build_info Build metadata.`,
@@ -64,112 +71,60 @@ func TestExpositionShape(t *testing.T) {
 	}
 }
 
-func TestHistogramBoundaries(t *testing.T) {
+// TestLatencyBucketsRenderAsBefore pins the le labels of the latency
+// ladder: they must render as the decimal seconds scrapers and the
+// golden exposition have always seen.
+func TestLatencyBucketsRenderAsBefore(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("h", "h", []float64{1, 2})
-	// Observations exactly on a bound land in that bound's bucket (le is
-	// inclusive), and +Inf in the bounds slice collapses into the
-	// implicit overflow cell.
-	h.Observe(1)
-	h.Observe(2)
-	h.Observe(3)
-	s := h.snapshot()
-	if s[0].value != "1" || s[1].value != "2" || s[2].value != "3" {
-		t.Errorf("cumulative buckets = %v %v %v, want 1 2 3", s[0].value, s[1].value, s[2].value)
-	}
-
-	h2 := r.NewHistogram("h2", "h2", []float64{1, math.Inf(+1)})
-	h2.Observe(5)
-	if got := len(h2.bounds); got != 1 {
-		t.Errorf("explicit +Inf bound kept: %d bounds, want 1", got)
-	}
-	if h2.Count() != 1 {
-		t.Errorf("Count = %d, want 1", h2.Count())
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("h", "h", DefBuckets)
-	const workers, perWorker = 8, 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.Observe(float64(w*perWorker+i) / float64(workers*perWorker) * 40)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := h.Count(); got != workers*perWorker {
-		t.Errorf("Count = %d, want %d", got, workers*perWorker)
-	}
-	// The observation set is a permutation-invariant sum: every worker's
-	// values are distinct, so the final sum is exact up to FP addition
-	// order; compare with a tolerance.
-	var want float64
-	for i := 0; i < workers*perWorker; i++ {
-		want += float64(i) / float64(workers*perWorker) * 40
-	}
-	if diff := math.Abs(h.Sum() - want); diff > 1e-6 {
-		t.Errorf("Sum = %v, want %v (diff %v)", h.Sum(), want, diff)
-	}
+	r.NewHistogramFunc("h", "h", func() obs.Histogram { return obs.NewHistogram(obs.LatencyBuckets) })
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	r.WriteTo(&b)
+	var les []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if i := strings.Index(line, `le="`); i >= 0 {
+			les = append(les, line[i+4:strings.LastIndexByte(line, '"')])
+		}
+	}
+	want := "0.0005 0.001 0.0025 0.005 0.01 0.025 0.05 0.1 0.25 0.5 1 2.5 5 10 30 +Inf"
+	if got := strings.Join(les, " "); got != want {
+		t.Errorf("le bounds = %s, want %s", got, want)
 	}
 	if err := Lint([]byte(b.String())); err != nil {
-		t.Errorf("Lint after concurrent observe: %v", err)
+		t.Errorf("Lint rejected an empty histogram: %v", err)
 	}
 }
 
-func TestCounterIgnoresNegative(t *testing.T) {
+// failWriter accepts limit bytes, then fails every write.
+type failWriter struct{ limit int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errors.New("full")
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+func TestWriteToStopsAtFirstError(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c", "c")
-	c.Add(5)
-	c.Add(-3)
-	c.Add(0)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
+	r.NewCounterFunc("a", "a", func() float64 { return 1 })
+	r.NewCounterFunc("b", "b", func() float64 { return 2 })
+	n, err := r.WriteTo(&failWriter{limit: 10})
+	if err == nil || n != 10 {
+		t.Errorf("WriteTo = (%d, %v), want (10, full)", n, err)
 	}
 }
 
-func TestGaugeAdd(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewGauge("g", "g")
-	g.Set(10)
-	g.Add(-4)
-	g.Add(1.5)
-	if g.Value() != 7.5 {
-		t.Errorf("Value = %v, want 7.5", g.Value())
-	}
-}
-
+// TestNilRegistryAndInstruments: a nil registry registers no family,
+// never calls a family function, and renders nothing.
 func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
-	c := r.NewCounter("c", "c")
-	c.Inc()
-	c.Add(3)
-	if c.Value() != 0 {
-		t.Errorf("nil counter Value = %d", c.Value())
-	}
-	g := r.NewGauge("g", "g")
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Errorf("nil gauge Value = %v", g.Value())
-	}
-	h := r.NewHistogram("h", "h", nil)
-	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Errorf("nil histogram recorded")
-	}
-	v := r.NewCounterVec("v", "v", "reason")
-	v.With("x").Inc()
 	r.NewCounterFunc("f", "f", func() float64 { t.Error("fn called on nil registry"); return 0 })
 	r.NewGaugeFunc("f2", "f2", func() float64 { t.Error("fn called on nil registry"); return 0 })
+	r.NewCounterVecFunc("v", "v", "reason", func(func(string, float64)) { t.Error("fn called on nil registry") })
+	r.NewHistogramFunc("h", "h", func() obs.Histogram { t.Error("fn called on nil registry"); return obs.Histogram{} })
 	r.NewInfo("i", "i", map[string]string{"a": "b"})
 	var b strings.Builder
 	if n, err := r.WriteTo(&b); n != 0 || err != nil || b.Len() != 0 {
@@ -178,18 +133,19 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 }
 
 func TestRegisterPanics(t *testing.T) {
+	one := func() float64 { return 1 }
+	noCells := func(func(string, float64)) {}
 	cases := []struct {
 		name string
 		fn   func(r *Registry)
 	}{
-		{"invalid name", func(r *Registry) { r.NewCounter("9bad", "x") }},
-		{"empty name", func(r *Registry) { r.NewCounter("", "x") }},
-		{"name with dash", func(r *Registry) { r.NewCounter("a-b", "x") }},
-		{"duplicate", func(r *Registry) { r.NewCounter("dup", "x"); r.NewGauge("dup", "x") }},
-		{"bad label", func(r *Registry) { r.NewCounterVec("v", "x", "le gal") }},
-		{"colon label", func(r *Registry) { r.NewCounterVec("v", "x", "a:b") }},
+		{"invalid name", func(r *Registry) { r.NewCounterFunc("9bad", "x", one) }},
+		{"empty name", func(r *Registry) { r.NewCounterFunc("", "x", one) }},
+		{"name with dash", func(r *Registry) { r.NewCounterFunc("a-b", "x", one) }},
+		{"duplicate", func(r *Registry) { r.NewCounterFunc("dup", "x", one); r.NewGaugeFunc("dup", "x", one) }},
+		{"bad label", func(r *Registry) { r.NewCounterVecFunc("v", "x", "le gal", noCells) }},
+		{"colon label", func(r *Registry) { r.NewCounterVecFunc("v", "x", "a:b", noCells) }},
 		{"bad info label", func(r *Registry) { r.NewInfo("i", "x", map[string]string{"1x": "y"}) }},
-		{"unsorted buckets", func(r *Registry) { r.NewHistogram("h", "x", []float64{1, 1}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,8 +186,7 @@ func TestFormatValue(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewCounterVec("c", "c", "reason")
-	v.With("a\"b\\c\nd").Inc()
+	r.NewCounterVecFunc("c", "c", "reason", func(cell func(string, float64)) { cell("a\"b\\c\nd", 1) })
 	var b strings.Builder
 	r.WriteTo(&b)
 	if !strings.Contains(b.String(), `c{reason="a\"b\\c\nd"} 1`) {

@@ -90,7 +90,6 @@ type ticket struct {
 type scheduler struct {
 	rec         *obs.Recorder
 	log         *slog.Logger
-	metrics     *serverMetrics
 	workers     int
 	codeVersion string
 	queueLimit  int
@@ -106,17 +105,13 @@ type scheduler struct {
 	stopped chan struct{} // closed once every worker has exited
 }
 
-func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion string, rec *obs.Recorder, log *slog.Logger, metrics *serverMetrics) *scheduler {
+func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion string, rec *obs.Recorder, log *slog.Logger) *scheduler {
 	if log == nil {
 		log = slog.Default()
-	}
-	if metrics == nil {
-		metrics = &serverMetrics{} // nil instruments: every observation no-ops
 	}
 	s := &scheduler{
 		rec:         rec,
 		log:         log,
-		metrics:     metrics,
 		workers:     workers,
 		codeVersion: codeVersion,
 		queueLimit:  queueLimit,
@@ -342,7 +337,7 @@ func (s *scheduler) simulate(sc *pipeline.Scratch, batch []*job) {
 	opts := make([]core.PointOptions, len(live))
 	for i, j := range live {
 		j.ran = true
-		s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
+		s.rec.Observe("point_queue_wait", time.Since(j.enqueued))
 		opts[i] = j.opts
 	}
 	err := core.SimulateEach(opts, sc, s.rec, func(i int, res core.BenchPoint) {

@@ -30,7 +30,6 @@ func newEdgeScheduler(queueLimit int) *scheduler {
 	s := &scheduler{
 		rec:         obs.New(nil),
 		log:         slog.Default(),
-		metrics:     &serverMetrics{},
 		workers:     1,
 		codeVersion: edgeVersion,
 		queueLimit:  queueLimit,
@@ -73,11 +72,11 @@ func closedWithErr(j *job) (bool, error) {
 
 // TestNewSchedulerNilObservabilityDefaults: the real constructor
 // (dispatcher and all) with every observability seam nil must still
-// admit, simulate and drain — the nil recorder, logger and metrics all
-// default to no-ops. Admit-after-close through the Server is pinned in
+// admit, simulate and drain — the nil recorder no-ops and the nil
+// logger defaults to slog.Default. Admit-after-close through the Server is pinned in
 // serve_test.go; this is the bare-scheduler variant.
 func TestNewSchedulerNilObservabilityDefaults(t *testing.T) {
-	s := newScheduler(1, 8, store.NewMemory(8, nil), edgeVersion, nil, nil, nil)
+	s := newScheduler(1, 8, store.NewMemory(8, nil), edgeVersion, nil, nil)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, adm, err := s.admit(pts, keys, "t1")
 	if err != nil || adm.misses != 1 {

@@ -66,7 +66,7 @@ func countDone(jobs []*job) int {
 // for another trace behind it, waits for the short one to finish and
 // reports how many long lanes had finished by then.
 func longThenShort(t *testing.T, workers int) (longDone, longLanes int) {
-	s := newScheduler(workers, 64, store.NewMemory(64, nil), edgeVersion, nil, nil, nil)
+	s := newScheduler(workers, 64, store.NewMemory(64, nil), edgeVersion, nil, nil)
 	defer s.close()
 	var useful []float64
 	for u := 2; u <= 16; u++ {
@@ -108,7 +108,7 @@ func TestSingleWorkerSerializesBatches(t *testing.T) {
 // every admitted job across several traces has simulated — none is
 // stranded or cancelled — and the gauges are back at zero.
 func TestCloseDrainsAdmittedJobs(t *testing.T) {
-	s := newScheduler(2, 64, store.NewMemory(64, nil), edgeVersion, nil, nil, nil)
+	s := newScheduler(2, 64, store.NewMemory(64, nil), edgeVersion, nil, nil)
 	var jobs []*job
 	for _, b := range []string{"gcc", "swim", "mcf"} {
 		jobs = append(jobs, admitGrid(t, s, b, []float64{6, 8}, 2000)...)

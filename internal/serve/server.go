@@ -100,8 +100,9 @@ type Config struct {
 	// Log receives request-level events; nil means slog.Default.
 	Log *slog.Logger
 
-	// DisableMetrics turns off the /metrics registry: the endpoint
-	// serves 404 and every instrument becomes a no-op. Request IDs and
+	// DisableMetrics turns off the /metrics endpoint, which then serves
+	// 404. It is a deployment switch only: the recorder counts the same
+	// things either way, so /stats is unchanged, and request IDs and
 	// access logs stay on — they are part of the serving contract, not
 	// the scrape surface.
 	DisableMetrics bool
@@ -165,14 +166,13 @@ func DefaultCodeVersion() string { return buildVersion() }
 // implements it; the in-memory store does not (501).
 type DeltaSource interface {
 	Since(since uint64, fn func(store.Delta) error) error
-	Cursor() uint64
 }
 
 // Server is the daemon: an http.Handler plus the scheduler behind it.
 type Server struct {
 	cfg      Config
 	rec      *obs.Recorder
-	metrics  *serverMetrics // always non-nil; nil instruments when disabled
+	metrics  *serverMetrics // nil when /metrics is disabled
 	sched    *scheduler
 	delta    DeltaSource // nil when the result store is memory-only
 	mux      *http.ServeMux
@@ -190,10 +190,8 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(), // uptime gauge only; /stats is off the deterministic result path
 	}
-	// Metrics before the scheduler, which needs the histogram handles at
-	// construction.
 	s.metrics = newServerMetrics(!cfg.DisableMetrics, s)
-	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log, s.metrics)
+	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log)
 	s.delta, _ = cfg.Store.(DeltaSource)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -231,16 +229,22 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// reject refuses one /sweep request: the reason lands in the reject
-// counter vec and the access log, the total mirrors into the recorder
-// (so /stats requests_rejected and /metrics agree), retryable statuses
-// carry Retry-After, and the body is the usual JSON error.
+// rejectReasons are every reason reject is called with, in the order
+// sweep_rejects_total renders them.
+var rejectReasons = []string{"bad_request", "draining", "queue_full", "stopped"}
+
+// rejectCounter is the recorder counter of one reject reason.
+func rejectCounter(reason string) string { return "rejected_" + reason }
+
+// reject refuses one /sweep request: it is counted once, under its
+// reason (/stats requests_rejected is the sum over rejectReasons), and
+// the reason lands in the access log; retryable statuses carry
+// Retry-After, and the body is the usual JSON error.
 func (s *Server) reject(w http.ResponseWriter, r *http.Request, status int, reason, format string, args ...any) {
 	if tr := traceFrom(r.Context()); tr != nil {
 		tr.reason = reason
 	}
-	s.rec.Add("requests_rejected", 1)
-	s.metrics.rejects.With(reason).Inc()
+	s.rec.Add(rejectCounter(reason), 1)
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfter))
 	}
@@ -303,7 +307,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		// Observed on every exit — completion and mid-stream disconnects
 		// both shape the stream-duration distribution.
-		s.metrics.streamSeconds.Observe(time.Since(streamStart).Seconds())
+		s.rec.Observe("stream_duration", time.Since(streamStart))
 	}()
 	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
@@ -430,16 +434,17 @@ type Stats struct {
 	Telemetry obs.Snapshot `json:"telemetry"`
 }
 
-// snapshot reads every source of Stats exactly once: the scheduler's
-// gauges, one Store.Stats(), the trace cache, and the recorder's
-// counters under one lock, which also fill Telemetry.Counters. It
-// leaves out the duration summaries, whose cost grows with uptime, so a
-// /metrics scrape, which renders this value, stays cheap.
-func (s *Server) snapshot() Stats {
+// StatsSnapshot is the /stats body, and the value each /metrics scrape
+// renders. It reads every source exactly once: the scheduler's gauges,
+// one Store.Stats(), the trace cache, and one recorder Snapshot, whose
+// counters fill both the top-level fields and Telemetry. Exported so
+// tests and embedding binaries can read it without HTTP.
+func (s *Server) StatsSnapshot() Stats {
 	queued, running := s.sched.gauges()
 	ss := s.cfg.Store.Stats()
 	traces, traceBytes := core.TraceCacheStats()
-	c := s.rec.Counters()
+	tel := s.rec.Snapshot()
+	c := tel.Counters
 	st := Stats{
 		UptimeSeconds:     time.Since(s.start).Seconds(), // observation-only: never feeds a result body
 		QueueDepth:        queued,
@@ -463,27 +468,17 @@ func (s *Server) snapshot() Stats {
 		TraceCacheBytes:   traceBytes,
 		DedupJoins:        c["dedup_joins"],
 		Requests:          c["requests"],
-		Rejected:          c["requests_rejected"],
 		Disconnects:       c["client_disconnects"],
 		PointsDone:        c["points_done"],
 		PointsDropped:     c["points_dropped"],
-		Telemetry:         obs.Snapshot{Counters: c},
+		Telemetry:         tel,
+	}
+	for _, reason := range rejectReasons {
+		st.Rejected += c[rejectCounter(reason)]
 	}
 	if total := st.CacheHits + st.CacheMisses; total > 0 {
 		st.CacheHitRatio = float64(st.CacheHits) / float64(total)
 	}
-	return st
-}
-
-// StatsSnapshot assembles the /stats body: snapshot plus the recorder's
-// duration summaries, with telemetry.counters kept as the same read
-// that filled cache_hits, requests and the rest. Exported so tests and
-// embedding binaries can read it without HTTP.
-func (s *Server) StatsSnapshot() Stats {
-	st := s.snapshot()
-	tel := s.rec.Snapshot()
-	tel.Counters = st.Telemetry.Counters
-	st.Telemetry = tel
 	return st
 }
 

@@ -121,15 +121,15 @@ func (s *Server) withTrace(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 		tw := &traceWriter{ResponseWriter: w, status: http.StatusOK}
 
-		s.metrics.httpInflight.Add(1)
+		s.rec.Add("http_requests_inflight", 1)
 		next.ServeHTTP(tw, r.WithContext(context.WithValue(r.Context(), traceKey{}, tr)))
-		s.metrics.httpInflight.Add(-1)
+		s.rec.Add("http_requests_inflight", -1)
 
 		dur := time.Since(start)
 		sweep := r.URL.Path == "/sweep"
 		if sweep {
-			s.metrics.reqSeconds.Observe(dur.Seconds())
-			s.metrics.streamBytes.Add(tw.bytes)
+			s.rec.Observe("request_latency", dur)
+			s.rec.Add("stream_bytes", tw.bytes)
 		}
 
 		attrs := []any{
@@ -150,7 +150,7 @@ func (s *Server) withTrace(next http.Handler) http.Handler {
 			s.cfg.Log.Debug("request", attrs...)
 		}
 		if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
-			s.metrics.slow.Inc()
+			s.rec.Add("slow_requests", 1)
 			s.cfg.Log.Warn("slow request", append(attrs, "threshold", s.cfg.SlowRequest)...)
 		}
 	})

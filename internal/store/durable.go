@@ -266,13 +266,6 @@ func (d *Durable) Put(key string, line []byte) {
 	d.mem.put(key, line, false)
 }
 
-// Cursor is the last assigned delta-sync cursor.
-func (d *Durable) Cursor() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cursor
-}
-
 // Since streams every live record with cursor > since, in cursor order,
 // to fn; it stops early on the first fn error and returns it. Records
 // appended after the call's snapshot are not included — their cursors

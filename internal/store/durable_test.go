@@ -36,7 +36,7 @@ func TestDurableWarmStartServesEverything(t *testing.T) {
 		d.Put(k, l)
 		want[k] = l
 	}
-	if c := d.Cursor(); c != 5 {
+	if c := d.Stats().Cursor; c != 5 {
 		t.Fatalf("cursor = %d after 5 appends, want 5", c)
 	}
 	if err := d.Close(); err != nil {
@@ -59,7 +59,7 @@ func TestDurableWarmStartServesEverything(t *testing.T) {
 	}
 	// The cursor sequence continues where the log left off.
 	d2.Put("key-5", line(`{"point":5}`))
-	if c := d2.Cursor(); c != 6 {
+	if c := d2.Stats().Cursor; c != 6 {
 		t.Fatalf("cursor after post-restart put = %d, want 6", c)
 	}
 }
@@ -84,7 +84,7 @@ func TestDurableSkipsMismatchedCodeVersion(t *testing.T) {
 	// But the cursor sequence still advances past the old records, so
 	// delta-sync cursors never repeat across versions.
 	d2.Put("new", line(`{"v":2}`))
-	if c := d2.Cursor(); c != 2 {
+	if c := d2.Stats().Cursor; c != 2 {
 		t.Fatalf("cursor = %d, want 2 (v1 record holds cursor 1)", c)
 	}
 }
