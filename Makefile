@@ -34,6 +34,8 @@ lint-stats:
 # directive parser, and the /sweep grid parser (where client-controlled
 # floats meet index arithmetic); plus Scratch reuse and the simulator's
 # Stats conservation laws over synthetic traces and point sets, the
+# optimized core against the seed's reference core (traces of a few
+# thousand instructions, so the slow reference fits the budget), the
 # point cache key (equal options hash identically, which the result
 # cache and the durable store both depend on), and the trace stream's
 # narrow columns (every accepted instruction decodes back exactly). 10s
@@ -44,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAllowDirective -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzScratchReuse -fuzztime 10s ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzReference -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTraceColumns -fuzztime 10s ./internal/trace
 

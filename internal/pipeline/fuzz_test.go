@@ -16,10 +16,11 @@ import (
 // cache geometry and the core; insts builds two traces of different
 // lengths from the same bytes. One Scratch runs every point four times,
 // alternating the two traces from point to point and the geometries in
-// the table's order, so its memory template is re-prewarmed and its
-// per-instruction arenas, waiter lists included, resized on every
-// trace change. Every run must equal that point run on a fresh
-// Scratch, and obey:
+// the table's order, so its memory template is re-prewarmed on every
+// trace change and its window rings (sized by the shorter of the
+// machine's in-flight bound and the trace) and waiter lists are reused
+// across lengths and machines. Every run must equal that point run on
+// a fresh Scratch, and obey:
 //
 //   - BranchLookups equals the trace's branch count;
 //   - L1Hits + L2Hits + MemAccesses equals its load count;
@@ -127,8 +128,8 @@ func fuzzLanes(b []byte) []Params {
 // each, reading b rotated by variant so the two variants differ. Sources
 // point backward; addresses span the L1, the L2 and memory, all below
 // 2^26. Variant 1 is longer than variant 0 (once b holds eight
-// instructions), so a Scratch alternating between them resizes its
-// arenas; the variants also differ in working-set tiers and prefetch
+// instructions), so a Scratch alternating between them runs two
+// lengths; the variants also differ in working-set tiers and prefetch
 // coverage, so it must re-prewarm.
 func fuzzTrace(b []byte, variant int) *trace.Trace {
 	n := len(b) / 4

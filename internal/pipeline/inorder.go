@@ -30,10 +30,11 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	frontDepth := int64(max(tmg.IL1, tmg.BPred) + 1) // fetch + decode
 	commitDepth := int64(tmg.RegRead + 1 + 1)        // regread + wb + commit
 
-	// Result availability for consumers: slot i is written at step i,
-	// and every producer sits strictly earlier (see trace.Producer).
-	scr.arenas(n)
-	times := scr.times
+	// Result availability for consumers, in a ring: instruction i's slot
+	// i&ring is written at step i, and every producer sits strictly
+	// earlier and at most trace.MaxDep back (see inOrderRing).
+	dataAt := scr.inOrderRing(n)
+	ring := int32(len(dataAt) - 1)
 
 	var (
 		fetchCycle   int64 // cycle the current fetch group started
@@ -71,11 +72,11 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			earliest = issueCycle
 		}
 		ready := earliest
-		if s1 := trace.Producer(int32(i), dep1s[i]); s1 >= 0 && times[s1].data > ready {
-			ready = times[s1].data
+		if s1 := trace.Producer(int32(i), dep1s[i]); s1 >= 0 && dataAt[s1&ring] > ready {
+			ready = dataAt[s1&ring]
 		}
-		if s2 := trace.Producer(int32(i), dep2s[i]); s2 >= 0 && times[s2].data > ready {
-			ready = times[s2].data
+		if s2 := trace.Producer(int32(i), dep2s[i]); s2 >= 0 && dataAt[s2&ring] > ready {
+			ready = dataAt[s2&ring]
 		}
 
 		// Find a cycle with issue bandwidth left.
@@ -99,7 +100,8 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 
 		// ---- Execute.
 		execLat := lat.latency(f, uint64(addrs[i]), &stats)
-		times[i].data = issued + execLat
+		data := issued + execLat
+		dataAt[int32(i)&ring] = data
 
 		// ---- Branches: resolve at execute; a misprediction stalls fetch
 		// until resolution plus the redirect.
@@ -120,7 +122,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		}
 
 		// ---- Commit: in order.
-		c := times[i].data + commitDepth
+		c := data + commitDepth
 		if c < prevCommit {
 			c = prevCommit
 		}

@@ -193,8 +193,21 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	lat.init(&p, hier)
 	perfectBranches := m.PerfectBranches
 
-	// Per-instruction dynamic state, reset to pending/-1 for this run.
-	scr.arenas(n)
+	// Front-end depth in cycles: fetch (instruction cache / predictor),
+	// decode, rename, dispatch.
+	frontDepth := max(tmg.IL1, tmg.BPred) + 1 + tmg.Rename + 1
+	// The frontend pipeline holds FetchWidth instructions per stage for
+	// frontDepth stages (plus slack for dispatch backpressure).
+	frontCap := m.FetchWidth * (frontDepth + 2)
+
+	// Per-instruction dynamic state, in rings indexed by trace index &
+	// ring: dispatch stalls at ROB instructions past the commit cursor
+	// and fetch at frontCap past dispatch, so the in-flight instructions
+	// [head, fetchIdx) each own a slot. Only they are ever read: a
+	// producer below head has committed and reads as ready (see
+	// resolveOperand), and commit never passes fetch.
+	ringMask := scr.window(n, m.ROB+frontCap)
+	ring := int32(ringMask)
 	times := scr.times       // paired data/complete timestamps (see instTimes)
 	queuePos := scr.queuePos // issue-queue position while resident
 	// Waiter lists: who in the window awaits each instruction's result.
@@ -205,13 +218,6 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	waitHead := scr.waitHead
 	waiters := scr.waiters[:0]
 	waitFree := int32(-1)
-
-	// Front-end depth in cycles: fetch (instruction cache / predictor),
-	// decode, rename, dispatch.
-	frontDepth := max(tmg.IL1, tmg.BPred) + 1 + tmg.Rename + 1
-	// The frontend pipeline holds FetchWidth instructions per stage for
-	// frontDepth stages (plus slack for dispatch backpressure).
-	frontCap := m.FetchWidth * (frontDepth + 2)
 	wakeLoop := int64(tmg.Window + p.ExtraWakeup)
 	extraMisp := int64(p.ExtraMispredict)
 	if p.NaivePipelining {
@@ -221,7 +227,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	// Frontend queue between fetch and dispatch: fetch and dispatch both
 	// walk the trace in order, so the queue is the index range
 	// [dispIdx, fetchIdx) with per-instruction arrival cycles in the
-	// fetchReady arena.
+	// fetchReady ring.
 	fetchReady := scr.fetchReady
 	dispIdx := 0
 	stats := Stats{}
@@ -268,8 +274,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		// ---- Commit: oldest first, up to CommitWidth, completed only.
 		committed := 0
 		// (pending is MaxInt64, so "complete < cycle" alone excludes
-		// still-executing instructions.)
-		for head < n && committed < m.CommitWidth && times[head].complete < cycle {
+		// still-executing instructions; an unfetched head has no slot.)
+		for head < fetchIdx && committed < m.CommitWidth && times[head&ringMask].complete < cycle {
 			head++
 			committed++
 		}
@@ -361,7 +367,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 					completeLat = lat.latency(f, uint64(addrs[idx]), &stats)
 				}
 				d := cycle + max(completeLat, wakeLoop)
-				times[idx] = instTimes{data: d, complete: cycle + completeLat}
+				times[idx&ring] = instTimes{data: d, complete: cycle + completeLat}
 				if idx == fetchBlock {
 					fetchResume = cycle + completeLat + extraMisp
 				}
@@ -370,7 +376,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				// ready slot goes to pending so the selection scan skips
 				// it, its operands were already resolved (src fields are
 				// -1), so no same-cycle consumer walk can match it.
-				pos := queuePos[idx] & qposMask
+				slot := idx & ring
+				pos := queuePos[slot] & qposMask
 				q.entries[pos].idx = -1
 				q.ready[pos] = pending
 				q.sched[pos>>6] &^= 1 << uint(pos&63)
@@ -378,7 +385,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				if int(pos) < q.firstGap {
 					q.firstGap = int(pos)
 				}
-				queuePos[idx] = -1
+				queuePos[slot] = -1
 				// Wakeup. The machine broadcasts the completing tag across
 				// every window entry; the simulator walks idx's waiter list
 				// and delivers to the entries that registered on it at
@@ -393,11 +400,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				// nor list order can change a schedule — exactly like the
 				// broadcast scan this replaces.
 				stats.WakeupScanned += uint64(resident)
-				for nd := waitHead[idx]; nd >= 0; {
+				for nd := waitHead[slot]; nd >= 0; {
 					node := &waiters[nd]
 					c, next := node.consumer, node.next
 					node.next, waitFree, nd = waitFree, nd, next
-					pq := queuePos[c]
+					pq := queuePos[c&ring]
 					// queuePos carries the consumer's queue in its high
 					// bit, so delivery needs no second lookup into flags.
 					dq := qpair[pq>>qposQueueShift]
@@ -432,7 +439,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 						}
 					}
 				}
-				waitHead[idx] = -1
+				waitHead[slot] = -1
 			}
 		}
 		// Remove issued entries (the paper's collapsing window). Machines
@@ -442,7 +449,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		if !lazy {
 			for qi := 0; qi < nq; qi++ {
 				if issuedFrom[qi] {
-					qpair[qi&1].compact(queuePos, int32(qi&1)<<qposQueueShift)
+					qpair[qi&1].compact(queuePos, ring, int32(qi&1)<<qposQueueShift)
 				}
 			}
 		}
@@ -460,7 +467,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		dispatchedNow := 0
 		var capStall *uint64
 		for dispIdx < fetchIdx && dispatchedNow < m.FetchWidth {
-			if fetchReady[dispIdx] > cycle {
+			if fetchReady[dispIdx&ringMask] > cycle {
 				break
 			}
 			di := int32(dispIdx)
@@ -479,11 +486,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			if len(q.entries) == cap(q.entries) {
 				// Lazy mode: the array's slack is spent on tombstones
 				// (live < cap guarantees there are some); reclaim it.
-				q.compact(queuePos, int32(qsel)<<qposQueueShift)
+				q.compact(queuePos, ring, int32(qsel)<<qposQueueShift)
 			}
 			e := winEntry{idx: di, src1: -1, src2: -1}
-			w1 := resolveOperand(trace.Producer(di, dep1s[di]), times, cycle, &e.src1)
-			w2 := resolveOperand(trace.Producer(di, dep2s[di]), times, cycle, &e.src2)
+			w1 := resolveOperand(trace.Producer(di, dep1s[di]), head, times, ring, cycle, &e.src1)
+			w2 := resolveOperand(trace.Producer(di, dep2s[di]), head, times, ring, cycle, &e.src2)
 			if e.src1 == -1 && e.acc < w1 {
 				e.acc = w1
 			}
@@ -504,8 +511,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 					nd = int32(len(waiters))
 					waiters = append(waiters, waiter{})
 				}
-				waiters[nd] = waiter{consumer: di, next: waitHead[src]}
-				waitHead[src] = nd
+				waiters[nd] = waiter{consumer: di, next: waitHead[src&ring]}
+				waitHead[src&ring] = nd
 			}
 			readyAt := int64(pending)
 			scheduled := e.src1 == -1 && e.src2 == -1
@@ -520,7 +527,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				}
 			}
 			pos := len(q.entries)
-			queuePos[di] = int32(pos) | int32(qsel)<<qposQueueShift
+			queuePos[di&ring] = int32(pos) | int32(qsel)<<qposQueueShift
 			q.entries = append(q.entries, e)
 			q.ready = append(q.ready, readyAt)
 			if scheduled {
@@ -547,7 +554,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			for slots > 0 && fetchIdx < n && fetchIdx-dispIdx < frontCap {
 				fetched = true
 				ff := flags[fetchIdx]
-				fetchReady[fetchIdx] = arrive
+				// Claiming the slot resets it: its previous occupant
+				// committed a full ring ago.
+				slot := fetchIdx & ringMask
+				fetchReady[slot] = arrive
+				times[slot] = instTimes{data: pending, complete: pending}
 				slots--
 				if ff&trace.FlagBranch != 0 {
 					stats.BranchLookups++
@@ -603,8 +614,10 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		if committed == 0 && dispatchedNow == 0 && !fetched && !resumed &&
 			!issuedFrom[0] && !issuedFrom[1] && !preSel {
 			next := int64(pending)
-			if c := times[head].complete; c != pending {
-				next = c + 1
+			if head < fetchIdx {
+				if c := times[head&ringMask].complete; c != pending {
+					next = c + 1
+				}
 			}
 			if intQ.nextReady < next {
 				next = intQ.nextReady
@@ -613,7 +626,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				next = fpQ.nextReady
 			}
 			if dispIdx < fetchIdx && capStall == nil {
-				if r := fetchReady[dispIdx]; r < next {
+				if r := fetchReady[dispIdx&ringMask]; r < next {
 					next = r
 				}
 			}
@@ -649,17 +662,21 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	return stats
 }
 
-// resolveOperand computes the wake time of one operand at dispatch. If the
-// producer has already issued, the scoreboard covers it and the operand is
-// usable as soon as the value exists (completeAt — the wakeup loop taxes
-// only in-window tag broadcasts, not register-file reads of older results).
-// Otherwise the operand stays pending until the producer's issue delivers
-// it through the producer's waiter list.
-func resolveOperand(src int32, times []instTimes, cycle int64, slot *int32) int64 {
-	if src < 0 {
+// resolveOperand computes the wake time of one operand at dispatch. An
+// operand with no producer (src -1) or a committed one (src below head)
+// is ready: a producer commits only once complete < the commit cycle <=
+// cycle, so its slot need not be read — and may already hold a younger
+// instruction. If an in-flight producer has already issued, the
+// scoreboard covers it and the operand is usable as soon as the value
+// exists (complete — the wakeup loop taxes only in-window tag broadcasts,
+// not register-file reads of older results). Otherwise the operand stays
+// pending until the producer's issue delivers it through the producer's
+// waiter list.
+func resolveOperand(src int32, head int, times []instTimes, ring int32, cycle int64, slot *int32) int64 {
+	if int(src) < head {
 		return 0
 	}
-	t := &times[src]
+	t := &times[src&ring]
 	if t.data != pending {
 		if c := t.complete; c > cycle {
 			return c
@@ -752,8 +769,9 @@ func (q *issueQueue) reset(capacity, stages int) {
 // position-dependent) it runs every issuing cycle; under lazy compaction
 // it runs only when the array's slack is exhausted, amortizing the copies
 // over ~capacity dispatches. qbit is the queue's qposQueueShift-encoded
-// identity, re-stamped on every rewritten queuePos slot.
-func (q *issueQueue) compact(queuePos []int32, qbit int32) {
+// identity, re-stamped on every rewritten queuePos slot (ring masks a
+// trace index to its slot).
+func (q *issueQueue) compact(queuePos []int32, ring, qbit int32) {
 	start := q.firstGap
 	if start >= len(q.entries) {
 		q.firstGap = intMax
@@ -773,7 +791,7 @@ func (q *issueQueue) compact(queuePos []int32, qbit int32) {
 		e := q.entries[wi]
 		if e.idx >= 0 {
 			pos := len(keep)
-			queuePos[e.idx] = int32(pos) | qbit
+			queuePos[e.idx&ring] = int32(pos) | qbit
 			keep = append(keep, e)
 			r := q.ready[wi]
 			keepReady = append(keepReady, r)

@@ -1,17 +1,24 @@
 package pipeline
 
 import (
+	"math/bits"
+	"unsafe"
+
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
 // Scratch is the reusable simulation state of one Run: the
-// per-instruction timestamp arenas, the out-of-order core's wakeup
-// waiter lists, issue-queue storage, selection and
-// pre-selection scratch, the trace-indexed fetchReady arena that holds
-// the frontend queue, and the (resettable) branch predictor and cache
-// hierarchy. A fresh Scratch is valid; reuse only amortizes allocations.
+// out-of-order core's window rings (paired timestamps, issue-queue
+// positions, waiter-list heads and frontend arrival cycles) and waiter
+// pool, the in-order core's result ring, issue-queue storage, selection
+// and pre-selection scratch, and the (resettable) branch predictor and
+// cache hierarchy. Every per-instruction array is a ring bounded by the
+// machine's in-flight window or by trace.MaxDep, not by the trace's
+// length, so a Scratch's memory stays the same however long the traces
+// it runs (see RetainedBytes). A fresh Scratch is valid; reuse only
+// amortizes allocations.
 //
 // Contract: a Scratch may serve any number of sequential RunWith calls —
 // every run fully re-initializes the state it reads, so results are a
@@ -22,11 +29,14 @@ import (
 // plain Run builds a fresh one. Traces stay immutable throughout: a Scratch only ever
 // holds simulator-private state, never trace data.
 type Scratch struct {
-	// Per-instruction arenas, sized to the trace on each run. The data
-	// (consumer-visible, post-bypass) and complete (executed) timestamps
-	// are paired in one struct because dispatch resolves both for the same
-	// producer back to back — one cache line per random producer lookup
-	// instead of two.
+	// The out-of-order core's window rings: instruction i's state lives
+	// in slot i&mask (see window). Only the instructions between the
+	// commit cursor and the fetch cursor are ever read, at most ROB +
+	// frontend-queue depth of them, so a ring at least that large gives
+	// each its own slot. The data (consumer-visible, post-bypass) and
+	// complete (executed) timestamps are paired in one struct because
+	// dispatch resolves both for the same producer back to back — one
+	// cache line per producer lookup instead of two.
 	times    []instTimes
 	queuePos []int32 // queue-tagged issue-queue position (see qposMask), -1 while absent
 
@@ -40,19 +50,22 @@ type Scratch struct {
 	waitHead []int32
 	waiters  []waiter
 
+	// fetchReady[i] is the cycle instruction i clears the frontend
+	// pipeline and may dispatch, written when fetch claims the slot.
+	// Fetch and dispatch both walk the trace in order, so the frontend
+	// queue between them is just the index range [dispatch cursor, fetch
+	// cursor) over this ring.
+	fetchReady []int64
+
+	// dataAt is the in-order core's result ring: slot i&(len-1) holds
+	// instruction i's consumer-visible cycle (see inOrderRing).
+	dataAt []int64
+
 	queueStore [2]issueQueue
 	queueRefs  []*issueQueue // reused header for the active queue set
 
 	selected []int32 // issueSelect output scratch
 	quota    []int   // markPreSelections quota scratch
-
-	// fetchReady[i] is the cycle instruction i clears the frontend
-	// pipeline and may dispatch, written once at fetch. Fetch and dispatch
-	// both walk the trace in order, so the frontend queue between them is
-	// just the index range [dispatch cursor, fetch cursor) over this
-	// arena — no reset needed: a slot is always written (this run) before
-	// it is read.
-	fetchReady []int64
 
 	// hier is the run's hierarchy, copied from tmpl at the start of every
 	// run; tmpl is prewarmed for tmplKey (see hierarchyFor).
@@ -76,31 +89,79 @@ type instTimes struct {
 // index and the next node (-1 at the end).
 type waiter struct{ consumer, next int32 }
 
-// arenas sizes the per-instruction arrays for an n-instruction trace and
-// resets them to their start-of-run values.
-func (s *Scratch) arenas(n int) {
-	if cap(s.times) < n {
-		s.times = make([]instTimes, n)
-		s.queuePos = make([]int32, n)
-		s.waitHead = make([]int32, n)
-		s.fetchReady = make([]int64, n)
-		// queuePos and waitHead self-restore: a completed run issues
-		// every instruction, which clears its queue slot and empties its
-		// waiter list, so only fresh storage needs the -1 fill.
-		// fetchReady needs none at all — a slot is written at fetch
-		// before dispatch can read it.
+// nextPow2 returns the smallest power of two that is at least n (n >= 1).
+func nextPow2(n int) int {
+	return 1 << bits.Len(uint(n-1))
+}
+
+// window sizes the out-of-order core's rings for an n-instruction trace
+// with at most inFlight instructions between the commit and fetch
+// cursors, and returns the index mask. The ring is the power of two at
+// least inFlight+1, or at least n when that is smaller (then no slot
+// is ever reused). No slot needs a reset here: fetch resets a slot's
+// timestamps when it claims it, and queuePos and waitHead restore
+// themselves — a completed run issues every instruction, which clears
+// its queue slot and empties its waiter list — so only fresh storage
+// needs the -1 fill.
+func (s *Scratch) window(n, inFlight int) int {
+	size := min(nextPow2(inFlight+1), nextPow2(n))
+	if len(s.times) < size {
+		s.times = make([]instTimes, size)
+		s.queuePos = make([]int32, size)
+		s.waitHead = make([]int32, size)
+		s.fetchReady = make([]int64, size)
 		for i := range s.queuePos {
 			s.queuePos[i] = -1
 			s.waitHead[i] = -1
 		}
 	}
-	s.times = s.times[:n]
-	s.queuePos = s.queuePos[:n]
-	s.waitHead = s.waitHead[:n]
-	s.fetchReady = s.fetchReady[:n]
-	for i := 0; i < n; i++ {
-		s.times[i] = instTimes{data: pending, complete: pending}
+	return size - 1
+}
+
+// inOrderRing returns the in-order core's result ring for an
+// n-instruction trace: one slot per instruction up to the power of two
+// at least n, capped at trace.MaxDep+1. Every producer sits at most
+// trace.MaxDep back, so its slot is not overwritten before its last
+// consumer reads it, and every slot is written before it is read.
+func (s *Scratch) inOrderRing(n int) []int64 {
+	size := min(nextPow2(n), trace.MaxDep+1)
+	if len(s.dataAt) < size {
+		s.dataAt = make([]int64, size)
 	}
+	return s.dataAt[:size]
+}
+
+// RetainedBytes returns the bytes the Scratch holds between runs: its
+// rings, waiter pool, issue-queue and selection scratch, and the two
+// cache hierarchies (the prewarmed template and the run's copy), each
+// array's capacity times its element size. It depends on the machines
+// the Scratch has run, never on trace length beyond the rings' caps.
+// The caller must own the Scratch: it reads the same state a run writes.
+// A nil Scratch, which RunWith replaces with a fresh one per run,
+// retains nothing.
+func (s *Scratch) RetainedBytes() int64 {
+	if s == nil {
+		return 0
+	}
+	b := int64(cap(s.times))*int64(unsafe.Sizeof(instTimes{})) +
+		int64(cap(s.queuePos)+cap(s.waitHead)+cap(s.selected))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(s.fetchReady)+cap(s.dataAt))*int64(unsafe.Sizeof(int64(0))) +
+		int64(cap(s.waiters))*int64(unsafe.Sizeof(waiter{})) +
+		int64(cap(s.quota))*int64(unsafe.Sizeof(int(0))) +
+		int64(cap(s.queueRefs))*int64(unsafe.Sizeof((*issueQueue)(nil)))
+	for i := range s.queueStore {
+		q := &s.queueStore[i]
+		b += int64(cap(q.entries))*int64(unsafe.Sizeof(winEntry{})) +
+			int64(cap(q.ready))*int64(unsafe.Sizeof(int64(0))) +
+			int64(cap(q.sched))*int64(unsafe.Sizeof(uint64(0)))
+	}
+	if s.tmpl != nil && !s.tmplKey.geom.flat {
+		// mem.Cache keeps one way — a tag and an LRU stamp, 16 B — per
+		// cache line, for the template and the run's copy alike.
+		g := s.tmplKey.geom
+		b += 2 * 16 * int64(g.dl1Cap/g.dl1Block+g.l2Cap/g.l2Block)
+	}
+	return b
 }
 
 // queues configures the run's issue-queue set out of the scratch storage:

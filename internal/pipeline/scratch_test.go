@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -55,5 +56,51 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 	sweep() // warm the scratch
 	if allocs := testing.AllocsPerRun(3, sweep); allocs > 1 {
 		t.Errorf("warm 15-point sweep on one Scratch allocates %.1f objects, want <= 1", allocs)
+	}
+}
+
+// TestScratchRetainedBytes pins the window rings: what a Scratch keeps
+// after a run depends on the machine, not on the trace's length. The
+// out-of-order core at the paper grid's deepest point (the largest
+// ring) retains the same bytes after 10 k and 1 M instructions, and the
+// in-order core after 100 k and 1 M (its ring reaches its trace.MaxDep
+// cap at 65536 instructions). The count must also be what the heap
+// actually grew by, within 10%.
+func TestScratchRetainedBytes(t *testing.T) {
+	prof, ok := trace.ByName("176.gcc")
+	if !ok {
+		t.Fatal("no profile 176.gcc")
+	}
+	long := prof.Generate(1_000_000, 1)
+	ooo := paramsAt(2)
+	inorder := ooo
+	inorder.Machine.InOrder = true
+	for _, c := range []struct {
+		name  string
+		p     Params
+		short int
+	}{{"out-of-order", ooo, 10_000}, {"in-order", inorder, 100_000}} {
+		retained := func(tr *trace.Trace) int64 {
+			s := NewScratch()
+			RunWith(c.p, tr, s)
+			return s.RetainedBytes()
+		}
+		short, full := retained(prof.Generate(c.short, 1)), retained(long)
+		if short != full {
+			t.Errorf("%s: a Scratch retains %d B after %d instructions but %d B after %d", c.name, short, c.short, full, long.Len())
+		}
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := NewScratch()
+		RunWith(c.p, long, s)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if got := s.RetainedBytes(); got < grown*9/10 || got > grown*11/10 {
+			t.Errorf("%s: RetainedBytes = %d, but the heap grew by %d B", c.name, got, grown)
+		}
+		runtime.KeepAlive(s)
 	}
 }

@@ -2,13 +2,14 @@ package serve
 
 // The /metrics surface. Every value it renders lives in one place: the
 // server's obs.Recorder (counters, latency histograms, rejects by
-// reason), the store, the scheduler and the trace cache, all read by
-// one StatsSnapshot per scrape — the value /stats serves. The tables
-// below render every family from that snapshot, so one exposition reads
-// each source once: sweep_inflight_points always equals
-// sweep_queue_depth plus sweep_running_points, and every counter agrees
-// with a /stats body taken at the same instant. Nothing in this file
-// may influence a sweep body; the telemetry-inertness test pins that.
+// reason), the store, the scheduler (queue and Scratch memory) and the
+// trace cache, all read by one StatsSnapshot per scrape — the value
+// /stats serves. The tables below render every family from that
+// snapshot, so one exposition reads each source once:
+// sweep_inflight_points always equals sweep_queue_depth plus
+// sweep_running_points, and every counter agrees with a /stats body
+// taken at the same instant. Nothing in this file may influence a sweep
+// body; the telemetry-inertness test pins that.
 
 import (
 	"bytes"
@@ -75,6 +76,7 @@ var statFamilies = []statFamily{
 
 	{"trace_cache_traces", "Traces held in the process-wide trace cache.", "gauge", func(st *Stats) float64 { return float64(st.TraceCacheTraces) }},
 	{"trace_cache_bytes", "Bytes of instruction columns held by the cached traces.", "gauge", func(st *Stats) float64 { return float64(st.TraceCacheBytes) }},
+	{"scratch_bytes", "Bytes the workers' simulation Scratches retain between points.", "gauge", func(st *Stats) float64 { return float64(st.ScratchBytes) }},
 
 	{"sweep_stream_bytes_total", "Response-body bytes written by /sweep streams.", "counter", recCounter("stream_bytes")},
 	{"sweep_slow_requests_total", "Requests slower than the -slow-request threshold.", "counter", recCounter("slow_requests")},

@@ -102,6 +102,11 @@ type scheduler struct {
 	running  int             // jobs in batches workers hold
 	closing  bool
 
+	// scratchBytes sums RetainedBytes over the workers' Scratches. Each
+	// worker adds its own Scratch's growth after a batch, so the sum is
+	// read without touching a Scratch another goroutine is running.
+	scratchBytes atomic.Int64
+
 	stopped chan struct{} // closed once every worker has exited
 }
 
@@ -180,7 +185,6 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 	tickets := make([]ticket, 0, len(pts))
 	for i, k := range keys {
 		if lines[i] != nil {
-			s.rec.Add("point_cache_hits", 1)
 			adm.hits++
 			tickets = append(tickets, ticket{line: lines[i]})
 			continue
@@ -189,8 +193,6 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 			// Singleflight join: the simulation is queued or running for
 			// someone else; share it. A join is a hit — the work exists.
 			j.waiters.Add(1)
-			s.rec.Add("point_cache_hits", 1)
-			s.rec.Add("dedup_joins", 1)
 			adm.hits++
 			adm.joins++
 			tickets = append(tickets, ticket{job: j})
@@ -201,12 +203,19 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 		j.waiters.Add(1)
 		s.inflight[k] = j
 		s.queue = append(s.queue, j)
-		s.rec.Add("point_cache_misses", 1)
 		adm.misses++
 		tickets = append(tickets, ticket{job: j})
 	}
-
+	// One recorder update per counter per admission, not per point. A
+	// zero is skipped so a counter appears only once it has counted.
+	if adm.hits > 0 {
+		s.rec.Add("point_cache_hits", int64(adm.hits))
+	}
+	if adm.joins > 0 {
+		s.rec.Add("dedup_joins", int64(adm.joins))
+	}
 	if adm.misses > 0 {
+		s.rec.Add("point_cache_misses", int64(adm.misses))
 		// New points may form several batches: wake every idle worker.
 		s.ready.Broadcast()
 	}
@@ -315,7 +324,9 @@ func (s *scheduler) claimLocked() []*job {
 // runBatch is one worker's unit of work: simulate a claimed batch on the
 // worker's Scratch, then settle what did not run.
 func (s *scheduler) runBatch(sc *pipeline.Scratch, batch []*job) {
+	before := sc.RetainedBytes()
 	s.simulate(sc, batch)
+	s.scratchBytes.Add(sc.RetainedBytes() - before)
 	s.settle(batch)
 }
 

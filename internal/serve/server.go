@@ -425,6 +425,11 @@ type Stats struct {
 	TraceCacheTraces int64 `json:"trace_cache_traces"`
 	TraceCacheBytes  int64 `json:"trace_cache_bytes"`
 
+	// ScratchBytes is what the workers' simulation Scratches retain
+	// between points (see pipeline.Scratch.RetainedBytes), summed as of
+	// each worker's last finished batch.
+	ScratchBytes int64 `json:"scratch_bytes"`
+
 	Requests      int64 `json:"requests"`
 	Rejected      int64 `json:"requests_rejected"`
 	Disconnects   int64 `json:"client_disconnects"`
@@ -435,10 +440,11 @@ type Stats struct {
 }
 
 // StatsSnapshot is the /stats body, and the value each /metrics scrape
-// renders. It reads every source exactly once: the scheduler's gauges,
-// one Store.Stats(), the trace cache, and one recorder Snapshot, whose
-// counters fill both the top-level fields and Telemetry. Exported so
-// tests and embedding binaries can read it without HTTP.
+// renders. It reads every source exactly once: the scheduler's gauges
+// and scratch total, one Store.Stats(), the trace cache, and one
+// recorder Snapshot, whose counters fill both the top-level fields and
+// Telemetry. Exported so tests and embedding binaries can read it
+// without HTTP.
 func (s *Server) StatsSnapshot() Stats {
 	queued, running := s.sched.gauges()
 	ss := s.cfg.Store.Stats()
@@ -466,6 +472,7 @@ func (s *Server) StatsSnapshot() Stats {
 		StoreReadErrors:   ss.ReadErrors,
 		TraceCacheTraces:  traces,
 		TraceCacheBytes:   traceBytes,
+		ScratchBytes:      s.sched.scratchBytes.Load(),
 		DedupJoins:        c["dedup_joins"],
 		Requests:          c["requests"],
 		Disconnects:       c["client_disconnects"],

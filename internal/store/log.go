@@ -197,7 +197,10 @@ func OpenLog(dir string, segmentBytes int64) (*Log, error) {
 	return l, nil
 }
 
-// rotate seals the current active segment (fsync) and starts a new one.
+// rotate seals the current active segment (fsync) and starts a new one,
+// then fsyncs the directory so the new file's name survives a crash. The
+// new segment is active even when that last fsync fails; the error then
+// only says its directory entry may not be durable yet.
 func (l *Log) rotate() error {
 	if l.active != nil {
 		if err := l.active.f.Sync(); err != nil {
@@ -218,7 +221,21 @@ func (l *Log) rotate() error {
 	l.segs[seq] = s
 	l.active = s
 	l.nextSeq = seq + 1
-	return nil
+	return syncDir(l.dir)
+}
+
+// syncDir fsyncs directory dir, making the files created or unlinked in
+// it durable: a file's own fsync covers its contents, not its name.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Append writes one record to the active segment (rotating first if the
@@ -335,7 +352,8 @@ func (l *Log) scanSegment(s *segment, fn func(seq, off int64, r Record)) (good i
 	return good, nil
 }
 
-// RemoveSegment unlinks one sealed segment (compaction's final step).
+// RemoveSegment unlinks one sealed segment (compaction's final step) and
+// fsyncs the directory, so a crash cannot bring the segment back.
 // Removing the active segment is refused.
 func (l *Log) RemoveSegment(seq int64) error {
 	s, ok := l.segs[seq]
@@ -347,7 +365,10 @@ func (l *Log) RemoveSegment(seq int64) error {
 	}
 	s.f.Close()
 	delete(l.segs, seq)
-	return os.Remove(s.path)
+	if err := os.Remove(s.path); err != nil {
+		return err
+	}
+	return syncDir(l.dir)
 }
 
 // SealedSeqs lists every non-active segment, oldest first.
