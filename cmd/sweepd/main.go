@@ -175,7 +175,7 @@ func main() {
 	srv.Close()
 	if durable != nil {
 		// After the scheduler drains there are no more Puts; the store
-		// stops its coordinators, syncs the tail and closes its files.
+		// stops its coordinator, syncs the tail and closes its files.
 		if err := durable.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "error: store close:", err)
 			exit = 1

@@ -85,6 +85,15 @@ func logDir(t *testing.T) string {
 	return t.TempDir()
 }
 
+// TestSourcesKeyTheTestCache ties this package's cached result to the
+// module's sources: sweepd is built in a subprocess, so the test
+// binary's own imports do not cover the daemon's code.
+func TestSourcesKeyTheTestCache(t *testing.T) {
+	if err := clitest.WatchSources("../.."); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaos is the flag-driven chaos run: -chaos.seed picks the action
 // sequence, -chaos.actions its length. The default is a CI-sized smoke;
 // the acceptance configuration is -chaos.actions=200 -chaos.seed=42.

@@ -49,6 +49,15 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// TestSourcesKeyTheTestCache ties this package's cached result to the
+// module's sources: the binaries it drives are built in a subprocess,
+// so the test binary's own imports do not cover their code.
+func TestSourcesKeyTheTestCache(t *testing.T) {
+	if err := WatchSources("../.."); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEveryCommandBuilt(t *testing.T) {
 	entries, err := os.ReadDir(binDir)
 	if err != nil {

@@ -15,9 +15,11 @@ package clitest
 
 import (
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -86,6 +88,33 @@ func BuildCmds(moduleRoot, binDir string, patterns ...string) error {
 		return fmt.Errorf("clitest: building %v: %v\n%s", patterns, err, out)
 	}
 	return nil
+}
+
+// WatchSources stats every non-test .go file under moduleRoot, skipping
+// testdata, benchmark and dot directories. A package that builds
+// binaries in a subprocess does not import their code, so the go
+// command's test cache would report it "(cached)" after an edit to
+// them; the go command keys the cache on the files a test touches, so
+// calling this from a test makes such an edit rerun the package. Call
+// it from a test, not TestMain: the go command records a test binary's
+// file accesses only from m.Run on.
+func WatchSources(moduleRoot string) error {
+	return filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != moduleRoot && (name == "testdata" || name == "benchmark" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			_, err = os.Stat(path)
+		}
+		return err
+	})
 }
 
 // Daemon is one out-of-process sweepd (or any binary with the same

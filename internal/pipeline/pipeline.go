@@ -308,12 +308,14 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			}
 			var issued []int32
 			if !preSel && !mixed {
-				// Split-queue scan, inlined from issueSelect's uniform
-				// path: this is the simulator's hottest edge (it runs for
-				// every queue on every non-gated cycle), and keeping it in
-				// the loop body spares the call and its argument traffic.
-				// Semantics are identical — the batch golden and property
-				// tests pin both paths against each other.
+				// Split-queue scan, inlined: this is the simulator's
+				// hottest edge (it runs for every queue on every non-gated
+				// cycle), and keeping it in the loop body spares a call and
+				// its argument traffic. A split queue holds one class, so
+				// the scan charges a single budget without consulting the
+				// per-instruction flags, and once that budget is gone it
+				// ends with the (always valid) cycle+1 bound. The golden
+				// grid, TestReferenceGolden and FuzzReference pin it.
 				sel := selected[:0]
 				nextReady := int64(pending)
 				budget := intBudget
@@ -349,7 +351,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				issued = sel
 			} else {
 				var nextReady int64
-				issued, nextReady, intBudget, fpBudget = issueSelect(flags, q, cycle, intBudget, fpBudget, preSel, mixed, qi == 1, selected[:0])
+				issued, nextReady, intBudget, fpBudget = issueSelect(flags, q, cycle, intBudget, fpBudget, preSel, selected[:0])
 				q.nextReady = nextReady
 			}
 			stats.SumIssued += uint64(len(issued))
@@ -824,12 +826,12 @@ func (q *issueQueue) compact(queuePos []int32, ring, qbit int32) {
 // (every resolved latency is at least one cycle), so the bound being a
 // true lower bound means skipped scans select exactly what a real scan
 // would have: nothing.
-// mixed says the queue can hold both instruction classes (the unified
-// window); a split queue holds exactly one class (fp says which), so its
-// scan charges a single budget without consulting the per-instruction
-// flags at all.
+//
+// The caller inlines the split-queue scan, so this serves the
+// pre-selection queues (preSel) and the unified window, whose entries
+// carry both classes and charge the budget their flags name.
 func issueSelect(flags []uint8, q *issueQueue, cycle int64,
-	intBudget, fpBudget int, preSel, mixed, fp bool, sel []int32) ([]int32, int64, int, int) {
+	intBudget, fpBudget int, preSel bool, sel []int32) ([]int32, int64, int, int) {
 
 	nextReady := int64(pending)
 	ready := q.ready
@@ -878,40 +880,6 @@ func issueSelect(flags []uint8, q *issueQueue, cycle int64,
 	// awaiting a producer contribute nothing to the next-ready bound (the
 	// wakeup delivery that schedules them lowers it at delivery time), and
 	// tombstones have no bit, so neither costs a slot visit.
-	if !mixed {
-		// Single-class queue: one budget, and no flags lookup per entry.
-		// Once the budget is gone nothing further can be selected, so the
-		// scan ends with the (always valid) cycle+1 bound instead of
-		// walking the rest of the bitmap for a sharper one.
-		budget := intBudget
-		if fp {
-			budget = fpBudget
-		}
-		for k, w := range q.sched[:uint(len(ready)+63)>>6] {
-			for w != 0 {
-				wi := k<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if r := ready[wi]; r > cycle {
-					if r < nextReady {
-						nextReady = r
-					}
-					continue
-				}
-				if budget == 0 {
-					if fp {
-						return sel, cycle + 1, intBudget, 0
-					}
-					return sel, cycle + 1, 0, fpBudget
-				}
-				budget--
-				sel = append(sel, q.entries[wi].idx)
-			}
-		}
-		if fp {
-			return sel, nextReady, intBudget, budget
-		}
-		return sel, nextReady, budget, fpBudget
-	}
 	for k, w := range q.sched[:uint(len(ready)+63)>>6] {
 		for w != 0 {
 			if intBudget == 0 && fpBudget == 0 {

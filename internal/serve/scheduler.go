@@ -10,9 +10,11 @@ package serve
 // template, while another trace starts on the next free worker. Each
 // point finalizes the moment it completes. Concurrent clients asking
 // overlapping grids attach to the same job, so each distinct point
-// simulates at most once per process; a point whose every requester has
-// disconnected is pruned from the queue immediately (or left out of its
-// claimed batch) instead of burning simulation time for nobody.
+// simulates at most once per process. A point whose every requester has
+// disconnected is pruned from the queue immediately instead of burning
+// simulation time for nobody; a claimed point runs to completion and
+// fills the cache. Queue pruning (release, claimLocked) is the one
+// cancellation point.
 
 import (
 	"encoding/json"
@@ -39,16 +41,16 @@ var ErrQueueFull = errors.New("point queue full")
 // the request forever. The HTTP layer maps it to 503.
 var ErrStopped = errors.New("scheduler stopped")
 
-// errCancelled finalizes a job whose every requester went away before it
-// ran. No client ever observes it (a job with waiters never carries it);
-// it exists so an abandoned job's done channel still closes.
+// errCancelled finalizes a job whose every requester went away before a
+// worker claimed it. No client ever observes it (a job with waiters
+// never carries it); it exists so an abandoned job's done channel still
+// closes.
 var errCancelled = errors.New("point cancelled: all requesters disconnected")
 
 // job is one distinct simulation point moving through the scheduler.
 // Exactly one of line/err is set before done closes; both are immutable
 // afterwards. waiters counts the request streams still wanting the
-// result — it is atomic so a worker can re-check it without taking the
-// scheduler lock mid-batch.
+// result; it only changes under the scheduler's mu.
 type job struct {
 	key   string
 	opts  core.PointOptions
@@ -59,7 +61,6 @@ type job struct {
 	err  error
 
 	waiters atomic.Int32
-	ran     bool // set by the worker that simulated it, read after the batch
 
 	// Tracing/metrics carry-alongs, observation-only by contract: the
 	// request ID of the request that created the job (joiners share it —
@@ -224,9 +225,8 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 
 // release detaches one request from the tickets it never consumed (the
 // client disconnected mid-stream). Queued jobs nobody else wants are
-// pruned immediately; claimed ones are left for the worker holding
-// them, which skips them if it has not started their batch yet and
-// then requeues or drops them (settle).
+// pruned immediately; claimed ones run anyway, so their results still
+// fill the cache.
 func (s *scheduler) release(tickets []ticket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -282,8 +282,7 @@ func (s *scheduler) run() {
 // next is a worker's pull: it blocks until a batch can be claimed and
 // claims it, reporting the batch's oldest admission as its ready time.
 // ok is false once close has begun and the queue is empty — the worker
-// exits. A job requeued after that point is never stranded: the worker
-// that requeues it (settle) pulls again before it can exit.
+// exits.
 func (s *scheduler) next() (batch []*job, ready time.Time, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,7 +300,8 @@ func (s *scheduler) next() (batch []*job, ready time.Time, ok bool) {
 // claimLocked removes the next batch from the queue: the oldest live
 // job and every other queued live job on the same trace, in queue
 // order. Jobs whose waiters all vanished are dropped on the way
-// (release prunes these; belt and braces). Caller holds s.mu.
+// (release prunes these; belt and braces). From here on a job runs
+// whoever still waits for it. Caller holds s.mu.
 func (s *scheduler) claimLocked() []*job {
 	var batch []*job
 	kept := s.queue[:0]
@@ -321,66 +321,32 @@ func (s *scheduler) claimLocked() []*job {
 	return batch
 }
 
-// runBatch is one worker's unit of work: simulate a claimed batch on the
-// worker's Scratch, then settle what did not run.
+// runBatch is one worker's unit of work: run a claimed batch through
+// one core.SimulateEach call on the worker's Scratch, finalizing each
+// job (cache write + done close) the moment its point completes, so
+// request streams advance while the rest of the batch runs; then lower
+// running. A job whose last waiter left after the claim still runs and
+// fills the cache, so every miss ends as points_done or points_dropped.
 func (s *scheduler) runBatch(sc *pipeline.Scratch, batch []*job) {
 	before := sc.RetainedBytes()
-	s.simulate(sc, batch)
-	s.scratchBytes.Add(sc.RetainedBytes() - before)
-	s.settle(batch)
-}
-
-// simulate runs a claimed batch's live jobs through one
-// core.SimulateEach call, finalizing each job (cache write + done close)
-// the moment its point completes, so request streams advance while the
-// rest of the batch runs. Jobs that lost every waiter since the claim
-// are left out and settle requeues or drops them.
-func (s *scheduler) simulate(sc *pipeline.Scratch, batch []*job) {
-	live := make([]*job, 0, len(batch))
-	for _, j := range batch {
-		if j.waiters.Load() > 0 {
-			live = append(live, j)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	opts := make([]core.PointOptions, len(live))
-	for i, j := range live {
-		j.ran = true
+	opts := make([]core.PointOptions, len(batch))
+	for i, j := range batch {
 		s.rec.Observe("point_queue_wait", time.Since(j.enqueued))
 		opts[i] = j.opts
 	}
 	err := core.SimulateEach(opts, sc, s.rec, func(i int, res core.BenchPoint) {
-		s.finishJob(live[i], res, nil)
+		s.finishJob(batch[i], res, nil)
 	})
 	if err != nil {
 		// Validation failed before any point ran: nothing was emitted.
-		for _, j := range live {
+		for _, j := range batch {
 			s.finishJob(j, core.BenchPoint{}, err)
 		}
 	}
-}
-
-// settle releases a simulated batch's claim. A job that did not run is
-// requeued when a new request attached to it in the window after the
-// liveness check — a worker picks it up again rather than failing the
-// newcomer — and dropped otherwise.
-func (s *scheduler) settle(batch []*job) {
+	s.scratchBytes.Add(sc.RetainedBytes() - before)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.running -= len(batch)
-	for _, j := range batch {
-		if j.ran {
-			continue
-		}
-		if j.waiters.Load() > 0 {
-			s.queue = append(s.queue, j)
-			s.ready.Signal()
-			continue
-		}
-		s.dropLocked(j)
-	}
+	s.mu.Unlock()
 }
 
 // finishJob publishes one simulated job: marshal, finalize. err

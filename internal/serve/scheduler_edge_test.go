@@ -2,13 +2,12 @@ package serve
 
 // Shutdown- and disconnect-edge tests for the scheduler, white-box on
 // purpose: the hard paths (a waiter vanishing in the window between
-// release's prune and a worker's claim, a claimed batch skipping an
-// abandoned lane, a new waiter attaching to a skipped job, a simulation
-// error surfacing after admission) live in races the HTTP layer can
-// only hit probabilistically. Here the dispatcher goroutine is left
-// unstarted, so each test plays the worker by hand — takeBatch, then
-// simulate and settle (or runBatch, which is both) — and the
-// interleaving is exact.
+// release's prune and a worker's claim, a claimed job losing its last
+// waiter, a new waiter attaching to a claimed job, a simulation error
+// surfacing after admission) live in races the HTTP layer can only hit
+// probabilistically. Here the dispatcher goroutine is left unstarted,
+// so each test plays the worker by hand — takeBatch, then runBatch —
+// and the interleaving is exact.
 
 import (
 	"errors"
@@ -218,19 +217,14 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 	}
 }
 
-// TestRunBatchDropsJobsAbandonedMidBatch: a worker skips a job whose
-// waiters vanished after its batch was claimed; settle finalizes it as
-// dropped and releases the claim.
-func TestRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
-	// The subtest is named for the batched dispatch path, the only one
-	// the scheduler has.
-	t.Run("batch=true", testRunBatchDropsJobsAbandonedMidBatch)
-}
-
-func testRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
+// TestRunBatchRunsJobAbandonedAfterClaim: the claim is past the
+// cancellation point. A claimed job whose last waiter leaves still
+// runs, fills the cache and counts as done, so every miss ends as
+// points_done or points_dropped.
+func TestRunBatchRunsJobAbandonedAfterClaim(t *testing.T) {
 	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
-	tickets, _, err := s.admit(pts, keys, "t1")
+	tickets, adm, err := s.admit(pts, keys, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +232,21 @@ func testRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
 	if len(batch) != 1 {
 		t.Fatalf("batch size %d, want 1", len(batch))
 	}
-	tickets[0].job.waiters.Add(-1) // client gone while the batch is in hand
+	s.release(tickets) // client gone while the batch is in hand
 	s.runBatch(nil, batch)
 	done, jerr := closedWithErr(tickets[0].job)
-	if !done || !errors.Is(jerr, errCancelled) {
-		t.Fatalf("abandoned mid-batch job: done=%v err=%v, want cancelled", done, jerr)
+	if !done || jerr != nil || tickets[0].job.line == nil {
+		t.Fatalf("abandoned claimed job: done=%v err=%v line=%q, want it run", done, jerr, tickets[0].job.line)
 	}
-	if got := s.rec.Counter("points_dropped"); got != 1 {
-		t.Fatalf("points_dropped = %d, want 1", got)
+	if _, ok := s.cache.Get(keys[0]); !ok {
+		t.Fatal("the abandoned job's result missed the cache")
 	}
-	if got := s.rec.Counter("simulations"); got != 0 {
-		t.Fatalf("simulations = %d for a batch nobody wanted", got)
+	done1, dropped := s.rec.Counter("points_done"), s.rec.Counter("points_dropped")
+	if done1 != 1 || dropped != 0 || int64(adm.misses) != done1+dropped {
+		t.Fatalf("points_done = %d, points_dropped = %d, want 1 and 0 for %d miss", done1, dropped, adm.misses)
+	}
+	if got := s.rec.Counter("simulations"); got != 1 {
+		t.Fatalf("simulations = %d, want 1", got)
 	}
 	if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
 		t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
@@ -256,12 +254,10 @@ func testRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
 	}
 }
 
-// TestSettleRequeuesRejoinedJob is the vanishing-waiter requeue edge: a
-// claimed job loses its last waiter, the worker skips it, and a new
-// request joins it before the claim is settled. settle must put it back
-// in line — still registered, not failed — and the next claim runs it
-// for the newcomer.
-func TestSettleRequeuesRejoinedJob(t *testing.T) {
+// TestClaimedJobServesLateJoiner: a request that joins a claimed job —
+// here after the job's first requester has left — gets its line from
+// the one run, and nothing is requeued or dropped.
+func TestClaimedJobServesLateJoiner(t *testing.T) {
 	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	first, _, err := s.admit(pts, keys, "t1")
@@ -269,25 +265,24 @@ func TestSettleRequeuesRejoinedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := takeBatch(s)
-	first[0].job.waiters.Add(-1) // the only requester vanishes after the claim
-	s.simulate(nil, batch)       // ...so the worker skips the lane
+	s.release(first) // the only requester vanishes after the claim
 	second, adm, err := s.admit(pts, keys, "t2")
 	if err != nil || adm.joins != 1 || second[0].job != first[0].job {
-		t.Fatalf("newcomer should join the skipped job: err=%v %+v", err, adm)
+		t.Fatalf("newcomer should join the claimed job: err=%v %+v", err, adm)
 	}
-	s.settle(batch)
-	if done, _ := closedWithErr(first[0].job); done {
-		t.Fatal("rejoined job finalized instead of requeued")
-	}
-	if len(s.queue) != 1 || s.running != 0 {
-		t.Fatalf("after settle: queue %d running %d, want the job back in line", len(s.queue), s.running)
-	}
-	s.runBatch(nil, takeBatch(s))
+	s.runBatch(nil, batch)
 	if done, jerr := closedWithErr(second[0].job); !done || jerr != nil || second[0].job.line == nil {
-		t.Fatalf("requeued job: done=%v err=%v line=%q", done, jerr, second[0].job.line)
+		t.Fatalf("joined job: done=%v err=%v line=%q", done, jerr, second[0].job.line)
+	}
+	if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
+		t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
+			len(s.queue), len(s.inflight), s.running)
 	}
 	if got := s.rec.Counter("points_dropped"); got != 0 {
 		t.Fatalf("points_dropped = %d, want 0", got)
+	}
+	if got := s.rec.Counter("simulations"); got != 1 {
+		t.Fatalf("simulations = %d, want 1 (one run serves both requests)", got)
 	}
 }
 
@@ -333,10 +328,10 @@ func TestRunGroupedPartitionsByTrace(t *testing.T) {
 	}
 }
 
-// TestRunGroupedSkipsAbandonedGroup: when every lane of a claimed batch
-// loses its waiters, the whole batch is skipped — zero simulations for
-// it — while the other trace's batch still runs.
-func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
+// TestRunBatchRunsAbandonedBatchBesideOtherTrace: when every lane of a
+// claimed batch loses its waiters, the batch still runs and fills the
+// cache, and the other trace's batch runs too.
+func TestRunBatchRunsAbandonedBatchBesideOtherTrace(t *testing.T) {
 	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
 	s := newEdgeScheduler(8)
 	tickets, _, err := s.admit(pts, keys, "t1")
@@ -347,29 +342,28 @@ func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
 	if len(gcc) != 2 || len(swim) != 2 {
 		t.Fatalf("batch sizes %d and %d, want 2 and 2", len(gcc), len(swim))
 	}
-	var abandoned, kept []*job
+	var abandoned []ticket
 	for i, tk := range tickets {
 		if pts[i].Benchmark == pts[0].Benchmark {
-			tk.job.waiters.Add(-1)
-			abandoned = append(abandoned, tk.job)
-		} else {
-			kept = append(kept, tk.job)
+			abandoned = append(abandoned, tk)
 		}
 	}
+	s.release(abandoned)
 	s.runBatch(nil, gcc)
 	s.runBatch(nil, swim)
-	for _, j := range abandoned {
-		if done, jerr := closedWithErr(j); !done || !errors.Is(jerr, errCancelled) {
-			t.Fatalf("abandoned batch lane: done=%v err=%v, want cancelled", done, jerr)
+	for i, tk := range tickets {
+		if done, jerr := closedWithErr(tk.job); !done || jerr != nil || tk.job.line == nil {
+			t.Fatalf("lane %s: done=%v err=%v line=%q", keys[i], done, jerr, tk.job.line)
+		}
+		if _, ok := s.cache.Get(keys[i]); !ok {
+			t.Fatalf("lane %s missed the cache", keys[i])
 		}
 	}
-	for _, j := range kept {
-		if done, jerr := closedWithErr(j); !done || jerr != nil || j.line == nil {
-			t.Fatalf("live batch lane: done=%v err=%v line=%q", done, jerr, j.line)
-		}
+	if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
+		t.Fatalf("simulations = %d, want %d (both batches run)", got, len(pts))
 	}
-	if got := s.rec.Counter("simulations"); got != int64(len(kept)) {
-		t.Fatalf("simulations = %d, want %d (the abandoned batch must not run)", got, len(kept))
+	if got := s.rec.Counter("points_done"); got != int64(len(pts)) {
+		t.Fatalf("points_done = %d, want %d", got, len(pts))
 	}
 }
 

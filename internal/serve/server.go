@@ -25,9 +25,9 @@
 //     with zero re-simulation) and cursor-based delta sync over
 //     GET /results?since=<cursor>.
 //   - A client that disconnects mid-stream releases its claim on every
-//     unconsumed point; points nobody else wants are dropped from the
-//     queue immediately (or skipped by the worker if a claimed batch
-//     holds them) rather than simulated for nobody.
+//     unconsumed point; queued points nobody else wants are dropped
+//     immediately rather than simulated for nobody. A point a worker
+//     has already claimed runs and fills the cache.
 //   - Shutdown is graceful: BeginDrain stops admitting, in-flight
 //     streams run to completion, Close waits for the dispatcher.
 //   - /healthz and /stats expose the cache hit ratio, queue depth,

@@ -1,17 +1,18 @@
 package store
 
 // Durable layers the in-memory LRU over the append-only segment Log:
-// write-through on Put, warm-start replay on Open, and two background
-// coordinators in the engram internal/worker style — a snapshot
-// coordinator that periodically fsyncs the active segment (batched
-// durability instead of a per-record fsync tax) and a compaction
-// coordinator that rewrites sealed segments whose records have been
-// superseded or belong to another code version. Both stop cleanly on
-// Close, after the serving layer has drained.
+// write-through on Put, warm-start replay on Open, and one background
+// coordinator in the engram internal/worker style. On one ticker it
+// fsyncs the active segment (batched durability instead of a per-record
+// fsync tax); on another it rewrites sealed segments whose records have
+// been superseded or belong to another code version. It stops cleanly
+// on Close, after the serving layer has drained.
 
 import (
+	"cmp"
 	"errors"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +34,12 @@ type Options struct {
 	// 0 means 8 MiB.
 	SegmentBytes int64
 
-	// SyncInterval paces the snapshot coordinator's fsync of the active
-	// segment; 0 means 500ms, negative disables the coordinator (Close
-	// still syncs).
+	// SyncInterval paces the coordinator's fsync of the active segment;
+	// 0 means 500ms, negative disables the periodic fsync (Close still
+	// syncs).
 	SyncInterval time.Duration
 
-	// CompactInterval paces the compaction coordinator; 0 disables it
+	// CompactInterval paces the coordinator's compaction; 0 disables it
 	// (CompactNow still works on demand).
 	CompactInterval time.Duration
 
@@ -97,12 +98,12 @@ type Durable struct {
 }
 
 // Open opens (or creates) the store in opts.Dir and replays the segment
-// log: every intact record carrying the current code version is indexed
-// and its line loaded into the warm layer, so a restarted daemon serves
-// its whole history without re-simulating. Truncated tails and torn
-// records are tolerated (replay stops a segment at the tear); records
-// from other code versions are skipped. The coordinators start before
-// Open returns; callers must Close.
+// log: every intact record carrying the current code version is indexed,
+// so a restarted daemon serves its whole history without re-simulating,
+// and the newest CacheLimit lines are loaded into the warm layer.
+// Truncated tails and torn records are tolerated (replay stops a segment
+// at the tear); records from other code versions are skipped. The
+// coordinator starts before Open returns; callers must Close.
 func Open(opts Options) (*Durable, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: Dir is required")
@@ -155,10 +156,20 @@ func Open(opts Options) (*Durable, error) {
 	// Warm the memory layer from the settled index, in cursor order, so
 	// the LRU's recency mirrors append recency and a duplicate key (a
 	// crash between compaction's re-append and unlink) warms its newest
-	// copy, not whichever the scan met first.
-	if err := d.warmFromIndex(); err != nil {
-		l.Close()
-		return nil, err
+	// copy, not whichever the scan met first. Only the newest CacheLimit
+	// records are read: the LRU would evict the rest.
+	warm := d.keysSince(0)
+	if opts.CacheLimit > 0 && len(warm) > opts.CacheLimit {
+		warm = warm[len(warm)-opts.CacheLimit:]
+	}
+	for _, k := range warm {
+		rf := d.index[k]
+		r, err := l.ReadAt(rf.seq, rf.off)
+		if err != nil {
+			l.Close()
+			return nil, err
+		}
+		d.mem.put(k, r.Line, true)
 	}
 	d.replayed = int64(len(d.index))
 	d.rec.Add("store_replayed", d.replayed)
@@ -166,46 +177,33 @@ func Open(opts Options) (*Durable, error) {
 		"dir", opts.Dir, "replayed", d.replayed, "skipped_version", skipped,
 		"segments", l.SegmentCount(), "cursor", d.cursor)
 
-	if opts.SyncInterval > 0 {
+	if opts.SyncInterval > 0 || opts.CompactInterval > 0 {
 		d.wg.Add(1)
-		// The snapshot coordinator owns durability pacing; it never
-		// touches simulation state.
-		go d.snapshotLoop() //reprolint:allow goroutinescope: the snapshot coordinator only fsyncs the segment log on a ticker; simulation parallelism stays behind the deterministic executor
-	}
-	if opts.CompactInterval > 0 {
-		d.wg.Add(1)
-		// The compaction coordinator retires superseded segments; it
-		// never touches simulation state.
-		go d.compactionLoop() //reprolint:allow goroutinescope: the compaction coordinator only rewrites sealed log segments on a ticker; simulation parallelism stays behind the deterministic executor
+		go d.coordinate() //reprolint:allow goroutinescope: the coordinator only fsyncs and compacts the segment log on tickers; simulation parallelism stays behind the deterministic executor
 	}
 	return d, nil
 }
 
-// warmFromIndex loads every indexed record's line into the memory
-// layer, oldest cursor first, so the most recently appended results end
-// up most recent in the LRU. Called from Open before the coordinators
-// start, so no locking is needed.
-func (d *Durable) warmFromIndex() error {
-	pending := make([]struct {
+// keysSince snapshots the keys whose newest record has a cursor above
+// since, in cursor order (cursors are unique, so the order is total).
+// Caller holds d.mu or, in Open, has the store to itself.
+func (d *Durable) keysSince(since uint64) []string {
+	type entry struct {
 		key    string
 		cursor uint64
-	}, 0, len(d.index))
+	}
+	es := make([]entry, 0, len(d.index))
 	for k, rf := range d.index {
-		pending = append(pending, struct {
-			key    string
-			cursor uint64
-		}{k, rf.cursor})
-	}
-	sortByCursor(pending)
-	for _, p := range pending {
-		rf := d.index[p.key]
-		r, err := d.log.ReadAt(rf.seq, rf.off)
-		if err != nil {
-			return err
+		if rf.cursor > since {
+			es = append(es, entry{k, rf.cursor})
 		}
-		d.mem.put(p.key, r.Line, true)
 	}
-	return nil
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.cursor, b.cursor) })
+	keys := make([]string, len(es))
+	for i, e := range es {
+		keys[i] = e.key
+	}
+	return keys
 }
 
 // Get serves key from the warm layer, falling back to the segment log
@@ -273,26 +271,14 @@ func (d *Durable) Put(key string, line []byte) {
 // last streamed cursor picks them up next pull.
 func (d *Durable) Since(since uint64, fn func(Delta) error) error {
 	d.mu.Lock()
-	pending := make([]struct {
-		key    string
-		cursor uint64
-	}, 0, len(d.index))
-	for k, rf := range d.index {
-		if rf.cursor > since {
-			pending = append(pending, struct {
-				key    string
-				cursor uint64
-			}{k, rf.cursor})
-		}
-	}
+	keys := d.keysSince(since)
 	d.mu.Unlock()
-	sortByCursor(pending)
 
-	for _, p := range pending {
+	for _, k := range keys {
 		// Re-resolve under the lock each iteration: compaction may have
 		// moved the record since the snapshot (its cursor never changes).
 		d.mu.Lock()
-		rf, ok := d.index[p.key]
+		rf, ok := d.index[k]
 		if !ok {
 			d.mu.Unlock()
 			continue
@@ -302,34 +288,11 @@ func (d *Durable) Since(since uint64, fn func(Delta) error) error {
 		if err != nil {
 			return err
 		}
-		if err := fn(Delta{Cursor: rf.cursor, Key: p.key, Line: r.Line}); err != nil {
+		if err := fn(Delta{Cursor: rf.cursor, Key: k, Line: r.Line}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// sortByCursor orders a pending delta snapshot; cursors are unique, so
-// the order is total.
-func sortByCursor(p []struct {
-	key    string
-	cursor uint64
-}) {
-	for i := 1; i < len(p); i++ { // insertion sort keeps the anonymous-struct slice dependency-free
-		for j := i; j > 0 && p[j].cursor < p[j-1].cursor; j-- {
-			p[j], p[j-1] = p[j-1], p[j]
-		}
-	}
-}
-
-// Sync flushes the active segment to durable media.
-func (d *Durable) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	return d.log.Sync()
 }
 
 // CompactNow rewrites every sealed segment containing dead bytes —
@@ -423,42 +386,46 @@ func (d *Durable) Stats() Stats {
 	return st
 }
 
-// snapshotLoop is the snapshot coordinator: a periodic durability
-// checkpoint (fsync of the active segment) so a machine crash loses at
-// most one interval of appends, without paying a per-record fsync.
-func (d *Durable) snapshotLoop() {
+// coordinate is the store's one background goroutine. On the sync
+// ticker it fsyncs the active segment, a periodic durability checkpoint
+// so a machine crash loses at most one interval of appends without a
+// per-record fsync. On the compaction ticker it retires sealed segments
+// whose records are superseded or version-mismatched. A disabled
+// ticker's channel is nil and never fires.
+func (d *Durable) coordinate() {
 	defer d.wg.Done()
-	t := time.NewTicker(d.opts.SyncInterval)
-	defer t.Stop()
+	syncC, stopSync := ticker(d.opts.SyncInterval)
+	defer stopSync()
+	compactC, stopCompact := ticker(d.opts.CompactInterval)
+	defer stopCompact()
 	for {
 		select {
 		case <-d.stop:
 			return
-		case <-t.C:
-			if err := d.Sync(); err != nil {
+		case <-syncC:
+			d.mu.Lock()
+			err := d.log.Sync()
+			d.mu.Unlock()
+			if err != nil {
 				d.slog.Error("store: snapshot sync failed", "err", err)
 			}
-		}
-	}
-}
-
-// compactionLoop is the compaction coordinator: it periodically retires
-// sealed segments whose records are superseded or version-mismatched.
-func (d *Durable) compactionLoop() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.opts.CompactInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
+		case <-compactC:
 			d.CompactNow()
 		}
 	}
 }
 
-// Close stops both coordinators, waits for them to drain, syncs the
+// ticker returns a ticker's channel and its stop, or a nil channel and
+// a no-op stop when every is not positive.
+func ticker(every time.Duration) (<-chan time.Time, func()) {
+	if every <= 0 {
+		return nil, func() {}
+	}
+	t := time.NewTicker(every)
+	return t.C, t.Stop
+}
+
+// Close stops the coordinator, waits for it to drain, syncs the
 // active segment one last time and closes every file. Call after the
 // serving layer has stopped issuing Puts.
 func (d *Durable) Close() error {

@@ -107,6 +107,42 @@ func TestDurableDiskHitAfterMemoryEviction(t *testing.T) {
 	}
 }
 
+// TestDurableWarmStartLoadsNewestCacheLimit: warm-up reads only the
+// records the LRU keeps. Over 40 records with an 8-entry warm layer,
+// the 8 newest by cursor are resident, nothing was evicted to get
+// there, and an older key is still served from disk.
+func TestDurableWarmStartLoadsNewestCacheLimit(t *testing.T) {
+	dir := t.TempDir()
+	d := openTest(t, dir, "v1", -1, 0)
+	for i := 0; i < 40; i++ {
+		d.Put(fmt.Sprintf("key-%02d", i), line(fmt.Sprintf(`{"point":%d}`, i)))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := openTest(t, dir, "v1", 8, 0)
+	if st := d2.Stats(); st.MemEntries != 8 || st.Evictions != 0 || st.DiskEntries != 40 {
+		t.Fatalf("after warm start: %d resident, %d evictions, %d on disk; want 8, 0, 40",
+			st.MemEntries, st.Evictions, st.DiskEntries)
+	}
+	for i := 32; i < 40; i++ {
+		k := fmt.Sprintf("key-%02d", i)
+		if got, ok := d2.Get(k); !ok || !bytes.Equal(got, line(fmt.Sprintf(`{"point":%d}`, i))) {
+			t.Fatalf("Get(%s) = %q, %v", k, got, ok)
+		}
+	}
+	if st := d2.Stats(); st.WarmHits != 8 || st.DiskHits != 0 {
+		t.Fatalf("the 8 newest keys: warm hits %d, disk hits %d; want 8, 0", st.WarmHits, st.DiskHits)
+	}
+	if got, ok := d2.Get("key-00"); !ok || !bytes.Equal(got, line(`{"point":0}`)) {
+		t.Fatalf("Get(key-00) = %q, %v", got, ok)
+	}
+	if st := d2.Stats(); st.WarmHits != 8 || st.DiskHits != 1 {
+		t.Fatalf("an older key: warm hits %d, disk hits %d; want 8, 1", st.WarmHits, st.DiskHits)
+	}
+}
+
 func TestDurableCompactionRetiresDeadSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every append seals the previous record's segment.

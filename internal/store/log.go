@@ -30,12 +30,12 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // segMagic begins every segment file; a file without it is ignored.
@@ -49,6 +49,11 @@ const maxRecordBytes = 1 << 30
 const frameHeaderLen = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// errTornFrame marks a frame that cannot be trusted: cut short by the
+// end of its segment, carrying an implausible length, failing its CRC
+// or decoding to a malformed payload. Replay stops a segment there.
+var errTornFrame = errors.New("torn frame")
 
 // Record is one appended result: the delta-sync cursor, the content
 // address, the code version the result was produced by, and the
@@ -140,7 +145,6 @@ func OpenLog(dir string, segmentBytes int64) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
 	for _, path := range names {
 		var seq int64
 		if _, err := fmt.Sscanf(filepath.Base(path), "%d.seg", &seq); err != nil || seq <= 0 {
@@ -262,22 +266,41 @@ func (l *Log) ReadAt(seq, off int64) (Record, error) {
 	if !ok {
 		return Record{}, fmt.Errorf("segment %d is gone", seq)
 	}
-	header := make([]byte, frameHeaderLen)
-	if _, err := s.f.ReadAt(header, off); err != nil {
+	r, err := readFrame(s, off)
+	if err != nil {
 		return Record{}, fmt.Errorf("segment %d @%d: %w", seq, off, err)
 	}
+	return r, nil
+}
+
+// readFrame reads the frame starting at off in s: header, length bound,
+// CRC check and decode. A frame that cannot be trusted returns an error
+// wrapping errTornFrame; any other error is an I/O failure. The frame's
+// length is the record's frameSize.
+func readFrame(s *segment, off int64) (Record, error) {
+	if off+frameHeaderLen > s.size {
+		return Record{}, fmt.Errorf("%w: header cut short", errTornFrame)
+	}
+	header := make([]byte, frameHeaderLen)
+	if _, err := s.f.ReadAt(header, off); err != nil {
+		return Record{}, err
+	}
 	n := binary.BigEndian.Uint32(header)
-	if n > maxRecordBytes {
-		return Record{}, fmt.Errorf("segment %d @%d: implausible record length %d", seq, off, n)
+	if n > maxRecordBytes || off+frameHeaderLen+int64(n) > s.size {
+		return Record{}, fmt.Errorf("%w: implausible length %d", errTornFrame, n)
 	}
 	payload := make([]byte, n)
 	if _, err := s.f.ReadAt(payload, off+frameHeaderLen); err != nil {
-		return Record{}, fmt.Errorf("segment %d @%d: %w", seq, off, err)
+		return Record{}, err
 	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(header[4:]); got != want {
-		return Record{}, fmt.Errorf("segment %d @%d: CRC mismatch", seq, off)
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(header[4:]) {
+		return Record{}, fmt.Errorf("%w: CRC mismatch", errTornFrame)
 	}
-	return decodePayload(payload)
+	r, err := decodePayload(payload)
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: %v", errTornFrame, err)
+	}
+	return r, nil
 }
 
 // Replay scans every segment in sequence order and calls fn for each
@@ -290,7 +313,7 @@ func (l *Log) ReadAt(seq, off int64) (Record, error) {
 func (l *Log) Replay(fn func(seq, off int64, r Record)) error {
 	for _, seq := range l.seqs() {
 		s := l.segs[seq]
-		good, err := l.scanSegment(s, fn)
+		good, err := scanSegment(s, fn)
 		if err != nil {
 			return err
 		}
@@ -311,43 +334,23 @@ func (l *Log) ScanSegment(seq int64, fn func(seq, off int64, r Record)) error {
 	if !ok {
 		return fmt.Errorf("segment %d is gone", seq)
 	}
-	_, err := l.scanSegment(s, fn)
+	_, err := scanSegment(s, fn)
 	return err
 }
 
 // scanSegment walks s frame by frame, returning the offset just past
 // the last intact record.
-func (l *Log) scanSegment(s *segment, fn func(seq, off int64, r Record)) (good int64, err error) {
-	good = int64(len(segMagic))
-	for off := good; off < s.size; {
-		header := make([]byte, frameHeaderLen)
-		if _, err := s.f.ReadAt(header, off); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return good, nil // truncated tail: frame header cut short
-			}
+func scanSegment(s *segment, fn func(seq, off int64, r Record)) (good int64, err error) {
+	for good = int64(len(segMagic)); good < s.size; {
+		r, err := readFrame(s, good)
+		if errors.Is(err, errTornFrame) {
+			return good, nil // stop trusting this segment at the tear
+		}
+		if err != nil {
 			return good, err
 		}
-		n := binary.BigEndian.Uint32(header)
-		if n > maxRecordBytes || off+frameHeaderLen+int64(n) > s.size {
-			return good, nil // truncated tail or corrupt length
-		}
-		payload := make([]byte, n)
-		if _, err := s.f.ReadAt(payload, off+frameHeaderLen); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return good, nil
-			}
-			return good, err
-		}
-		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(header[4:]) {
-			return good, nil // torn record: stop trusting this segment
-		}
-		r, derr := decodePayload(payload)
-		if derr != nil {
-			return good, nil // intact CRC but malformed layout: treat as a tear
-		}
-		fn(s.seq, off, r)
-		off += frameHeaderLen + int64(n)
-		good = off
+		fn(s.seq, good, r)
+		good += r.frameSize()
 	}
 	return good, nil
 }
@@ -373,14 +376,11 @@ func (l *Log) RemoveSegment(seq int64) error {
 
 // SealedSeqs lists every non-active segment, oldest first.
 func (l *Log) SealedSeqs() []int64 {
-	out := make([]int64, 0, len(l.segs))
-	for seq := range l.segs {
-		if l.active == nil || seq != l.active.seq {
-			out = append(out, seq)
-		}
+	seqs := l.seqs()
+	if l.active != nil {
+		seqs = seqs[:len(seqs)-1] // the active segment is always the newest
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return seqs
 }
 
 // DataBytes is the record bytes (past the header) of one segment.
@@ -404,8 +404,9 @@ func (l *Log) TotalBytes() int64 {
 	return n
 }
 
-// Sync flushes the active segment to durable media — the snapshot
-// coordinator's whole job.
+// Sync flushes the active segment to durable media: the store
+// coordinator's periodic checkpoint, compaction's barrier before an
+// unlink, and Close's last step.
 func (l *Log) Sync() error {
 	if l.active == nil {
 		return nil
@@ -432,6 +433,6 @@ func (l *Log) seqs() []int64 {
 	for seq := range l.segs {
 		out = append(out, seq)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -154,21 +155,23 @@ func TestLogTruncatedTailTolerated(t *testing.T) {
 	}
 }
 
-// TestLogTornRecordStopsSegment: a CRC mismatch mid-segment stops that
-// segment's replay at the last trusted record.
+// TestLogTornRecordStopsSegment: a CRC mismatch mid-segment fails
+// ReadAt with the torn-frame error and stops that segment's replay at
+// the same frame, squaring the active segment off there.
 func TestLogTornRecordStopsSegment(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenLog(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seq int64
 	var offs []int64
 	for c := uint64(1); c <= 3; c++ {
-		_, off, err := l.Append(testRecord(c))
+		s, off, err := l.Append(testRecord(c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		offs = append(offs, off)
+		seq, offs = s, append(offs, off)
 	}
 	l.Close()
 
@@ -194,9 +197,18 @@ func TestLogTornRecordStopsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	if _, err := l2.ReadAt(seq, offs[0]); err != nil {
+		t.Fatalf("ReadAt before the tear: %v", err)
+	}
+	if _, err := l2.ReadAt(seq, offs[1]); !errors.Is(err, errTornFrame) {
+		t.Fatalf("ReadAt of the flipped frame = %v, want a torn-frame error", err)
+	}
 	got := replayAll(t, l2)
 	if len(got) != 1 || got[0].Cursor != 1 {
 		t.Fatalf("replay past a torn record: got %d records, want just cursor 1", len(got))
+	}
+	if end := int64(len(segMagic)) + l2.DataBytes(seq); end != offs[1] {
+		t.Fatalf("replay squared the segment off at %d, want the torn frame's offset %d", end, offs[1])
 	}
 }
 

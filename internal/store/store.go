@@ -10,8 +10,8 @@
 //   - Memory: the bounded LRU the daemon always had — fast, process-
 //     lifetime only. The zero-dependency default.
 //   - Durable: Memory layered over an append-only segment Log with
-//     write-through on Put, warm-start replay on Open, background
-//     snapshot (fsync) and compaction coordinators, and a monotonic
+//     write-through on Put, warm-start replay on Open, one background
+//     coordinator that fsyncs and compacts the log, and a monotonic
 //     per-record cursor that makes the whole store delta-syncable
 //     ("every record since cursor X") for peer nodes and CLI clients.
 package store
@@ -65,9 +65,9 @@ type Stats struct {
 
 	// DiskEntries / Segments / StoreBytes / Compactions / Replayed /
 	// Cursor describe the segment log: distinct keys indexed on disk,
-	// live segment files, their total size, segments rewritten by the
-	// compaction coordinator, records accepted by the last warm-start
-	// replay, and the last assigned delta-sync cursor.
+	// live segment files, their total size, segments rewritten by
+	// compaction, records accepted by the last warm-start replay, and
+	// the last assigned delta-sync cursor.
 	DiskEntries int    `json:"disk_entries"`
 	Segments    int    `json:"segments"`
 	StoreBytes  int64  `json:"store_bytes"`
