@@ -222,6 +222,12 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 // runs, fills the cache and counts as done, so every miss ends as
 // points_done or points_dropped.
 func TestRunBatchRunsJobAbandonedAfterClaim(t *testing.T) {
+	// The subtest is named for the batched dispatch path, the only one
+	// the scheduler has.
+	t.Run("batch=true", testRunBatchRunsJobAbandonedAfterClaim)
+}
+
+func testRunBatchRunsJobAbandonedAfterClaim(t *testing.T) {
 	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, adm, err := s.admit(pts, keys, "t1")
