@@ -243,13 +243,27 @@ func (o PointOptions) Key(codeVersion string) string {
 
 // ProfileByName resolves a Table 2 benchmark by its full name
 // ("176.gcc") or its bare name after the SPEC number ("gcc"),
-// case-insensitively.
+// case-insensitively and ignoring surrounding space. It is one map read:
+// every served point resolves its benchmark several times.
 func ProfileByName(name string) (trace.Profile, bool) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	return trace.Find(func(full string) bool {
-		return full == name || strings.TrimPrefix(full, numberPrefix(full)) == name
-	})
+	p, ok := profileIndex[strings.ToLower(strings.TrimSpace(name))]
+	return p, ok
 }
+
+// profileIndex maps each suite profile's full and bare names to the
+// profile. Where two profiles would claim one spelling, the first in
+// Table 2 order keeps it.
+var profileIndex = func() map[string]trace.Profile {
+	idx := map[string]trace.Profile{}
+	for _, p := range trace.SPEC2000() {
+		for _, name := range [2]string{p.Name, strings.TrimPrefix(p.Name, numberPrefix(p.Name))} {
+			if _, taken := idx[name]; !taken {
+				idx[name] = p
+			}
+		}
+	}
+	return idx
+}()
 
 // numberPrefix returns the "164." style SPEC number prefix of a suite
 // name, or "" when there is none.

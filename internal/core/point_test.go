@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -237,5 +238,38 @@ func TestProfileLookupsReadTheSuiteInPlace(t *testing.T) {
 	}
 	if p, ok := trace.ByName("176.gcc"); !ok || p != want {
 		t.Errorf("trace.ByName after mutation = %+v, %v; want %+v", p, ok, want)
+	}
+}
+
+// TestProfileIndexMatchesSuiteScan pins the name index against the scan
+// it replaced: the first profile, in Table 2 order, whose full name or
+// bare name after the SPEC number equals the trimmed, lower-cased input.
+func TestProfileIndexMatchesSuiteScan(t *testing.T) {
+	scan := func(name string) (trace.Profile, bool) {
+		name = strings.ToLower(strings.TrimSpace(name))
+		for _, p := range trace.SPEC2000() {
+			bare := p.Name
+			if i := strings.IndexByte(bare, '.'); i >= 0 {
+				bare = bare[i+1:]
+			}
+			if p.Name == name || bare == name {
+				return p, true
+			}
+		}
+		return trace.Profile{}, false
+	}
+	inputs := []string{"", " ", ".", "gc", "gcc.", "176", "176.", ".gcc", "999.gcc", "176.gzip", "176 gcc", "spec", "mutated"}
+	for _, full := range trace.Names() {
+		bare := strings.TrimPrefix(full, numberPrefix(full))
+		for _, name := range []string{full, bare} {
+			inputs = append(inputs, name, strings.ToUpper(name), " "+name+"\t", strings.ToUpper(name)+"  ")
+		}
+	}
+	for _, in := range inputs {
+		want, wantOK := scan(in)
+		got, ok := ProfileByName(in)
+		if ok != wantOK || got != want {
+			t.Errorf("ProfileByName(%q) = %q, %v; the suite scan gives %q, %v", in, got.Name, ok, want.Name, wantOK)
+		}
 	}
 }

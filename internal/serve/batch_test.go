@@ -16,7 +16,7 @@ import (
 // postSweepBody sends one sweep request and returns the raw response
 // body: the byte-identity oracle reads the stream verbatim, newlines,
 // field order and trailer included.
-func postSweepBody(t *testing.T, url, body string) []byte {
+func postSweepBody(t testing.TB, url, body string) []byte {
 	t.Helper()
 	resp, err := http.Post(url+"/sweep", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -50,7 +50,7 @@ var errCancelled = errors.New("point cancelled: all requesters disconnected")
 // job is one distinct simulation point moving through the scheduler.
 // Exactly one of line/err is set before done closes; both are immutable
 // afterwards. waiters counts the request streams still wanting the
-// result; it only changes under the scheduler's mu.
+// result; it is read and written only under the scheduler's mu.
 type job struct {
 	key   string
 	opts  core.PointOptions
@@ -60,7 +60,7 @@ type job struct {
 	line []byte // the newline-terminated NDJSON result, set before done closes
 	err  error
 
-	waiters atomic.Int32
+	waiters int
 
 	// Tracing/metrics carry-alongs, observation-only by contract: the
 	// request ID of the request that created the job (joiners share it —
@@ -193,15 +193,14 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 		if j, ok := s.inflight[k]; ok {
 			// Singleflight join: the simulation is queued or running for
 			// someone else; share it. A join is a hit — the work exists.
-			j.waiters.Add(1)
+			j.waiters++
 			adm.hits++
 			adm.joins++
 			tickets = append(tickets, ticket{job: j})
 			continue
 		}
 		j := &job{key: k, opts: pts[i], ident: identOf(pts[i]), done: make(chan struct{}),
-			origin: origin, enqueued: time.Now()}
-		j.waiters.Add(1)
+			waiters: 1, origin: origin, enqueued: time.Now()}
 		s.inflight[k] = j
 		s.queue = append(s.queue, j)
 		adm.misses++
@@ -234,11 +233,11 @@ func (s *scheduler) release(tickets []ticket) {
 		if t.job == nil {
 			continue
 		}
-		t.job.waiters.Add(-1)
+		t.job.waiters--
 	}
 	kept := s.queue[:0]
 	for _, j := range s.queue {
-		if j.waiters.Load() > 0 {
+		if j.waiters > 0 {
 			kept = append(kept, j)
 			continue
 		}
@@ -307,7 +306,7 @@ func (s *scheduler) claimLocked() []*job {
 	kept := s.queue[:0]
 	for _, j := range s.queue {
 		switch {
-		case j.waiters.Load() <= 0:
+		case j.waiters <= 0:
 			s.dropLocked(j)
 		case len(batch) == 0 || j.ident == batch[0].ident:
 			batch = append(batch, j)

@@ -199,7 +199,9 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 	}
 	// The race window in miniature: one job loses its waiter without a
 	// release call touching the queue.
-	tickets[0].job.waiters.Add(-1)
+	s.mu.Lock()
+	tickets[0].job.waiters--
+	s.mu.Unlock()
 
 	batch := takeBatch(s)
 	if len(batch) != 1 || batch[0] != tickets[1].job {
@@ -409,7 +411,7 @@ func TestStreamErrorLine(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	rec := httptest.NewRecorder()
-	srv.streamError(rec, nil, "k123", errors.New("boom"))
+	srv.streamError(rec, "k123", errors.New("boom"))
 	if got, want := rec.Body.String(), `{"error":"boom","key":"k123"}`+"\n"; got != want {
 		t.Fatalf("streamError line = %q, want %q", got, want)
 	}

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -251,7 +252,14 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, status int, reas
 	errorJSON(w, status, format, args...)
 }
 
-// handleSweep is POST /sweep: expand, admit, stream.
+// handleSweep is POST /sweep: expand, admit, stream. A line is written
+// as soon as its point is ready, and lines that are ready together share
+// a socket write: the buffer is flushed after the first line and just
+// before the stream blocks on a point still being simulated, never
+// after every line. The first line flushes on its own because an
+// all-hit stream never blocks: without it, a client would see nothing
+// until the buffer filled or the handler returned, so time-to-first-
+// line would grow with the stream's length.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -309,33 +317,45 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// both shape the stream-duration distribution.
 		s.rec.Observe("stream_duration", time.Since(streamStart))
 	}()
-	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
-
+	flusher, _ := w.(http.Flusher)
 	for i, t := range tickets {
-		line := t.line
 		if t.job != nil {
 			select {
 			case <-t.job.done:
-				if t.job.err != nil {
-					// Validated points only fail on should-never-happen
-					// internal errors; surface them without caching.
-					s.streamError(w, flusher, t.job.key, t.job.err)
-					continue
+			default:
+				// About to block on a simulation: send the ready lines
+				// first. Before the first line there are none, and a
+				// flush would only send the headers early.
+				if i > 0 && flusher != nil {
+					flusher.Flush()
 				}
-				line = t.job.line
-			case <-ctx.Done():
-				s.disconnect(tickets[i:])
-				return
+				select {
+				case <-t.job.done:
+				case <-ctx.Done():
+					s.disconnect(tickets[i:])
+					return
+				}
 			}
 		}
-		// line is newline-terminated and shared across streams; it must be
-		// written as-is, never appended to.
-		if _, err := w.Write(line); err != nil {
+		var err error
+		switch {
+		case t.job == nil:
+			_, err = w.Write(t.line)
+		case t.job.err != nil:
+			// Validated points only fail on should-never-happen
+			// internal errors; surface them without caching.
+			err = s.streamError(w, t.job.key, t.job.err)
+		default:
+			// The line is newline-terminated and shared across streams;
+			// it must be written as-is, never appended to.
+			_, err = w.Write(t.job.line)
+		}
+		if err != nil {
 			s.disconnect(tickets[i+1:])
 			return
 		}
-		if flusher != nil {
+		if i == 0 && flusher != nil {
 			flusher.Flush()
 		}
 	}
@@ -345,13 +365,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"done\":true,\"points\":%d}\n", len(tickets))
 }
 
-// streamError emits a non-cached error line for one point.
-func (s *Server) streamError(w http.ResponseWriter, flusher http.Flusher, key string, err error) {
+// streamError writes a non-cached error line for one point. It does
+// not flush: the line follows handleSweep's flush rule like any other.
+func (s *Server) streamError(w io.Writer, key string, err error) error {
 	line, _ := json.Marshal(map[string]string{"key": key, "error": err.Error()})
-	w.Write(append(line, '\n'))
-	if flusher != nil {
-		flusher.Flush()
-	}
+	_, werr := w.Write(append(line, '\n'))
+	return werr
 }
 
 // disconnect releases every unconsumed ticket of a request whose client
@@ -509,7 +528,10 @@ type deltaLine struct {
 // node or CLI client streams every record appended after its cursor and
 // resumes next time from the trailer's cursor. A cursor at or past the
 // end yields an empty stream (just the trailer), not an error. Memory-
-// only daemons answer 501: there is no log to sync from.
+// only daemons answer 501: there is no log to sync from. Records are
+// not flushed one by one: nothing here waits on a simulation, so the
+// records leave in buffer-sized writes and the trailer with net/http's
+// flush when the handler returns.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -532,15 +554,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	last, records := since, 0
 	err := s.delta.Since(since, func(d store.Delta) error {
 		if err := enc.Encode(deltaLine{Cursor: d.Cursor, Result: json.RawMessage(bytes.TrimSuffix(d.Line, []byte("\n")))}); err != nil {
 			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		last, records = d.Cursor, records+1
 		return nil

@@ -181,14 +181,8 @@ func ByGroup(g Group) []Profile {
 
 // ByName returns the profile with the given name.
 func ByName(name string) (Profile, bool) {
-	return Find(func(n string) bool { return n == name })
-}
-
-// Find returns the first suite profile, in Table 2 order, whose name
-// satisfies match.
-func Find(match func(name string) bool) (Profile, bool) {
 	for i := range suite {
-		if match(suite[i].Name) {
+		if suite[i].Name == name {
 			return suite[i], true
 		}
 	}
