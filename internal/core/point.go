@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -131,7 +132,7 @@ func (o PointOptions) Normalize() PointOptions {
 	switch {
 	case o.OverheadFO4 == 0:
 		o.OverheadFO4 = fo4.PaperOverhead.Total()
-	case o.OverheadFO4 < 0:
+	case o.OverheadFO4 < 0 && !math.IsInf(o.OverheadFO4, -1): // Validate rejects -Inf
 		o.OverheadFO4 = NoOverhead
 	}
 	if o.WindowStages == 0 {
@@ -159,8 +160,11 @@ func (o PointOptions) Validate() error {
 	if _, ok := ProfileByName(o.Benchmark); !ok {
 		return fmt.Errorf("unknown benchmark %q (run traceinfo for the Table 2 suite)", o.Benchmark)
 	}
-	if o.Useful <= 0 || o.Useful > MaxUseful {
-		return fmt.Errorf("useful must be in (0, %d] FO4, got %g", MaxUseful, o.Useful)
+	if err := usefulErr(o.Useful); err != nil {
+		return err
+	}
+	if math.IsNaN(o.OverheadFO4) || math.IsInf(o.OverheadFO4, 0) {
+		return fmt.Errorf("overhead_fo4 must be finite, got %g", o.OverheadFO4)
 	}
 	if o.Instructions <= 0 {
 		return fmt.Errorf("instructions must be positive, got %d", o.Instructions)
@@ -168,6 +172,29 @@ func (o PointOptions) Validate() error {
 	if o.Warmup != NoWarmup && o.Warmup >= o.Instructions {
 		return fmt.Errorf("warmup %d leaves no measured instructions of %d", o.Warmup, o.Instructions)
 	}
+	if err := o.windowErr(); err != nil {
+		return err
+	}
+	for _, q := range o.PreSelect {
+		if q <= 0 {
+			return fmt.Errorf("preselect quotas must be positive, got %d", q)
+		}
+	}
+	return nil
+}
+
+// usefulErr is Validate's check of the useful depth. Written as a
+// negated range test, it rejects NaN.
+func usefulErr(u float64) error {
+	if !(u > 0 && u <= MaxUseful) {
+		return fmt.Errorf("useful must be in (0, %d] FO4, got %g", MaxUseful, u)
+	}
+	return nil
+}
+
+// windowErr is Validate's check of the window geometry: the stage count,
+// the window size, and the preselect quota count against the stages.
+func (o PointOptions) windowErr() error {
 	if o.WindowStages < 1 || o.WindowStages > 32 {
 		return fmt.Errorf("window_stages must be in [1, 32], got %d", o.WindowStages)
 	}
@@ -179,11 +206,6 @@ func (o PointOptions) Validate() error {
 	}
 	if len(o.PreSelect) >= o.WindowStages && len(o.PreSelect) > 0 {
 		return fmt.Errorf("preselect has %d quotas for %d window stages (stage 1 is always fully visible)", len(o.PreSelect), o.WindowStages)
-	}
-	for _, q := range o.PreSelect {
-		if q <= 0 {
-			return fmt.Errorf("preselect quotas must be positive, got %d", q)
-		}
 	}
 	return nil
 }
@@ -198,27 +220,48 @@ const pointKeySchema = "repro/point/v1"
 // only in default-vs-explicit fields, alias spellings, or nil-vs-empty
 // slices — produce the same key; any meaningful change (and any
 // codeVersion change) produces a different one.
-//
-// The encoding is built on the stack with strconv's Append functions and
-// hashed in place, since every served point computes its key.
 func (o PointOptions) Key(codeVersion string) string {
 	o = o.Normalize()
-	var buf [512]byte
-	b := append(buf[:0], pointKeySchema...)
-	b = append(b, '\n')
-	b = append(b, codeVersion...)
-	b = append(b, "\nmachine="...)
-	b = append(b, o.Machine...)
-	b = append(b, "\nbench="...)
-	b = append(b, o.Benchmark...)
-	b = append(b, "\nuseful="...)
-	b = strconv.AppendFloat(b, o.Useful, 'g', -1, 64)
-	b = append(b, "\noverhead="...)
+	var buf [keyBufLen]byte
+	kb := newKeyBuilder(buf[:0], codeVersion, o)
+	kb.setUseful(o.Useful)
+	kb.setStages(o.WindowStages)
+	return kb.key(o.Benchmark)
+}
+
+// keyBufLen sizes the stack buffer a keyBuilder formats into. An
+// encoding that outgrows it (a very long code version or preselect list)
+// moves to the heap; its bytes are the same.
+const keyBufLen = 512
+
+// keyBuilder writes Key's encoding for normalized points that share every
+// field but Benchmark, Useful and WindowStages, and hashes it. The
+// varying fields come early in the encoding, so every key hashes its
+// whole encoding; what the builder saves is formatting. newKeyBuilder
+// formats the shared fields once, setUseful and setStages format one
+// value each, and key appends the benchmark and those values to the
+// shared head. The encoding is, one field per line: the schema, the code
+// version, machine, bench, useful, overhead, window, stages, preselect,
+// naive, n, warmup and seed.
+type keyBuilder struct {
+	head []byte // the schema through "\nbench="; key appends each point after it
+	mid  []byte // "\noverhead=" through "\nstages="
+	tail []byte // "\npreselect=" through the final newline
+
+	useful, stages       [32]byte // the formatted values, longest 24 and 20 bytes
+	usefulLen, stagesLen int
+}
+
+// newKeyBuilder formats o's shared fields into buf's spare capacity. o
+// must be normalized.
+func newKeyBuilder(buf []byte, codeVersion string, o PointOptions) keyBuilder {
+	var k keyBuilder
+	b := append(buf[:0], "\noverhead="...)
 	b = strconv.AppendFloat(b, o.OverheadFO4, 'g', -1, 64)
 	b = append(b, "\nwindow="...)
 	b = strconv.AppendInt(b, int64(o.Window), 10)
 	b = append(b, "\nstages="...)
-	b = strconv.AppendInt(b, int64(o.WindowStages), 10)
+	k.mid, b = b[:len(b):len(b)], b[len(b):]
 	b = append(b, "\npreselect="...)
 	for i, q := range o.PreSelect {
 		if i > 0 {
@@ -235,6 +278,36 @@ func (o PointOptions) Key(codeVersion string) string {
 	b = append(b, "\nseed="...)
 	b = strconv.AppendUint(b, o.Seed, 10)
 	b = append(b, '\n')
+	k.tail, b = b[:len(b):len(b)], b[len(b):]
+	// The head goes last: key appends each point's encoding to it, in the
+	// capacity that remains.
+	b = append(b, pointKeySchema...)
+	b = append(b, '\n')
+	b = append(b, codeVersion...)
+	b = append(b, "\nmachine="...)
+	b = append(b, o.Machine...)
+	b = append(b, "\nbench="...)
+	k.head = b
+	return k
+}
+
+func (k *keyBuilder) setUseful(u float64) {
+	k.usefulLen = len(strconv.AppendFloat(k.useful[:0], u, 'g', -1, 64))
+}
+
+func (k *keyBuilder) setStages(n int) {
+	k.stagesLen = len(strconv.AppendInt(k.stages[:0], int64(n), 10))
+}
+
+// key returns the key of the point with benchmark bench and the last
+// values set.
+func (k *keyBuilder) key(bench string) string {
+	b := append(k.head, bench...)
+	b = append(b, "\nuseful="...)
+	b = append(b, k.useful[:k.usefulLen]...)
+	b = append(b, k.mid...)
+	b = append(b, k.stages[:k.stagesLen]...)
+	b = append(b, k.tail...)
 	sum := sha256.Sum256(b)
 	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], sum[:])

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -145,6 +149,11 @@ func TestValidateRejectsBadPoints(t *testing.T) {
 		{"huge window", PointOptions{Benchmark: "gcc", Useful: 8, Window: 4096}},
 		{"preselect too long", PointOptions{Benchmark: "gcc", Useful: 8, Window: 32, WindowStages: 2, PreSelect: []int{4, 4}}},
 		{"preselect nonpositive", PointOptions{Benchmark: "gcc", Useful: 8, Window: 32, WindowStages: 3, PreSelect: []int{4, 0}}},
+		{"NaN useful", PointOptions{Benchmark: "gcc", Useful: math.NaN()}},
+		{"infinite useful", PointOptions{Benchmark: "gcc", Useful: math.Inf(1)}},
+		{"NaN overhead", PointOptions{Benchmark: "gcc", Useful: 8, OverheadFO4: math.NaN()}},
+		{"infinite overhead", PointOptions{Benchmark: "gcc", Useful: 8, OverheadFO4: math.Inf(1)}},
+		{"negative infinite overhead", PointOptions{Benchmark: "gcc", Useful: 8, OverheadFO4: math.Inf(-1)}},
 	}
 	for _, c := range bad {
 		if err := c.o.Normalize().Validate(); err == nil {
@@ -185,9 +194,83 @@ func TestSimulatePointMatchesDepthSweep(t *testing.T) {
 	}
 }
 
-// FuzzCacheKey drives Key with arbitrary field values and checks its two
+// referenceKey is the straight-line encoding Key used before keyBuilder,
+// kept as its oracle.
+func referenceKey(o PointOptions, codeVersion string) string {
+	o = o.Normalize()
+	var buf [512]byte
+	b := append(buf[:0], pointKeySchema...)
+	b = append(b, '\n')
+	b = append(b, codeVersion...)
+	b = append(b, "\nmachine="...)
+	b = append(b, o.Machine...)
+	b = append(b, "\nbench="...)
+	b = append(b, o.Benchmark...)
+	b = append(b, "\nuseful="...)
+	b = strconv.AppendFloat(b, o.Useful, 'g', -1, 64)
+	b = append(b, "\noverhead="...)
+	b = strconv.AppendFloat(b, o.OverheadFO4, 'g', -1, 64)
+	b = append(b, "\nwindow="...)
+	b = strconv.AppendInt(b, int64(o.Window), 10)
+	b = append(b, "\nstages="...)
+	b = strconv.AppendInt(b, int64(o.WindowStages), 10)
+	b = append(b, "\npreselect="...)
+	for i, q := range o.PreSelect {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(q), 10)
+	}
+	b = append(b, "\nnaive="...)
+	b = strconv.AppendBool(b, o.NaivePipelining)
+	b = append(b, "\nn="...)
+	b = strconv.AppendInt(b, int64(o.Instructions), 10)
+	b = append(b, "\nwarmup="...)
+	b = strconv.AppendInt(b, int64(o.Warmup), 10)
+	b = append(b, "\nseed="...)
+	b = strconv.AppendUint(b, o.Seed, 10)
+	b = append(b, '\n')
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestKeyBuilderReuse keys several points on one builder, in an order
+// that changes each varying field alone, long shared fragments included,
+// and checks each key against the reference encoding.
+func TestKeyBuilderReuse(t *testing.T) {
+	bases := []PointOptions{
+		{Benchmark: "gcc", Useful: 8},
+		{Machine: "inorder", OverheadFO4: 1e-300, Window: 32, PreSelect: []int{7, 6, 5, 4, 3, 2, 1},
+			NaivePipelining: true, Instructions: 1 << 40, Warmup: 3, Seed: 1<<64 - 1},
+	}
+	code := []string{"", "v", strings.Repeat("long code version ", 40)}
+	for _, base := range bases {
+		for _, v := range code {
+			n := base.Normalize()
+			var buf [keyBufLen]byte
+			kb := newKeyBuilder(buf[:0], v, n)
+			for _, u := range []float64{2, 1.0 / 3, -1.2345678901234567e-308} {
+				kb.setUseful(u)
+				for _, st := range []int{1, 32, -1 << 63} {
+					kb.setStages(st)
+					for _, b := range []string{"176.gcc", "171.swim", ""} {
+						o := n
+						o.Benchmark, o.Useful, o.WindowStages = b, u, st
+						if got, want := kb.key(b), referenceKey(o, v); got != want {
+							t.Fatalf("builder key of %+v (code %q) = %s, reference %s", o, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCacheKey drives Key with arbitrary field values and checks its
 // invariants: keys are deterministic under re-normalization (hashing the
-// normalized form must be a fixed point) and well-formed (64 hex chars).
+// normalized form must be a fixed point) and well-formed (64 hex chars);
+// they equal the reference encoding's; and a keyBuilder fed the
+// normalized options gives the same key after keying another point.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("", "gcc", 8.0, 0.0, 0, 0, false, 0, 0, uint64(0))
 	f.Add("ooo", "176.gcc", 8.0, 1.8, 32, 2, false, 60000, 12000, uint64(1))
@@ -211,6 +294,19 @@ func FuzzCacheKey(f *testing.F) {
 		}
 		if nn := n.Normalize(); nn.Key("v") != k1 {
 			t.Fatal("Normalize is not idempotent under Key")
+		}
+		if ref := referenceKey(o, "v"); ref != k1 {
+			t.Fatalf("Key of %+v = %s, reference encoding %s", o, k1, ref)
+		}
+		var buf [keyBufLen]byte
+		kb := newKeyBuilder(buf[:0], "v", n)
+		kb.setUseful(n.Useful + 1)
+		kb.setStages(n.WindowStages + 1)
+		kb.key("another benchmark")
+		kb.setUseful(n.Useful)
+		kb.setStages(n.WindowStages)
+		if got := kb.key(n.Benchmark); got != k1 {
+			t.Fatalf("builder key of %+v = %s, Key %s", n, got, k1)
 		}
 	})
 }

@@ -63,14 +63,6 @@ func Normalize(xs []float64, ref int) []float64 {
 	return out
 }
 
-// WithinFrac reports whether a is within frac (relative) of b.
-func WithinFrac(a, b, frac float64) bool {
-	if b == 0 {
-		return a == 0
-	}
-	return math.Abs(a-b) <= math.Abs(b)*frac
-}
-
 // BIPS converts an IPC at a clock frequency (Hz) into billions of
 // instructions per second.
 func BIPS(ipc, freqHz float64) float64 { return ipc * freqHz / 1e9 }

@@ -78,18 +78,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestWithinFrac(t *testing.T) {
-	if !WithinFrac(102, 100, 0.02) {
-		t.Error("102 should be within 2% of 100")
-	}
-	if WithinFrac(103, 100, 0.02) {
-		t.Error("103 should not be within 2% of 100")
-	}
-	if !WithinFrac(0, 0, 0.1) {
-		t.Error("0 within anything of 0")
-	}
-}
-
 func TestBIPS(t *testing.T) {
 	if got := BIPS(2.0, 3e9); math.Abs(got-6.0) > 1e-12 {
 		t.Errorf("BIPS(2, 3GHz) = %v, want 6", got)

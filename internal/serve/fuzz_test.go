@@ -5,13 +5,21 @@ package serve
 // forms and hostile values. The properties are exactly what the serving
 // path relies on downstream: a request either fails fast or expands to a
 // bounded, validated, deduplicated point list whose keys are the points'
-// own content addresses, deterministically.
+// own content addresses, deterministically — and, where the raw lists
+// are short enough for it to finish, exactly what referencePoints
+// expands, error text included.
 
 import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// referenceCombos bounds the raw-list product FuzzSweepRequest hands to
+// referencePoints, which costs a Validate and a Key per combination.
+const referenceCombos = 1 << 15
 
 func FuzzSweepRequest(f *testing.F) {
 	seeds := []string{
@@ -37,6 +45,11 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"useful_min":16,"useful_max":2}`,
 		`{"useful":[-1]}`,
 		`{"useful_min":-5,"useful_max":-1}`,
+		// Long lists of repeats: 100 depths of two values and 100 stage
+		// entries that all mean one stage, on two spellings of one
+		// benchmark.
+		`{"useful":[` + strings.Repeat("8,6,", 49) + `8,6],"window":32,"window_stages":[` +
+			strings.Repeat("0,1,", 49) + `0,1],"benchmarks":["gcc","176.gcc"]}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -50,6 +63,19 @@ func FuzzSweepRequest(f *testing.F) {
 		var req SweepRequest
 		if err := dec.Decode(&req); err != nil {
 			return // the HTTP layer rejects it before expansion
+		}
+		// The reference works per combination of the raw lists, so it
+		// runs only where that product is small. A range grid has at most
+		// MaxPoints+1 depths, and no benchmarks means the whole suite.
+		depths, benches := len(req.Useful), len(req.Benchmarks)
+		if depths == 0 {
+			depths = lim.MaxPoints + 1
+		}
+		if benches == 0 {
+			benches = len(core.BenchmarkNames())
+		}
+		if depths*max(len(req.WindowStages), 1)*benches <= referenceCombos {
+			checkAgainstReference(t, req, version, lim)
 		}
 		pts, keys, err := req.Points(version, lim)
 		if err != nil {

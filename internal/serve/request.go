@@ -9,8 +9,10 @@ package serve
 // every client that asks for the same point.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fo4"
@@ -116,27 +118,91 @@ func (r SweepRequest) usefulGrid(maxPoints int) ([]float64, error) {
 	return grid, nil
 }
 
-// benchmarks resolves the request's benchmark subset to suite names.
-func (r SweepRequest) benchmarks() ([]string, error) {
+// suiteNames is the benchmark axis of a request that names none: the
+// full Table 2 suite. It is never written.
+var suiteNames = core.BenchmarkNames()
+
+// benchmarks resolves the request's benchmark subset to suite names
+// without repeats, keeping first occurrences, in buf's capacity.
+func (r SweepRequest) benchmarks(buf []string) ([]string, error) {
 	if len(r.Benchmarks) == 0 {
-		return core.BenchmarkNames(), nil
+		return suiteNames, nil
 	}
-	out := make([]string, 0, len(r.Benchmarks))
+	out := buf[:0]
 	for _, b := range r.Benchmarks {
 		p, ok := core.ProfileByName(b)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", b)
 		}
-		out = append(out, p.Name)
+		if !slices.Contains(out, p.Name) {
+			out = append(out, p.Name)
+		}
 	}
 	return out, nil
+}
+
+// conventionalWindow is the stage axis of a request that lists none. It
+// is never written.
+var conventionalWindow = []int{1}
+
+// windowStages is the request's stage axis: 0 folded to 1 as Normalize
+// does, without repeats.
+func (r SweepRequest) windowStages() []int {
+	if len(r.WindowStages) == 0 {
+		return conventionalWindow
+	}
+	stages := r.WindowStages
+	if slices.Contains(stages, 0) {
+		stages = slices.Clone(stages)
+		for i, st := range stages {
+			if st == 0 {
+				stages[i] = 1
+			}
+		}
+	}
+	return distinct(stages)
+}
+
+// distinct returns xs without repeats, keeping first occurrences, or xs
+// itself when nothing repeats. Its cost is linear in len(xs): a short
+// list is compared with itself, a longer one goes through a set.
+func distinct[T comparable](xs []T) []T {
+	const short = 32
+	if len(xs) <= short {
+		for i := 1; i < len(xs); i++ {
+			if slices.Contains(xs[:i], xs[i]) {
+				out := slices.Clone(xs[:i])
+				for _, x := range xs[i+1:] {
+					if !slices.Contains(out, x) {
+						out = append(out, x)
+					}
+				}
+				return out
+			}
+		}
+		return xs
+	}
+	seen := make(map[T]struct{}, len(xs))
+	out := make([]T, 0, len(xs))
+	for _, x := range xs {
+		if _, dup := seen[x]; !dup {
+			seen[x] = struct{}{}
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // Points expands the request into its distinct simulation points, in
 // deterministic (useful × window-stages × benchmark) order, each
 // normalized and validated. keys[i] is pts[i].Key(codeVersion).
 // Duplicate points (an explicit grid listing the same depth twice, or
-// two benchmark spellings of one profile) collapse onto one point.
+// two benchmark spellings of one profile) collapse onto one point: each
+// axis drops its repeats before the product is formed, so expansion is
+// linear in the request's list lengths, with one SHA-256 per distinct
+// point. When several things are wrong with a request, the error is the
+// one the first invalid point of the product would report, unless the
+// request expands past the point limit before reaching it.
 func (r SweepRequest) Points(codeVersion string, lim Limits) (pts []core.PointOptions, keys []string, err error) {
 	gridCap := lim.MaxPoints
 	if gridCap <= 0 {
@@ -146,52 +212,29 @@ func (r SweepRequest) Points(codeVersion string, lim Limits) (pts []core.PointOp
 	if err != nil {
 		return nil, nil, err
 	}
-	benches, err := r.benchmarks()
+	var benchBuf [32]string // room for the whole suite, on the stack
+	benches, err := r.benchmarks(benchBuf[:0])
 	if err != nil {
 		return nil, nil, err
-	}
-	stages := r.WindowStages
-	if len(stages) == 0 {
-		stages = []int{1}
 	}
 	if lim.MaxInstructions > 0 && r.Instructions > lim.MaxInstructions {
 		return nil, nil, fmt.Errorf("instructions %d exceeds the server limit %d", r.Instructions, lim.MaxInstructions)
 	}
-
-	seen := map[string]bool{}
-	for _, u := range grid {
-		for _, st := range stages {
-			for _, b := range benches {
-				o := core.PointOptions{
-					Machine:         r.Machine,
-					Benchmark:       b,
-					Useful:          u,
-					OverheadFO4:     r.OverheadFO4,
-					Window:          r.Window,
-					WindowStages:    st,
-					PreSelect:       r.PreSelect,
-					NaivePipelining: r.NaivePipelining,
-					Instructions:    r.Instructions,
-					Warmup:          r.Warmup,
-					Seed:            r.Seed,
-				}.Normalize()
-				if err := o.Validate(); err != nil {
-					return nil, nil, err
-				}
-				k := o.Key(codeVersion)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				pts = append(pts, o)
-				keys = append(keys, k)
-				if lim.MaxPoints > 0 && len(pts) > lim.MaxPoints {
-					return nil, nil, fmt.Errorf("request expands to more than %d points (limit); narrow the grid", lim.MaxPoints)
-				}
-			}
-		}
+	g := core.PointGrid{Useful: distinct(grid), Stages: r.windowStages(), Benchmarks: benches}
+	pts, keys, err = g.Points(core.PointOptions{
+		Machine:         r.Machine,
+		OverheadFO4:     r.OverheadFO4,
+		Window:          r.Window,
+		PreSelect:       r.PreSelect,
+		NaivePipelining: r.NaivePipelining,
+		Instructions:    r.Instructions,
+		Warmup:          r.Warmup,
+		Seed:            r.Seed,
+	}, codeVersion, lim.MaxPoints)
+	if errors.Is(err, core.ErrTooManyPoints) {
+		return nil, nil, fmt.Errorf("request expands to more than %d points (limit); narrow the grid", lim.MaxPoints)
 	}
-	return pts, keys, nil
+	return pts, keys, err
 }
 
 // PointResult is one NDJSON line of a sweep response. The line for a

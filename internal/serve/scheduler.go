@@ -145,9 +145,10 @@ type admitStats struct {
 
 // admit classifies each point of one request against the cache and the
 // in-flight registry, enqueues the genuinely new ones, and returns one
-// ticket per point in request order. keys[i] must be pts[i].Key(version)
-// and the (pts, keys) pair must already be deduplicated; origin is the
-// requester's trace ID, carried by each newly created job. When
+// ticket per point in request order. Each point must be normalized,
+// keys[i] must be pts[i].Key(version) and the (pts, keys) pair must
+// already be deduplicated, as SweepRequest.Points returns them. origin
+// is the requester's trace ID, carried by each newly created job. When
 // admitting would push the queue past its depth limit nothing is
 // enqueued and ErrQueueFull is returned.
 func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string) ([]ticket, admitStats, error) {
@@ -265,8 +266,8 @@ type traceIdent struct {
 	seed  uint64
 }
 
+// identOf reads the trace identity of a normalized point.
 func identOf(o core.PointOptions) traceIdent {
-	o = o.Normalize()
 	return traceIdent{bench: o.Benchmark, n: o.Instructions, seed: o.Seed}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cacti"
 	"repro/internal/config"
-	"repro/internal/fo4"
 )
 
 // Model holds the wire-delay calibration.
@@ -39,18 +38,6 @@ type Model struct {
 var Default100nm = Model{
 	FO4PerMm: 2.0,
 	Area:     cacti.DefaultArea100nm,
-}
-
-// ScaledTo returns the model at another technology node: wire delay per
-// millimetre grows roughly inversely with feature size relative to 100nm
-// (transistors speed up, repeated wires barely do), while a fixed
-// microarchitecture's distances shrink linearly — the two effects cancel
-// to first order, which is the paper's §7 argument.
-func (m Model) ScaledTo(t fo4.Tech) Model {
-	scale := 100.0 / t.Nanometers
-	out := m
-	out.FO4PerMm = m.FO4PerMm * scale
-	return out
 }
 
 // Distances are the centre-to-centre communication distances (mm) between

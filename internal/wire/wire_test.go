@@ -38,19 +38,6 @@ func TestPenaltiesScaleWithWireModel(t *testing.T) {
 	}
 }
 
-func TestScaledToKeepsFixedDesignDelayRoughlyConstant(t *testing.T) {
-	// The paper's §7 argument: in a fixed microarchitecture, wire lengths
-	// shrink linearly with feature size while wire delay per mm grows
-	// inversely, so absolute wire delay is constant — and in FO4 (which
-	// also shrinks linearly in time), wire delay grows as 1/scale only
-	// through the per-mm term, cancelling the shrinking distances.
-	m100 := Default100nm
-	m50 := Default100nm.ScaledTo(fo4.Tech{Nanometers: 50})
-	if ratio := m50.FO4PerMm / m100.FO4PerMm; math.Abs(ratio-2) > 1e-9 {
-		t.Errorf("wire FO4/mm scaling to 50nm = %.2f, want 2.0", ratio)
-	}
-}
-
 func TestApplyToTimingAddsCycles(t *testing.T) {
 	mc := config.Alpha21264()
 	clk := fo4.Clock{Useful: 6, Overhead: fo4.PaperOverhead}
