@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // Microbenchmarks for the simulator hot loop: one RunWith per iteration
@@ -62,4 +64,45 @@ func BenchmarkRunInOrder(b *testing.B) {
 	benchRun(b, func(p *Params) {
 		p.Machine.InOrder = true
 	})
+}
+
+// gridSink keeps BenchmarkDepthGrid's runs observable to the compiler.
+var gridSink Stats
+
+// BenchmarkDepthGrid times the core loop the way a paper figure drives
+// it: every depth from 2 to 16 FO4 for each of benchMixes, 12 000
+// instructions a point, in GeometryOrder on one Scratch warmed before
+// the timer starts. One op is the whole 45-point grid; ns/inst divides
+// its time by the instructions it simulates.
+func BenchmarkDepthGrid(b *testing.B) {
+	const n = 12000
+	traces := make([]*trace.Trace, len(benchMixes))
+	for i, name := range benchMixes {
+		prof, ok := trace.ByName(name)
+		if !ok {
+			b.Fatalf("no profile %s", name)
+		}
+		traces[i] = prof.Generate(n, 1)
+	}
+	params := make([]Params, 0, 15)
+	for u := 2; u <= 16; u++ {
+		params = append(params, paramsAt(float64(u)))
+	}
+	order := GeometryOrder(params)
+	scratch := NewScratch()
+	grid := func() {
+		for _, tr := range traces {
+			for _, i := range order {
+				gridSink = RunWith(params[i], tr, scratch)
+			}
+		}
+	}
+	grid()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grid()
+	}
+	insts := float64(b.N) * float64(len(traces)*len(params)*n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/insts, "ns/inst")
 }

@@ -18,8 +18,9 @@ import (
 // alternating the two traces from point to point and the geometries in
 // the table's order, so its memory template is re-prewarmed on every
 // trace change and its window rings (sized by the shorter of the
-// machine's in-flight bound and the trace) and waiter lists are reused
-// across lengths and machines. Every run must equal that point run on
+// machine's in-flight bound and the trace), issue-queue bitmaps, waiter
+// lists and ready-time wheel (sized by the lane's longest latency) are
+// reused across lengths and machines. Every run must equal that point run on
 // a fresh Scratch, and obey:
 //
 //   - BranchLookups equals the trace's branch count;
@@ -31,6 +32,7 @@ import (
 func FuzzScratchReuse(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 2, 16, 5, 14, 2, 63, 4, 32, 0}, []byte("\x06\x81\x00\x12\x08\x00\x80\x03\x07\x01\x02\xff\x00\x02\x81\x40"))
 	f.Add([]byte{0, 9, 21, 10, 1, 42, 3, 37, 0}, []byte("loads, stores and branches over a short trace"))
+	f.Add([]byte{14, 0, 1, 0, 1, 0x44, 14, 2, 0, 3, 4, 0x40}, []byte("\x06\x81\x80\x10\x00\x00\x80\x00\x06\x81\x80\x7f\x02\x00\x81\x00\x06\x00\x85\xff\x00\x00\x00\x00\x08\x81\x80\x01\x03\x01\x80\x00"))
 	f.Fuzz(func(t *testing.T, lanes, insts []byte) {
 		params := fuzzLanes(lanes)
 		if len(params) == 0 || len(insts) < 4 {
@@ -97,7 +99,11 @@ func FuzzScratchReuse(f *testing.F) {
 // fuzzLanes decodes up to six points, three bytes each: the useful FO4
 // (2..16); window stages 1/2/4, pre-selection, naive pipelining, the
 // in-order core and a doubled L1 (a second geometry); and the three
-// critical-loop extensions, 0..3 cycles each.
+// critical-loop extensions, 0..3 cycles each, where bit 6 of the third
+// byte adds 1024 cycles to the load-use loop. That lane's ready-time
+// wheel (2048 buckets) outgrows every other lane's (at most 1024, at
+// 2 FO4), so a Scratch running it between other lanes grows its wheel
+// and then runs on a prefix of it.
 func fuzzLanes(b []byte) []Params {
 	var ps []Params
 	for ; len(b) >= 3 && len(ps) < 6; b = b[3:] {
@@ -113,7 +119,7 @@ func fuzzLanes(b []byte) []Params {
 			WindowStages:    [3]int{1, 2, 4}[b[1]%3],
 			NaivePipelining: b[1]&8 != 0,
 			ExtraWakeup:     int(b[2] & 3),
-			ExtraLoadUse:    int(b[2] >> 2 & 3),
+			ExtraLoadUse:    int(b[2]>>2&3) + int(b[2]>>6&1)<<10,
 			ExtraMispredict: int(b[2] >> 4 & 3),
 		}
 		if b[1]&4 != 0 {

@@ -19,10 +19,10 @@
 //     refill the front end, whose depth grows with clock frequency.
 //
 // Section 5's segmented instruction window is modeled structurally: tags
-// walk one window segment per cycle, the window compacts oldest-first each
-// cycle, and the partitioned selection scheme (Figure 12) limits how many
-// instructions the upper stages may pre-select, one cycle ahead of the
-// final selection.
+// walk one window segment per cycle, the window collapses oldest-first
+// each cycle, and the partitioned selection scheme (Figure 12) limits how
+// many instructions the upper stages may pre-select, one cycle ahead of
+// the final selection.
 //
 // The simulated machine broadcasts a completing tag to every window entry
 // each issue; the simulator itself does not. Dispatch registers each
@@ -31,9 +31,15 @@
 // consumers, at the same segment-resolved cycle the broadcast would have
 // delivered — event-driven simulation of a broadcast-structured machine,
 // with Stats counters (WakeupWakes vs. WakeupScanned) recording the work
-// avoided. The waiter lists and all other steady-state bookkeeping live in
-// a reusable Scratch, so a run allocates nothing per cycle and a trace
-// carries nothing but its instruction columns.
+// avoided. The simulator never moves a window entry either: an entry's
+// state stays in its instruction's slot of the window ring, each queue is
+// a bitmap over those slots walked from the commit head (so ring order is
+// age order, and an entry's position in the collapsing window is the count
+// of older residents), and a ready-time wheel files each scheduled entry
+// under the cycle its operands become visible, so selection visits only
+// ready entries. The waiter lists, the wheel and all other steady-state
+// bookkeeping live in a reusable Scratch, so a run allocates nothing per
+// cycle and a trace carries nothing but its instruction columns.
 package pipeline
 
 import (
@@ -144,17 +150,16 @@ func RunWith(p Params, tr *trace.Trace, s *Scratch) Stats {
 
 const pending = math.MaxInt64
 
-// winEntry is one issue-window slot's cold state. Its readiness lives in
-// the queue's parallel ready array (one timestamp per slot) so the
-// selection scan touches eight bytes per entry and only selectable
-// entries load the rest: acc accumulates the max wake time of the
-// operands scheduled so far and becomes the ready timestamp when the
-// last producer delivers.
-type winEntry struct {
-	acc         int64 // max wake time over the operands scheduled so far
-	idx         int32 // trace index
-	src1, src2  int32 // producer indices still awaited (-1 once resolved)
-	preSelected bool  // latched by a pre-selection block (Figure 12)
+// winSlot is one in-flight instruction's issue-window state, kept on the
+// window ring beside its timestamps: acc accumulates the max wake time of
+// the operands scheduled so far and becomes the cycle the entry is
+// selectable once its last producer delivers, src1 and src2 are the
+// producers still awaited (-1 once resolved), and next links the entry
+// into its ready-time wheel bucket (see readyWheel).
+type winSlot struct {
+	acc        int64
+	src1, src2 int32
+	next       int32
 }
 
 func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
@@ -174,19 +179,6 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	// the trace was (see trace.Columns) and shared by every run of it.
 	cols := tr.Columns()
 	flags, dep1s, dep2s, addrs := cols.Flags, cols.Dep1, cols.Dep2, cols.Addr
-
-	// Issue queues: the 21264's separate integer and floating-point queues
-	// by default, or one shared window when UnifiedWindow is set (the
-	// Section 5 experiments use a unified 32-entry window). Segmentation
-	// divides each queue into equal stages.
-	queues := scr.queues(m, stages)
-	intQ := queues[0]
-	fpQ := queues[len(queues)-1] // same queue as intQ when unified
-	nq := len(queues)
-	// qpair picks an instruction's queue branch-free: trace.FlagFP is bit
-	// 0, so flags[i]&trace.FlagFP is directly the index (both slots alias
-	// the shared window when unified).
-	qpair := [2]*issueQueue{intQ, fpQ}
 
 	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
@@ -208,8 +200,23 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	// resolveOperand), and commit never passes fetch.
 	ringMask := scr.window(n, m.ROB+frontCap)
 	ring := int32(ringMask)
-	times := scr.times       // paired data/complete timestamps (see instTimes)
-	queuePos := scr.queuePos // issue-queue position while resident
+	times := scr.times // paired data/complete timestamps (see instTimes)
+	slots := scr.slots // issue-window state (see winSlot)
+
+	// Issue queues: the 21264's separate integer and floating-point queues
+	// by default, or one shared window when UnifiedWindow is set (the
+	// Section 5 experiments use a unified 32-entry window). Each is a set
+	// of ring slots (see issueQueue), so age order is ring order from the
+	// commit head's slot and no entry ever moves.
+	queues := scr.queues(m, stages, ringMask+1)
+	intQ := queues[0]
+	fpQ := queues[len(queues)-1] // same queue as intQ when unified
+	nq := len(queues)
+	// qpair picks an instruction's queue branch-free: trace.FlagFP is bit
+	// 0, so flags[i]&trace.FlagFP is directly the index (both slots alias
+	// the shared window when unified).
+	qpair := [2]*issueQueue{intQ, fpQ}
+
 	// Waiter lists: who in the window awaits each instruction's result.
 	// They let issue wake a producer's actual consumers directly instead
 	// of re-scanning every window entry per issued instruction. The node
@@ -223,6 +230,15 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	if p.NaivePipelining {
 		wakeLoop = int64(stages) + int64(p.ExtraWakeup)
 	}
+	segmented := stages > 1 && !p.NaivePipelining
+	// The ready-time wheel must reach the furthest cycle an entry can be
+	// scheduled for: a result's latency or the wakeup loop, whichever is
+	// longer, plus the tag's walk up a segmented window.
+	span := max(lat.maxLatency(), wakeLoop)
+	if segmented {
+		span += int64(stages - 1)
+	}
+	wheel := scr.readyWheel(span)
 
 	// Frontend queue between fetch and dispatch: fetch and dispatch both
 	// walk the trace in order, so the queue is the index range
@@ -233,18 +249,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 	stats := Stats{}
 
 	selected := scr.selScratch(m.IntIssue + m.FPIssue)
-	// Partitioned selection latches entries one cycle ahead of issue, so
-	// its queues must be scanned every cycle; everywhere else the
-	// next-ready bound lets stall cycles skip the selection scan.
+	// Partitioned selection latches entries one cycle ahead of issue.
 	preSel := p.PreSelect != nil && stages > 1
-	segmented := stages > 1 && !p.NaivePipelining
-	// Lazy compaction defers the removal of issued entries until the queue
-	// arrays' slack is exhausted (see issueQueue.compact). It is valid
-	// exactly when entry positions carry no semantics: single-segment
-	// windows and naive pipelining wake every consumer with segment 0, and
-	// partitioned selection is position-addressed, so segmented
-	// non-preselect machines compact eagerly every issuing cycle.
-	lazy := !preSel && (stages == 1 || p.NaivePipelining)
 	var quota []int
 	if preSel {
 		quota = scr.quotaScratch(stages)
@@ -269,7 +275,6 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		warmIdx = 0
 	}
 
-	// issueBudget per class cluster, reset each cycle.
 	for head < n {
 		// ---- Commit: oldest first, up to CommitWidth, completed only.
 		committed := 0
@@ -288,77 +293,68 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			}
 		}
 
-		// ---- Selection and issue. Pre-selection latches (Figure 12) were
-		// set at the end of the previous cycle via preSelected flags.
-		// Queue occupancy is constant until issue removes entries, so the
-		// per-cycle occupancy and the per-issue broadcast-scan size are
-		// one sum up front.
+		// ---- Selection and issue. The entries whose operands become
+		// visible this cycle leave the wheel for their queues' ready sets,
+		// so selection walks only selectable entries, oldest first from
+		// the head's slot. Pre-selection latches (Figure 12) were set at
+		// the end of the previous cycle. Queue occupancy is constant until
+		// issue removes entries, so the per-cycle occupancy and the
+		// per-issue broadcast-scan size are one sum up front.
+		if b := int(cycle) & wheel.mask; wheel.busy[b>>6]&(1<<uint(b&63)) != 0 {
+			wheel.drain(b, slots, ring, flags, &qpair)
+		}
+		hs := head & ringMask
 		resident := intQ.live
 		if nq == 2 {
 			resident += fpQ.live
 		}
 		stats.SumWindowOcc += uint64(resident)
 		intBudget, fpBudget := m.IntIssue, m.FPIssue
-		mixed := nq == 1 // the unified window holds both classes
-		var issuedFrom [2]bool
+		issued := selected[:0]
 		for qi := 0; qi < nq; qi++ {
 			q := qpair[qi&1]
-			if !preSel && cycle < q.nextReady {
-				continue // provably nothing selectable this cycle
+			if q.nReady == 0 {
+				continue // nothing selectable this cycle
 			}
-			var issued []int32
-			if !preSel && !mixed {
-				// Split-queue scan, inlined: this is the simulator's
-				// hottest edge (it runs for every queue on every non-gated
-				// cycle), and keeping it in the loop body spares a call and
-				// its argument traffic. A split queue holds one class, so
-				// the scan charges a single budget without consulting the
-				// per-instruction flags, and once that budget is gone it
-				// ends with the (always valid) cycle+1 bound. The golden
-				// grid, TestReferenceGolden and FuzzReference pin it.
-				sel := selected[:0]
-				nextReady := int64(pending)
+			from := len(issued)
+			if preSel || nq == 1 {
+				issued, intBudget, fpBudget = q.selectMixed(issued, flags, preSel, head, hs, ringMask, intBudget, fpBudget)
+			} else {
+				// A split queue, inlined: this is the simulator's hottest
+				// edge. The queue holds one class, so its oldest ready
+				// entries issue up to the class's budget, and the walk
+				// from the head's slot stops at the last of them. Taken
+				// bits are cleared as the walk goes, so a walk that wraps
+				// back into the head's word finds only the slots below
+				// the head there.
 				budget := intBudget
 				if qi == 1 {
 					budget = fpBudget
 				}
-				ready := q.ready
-			scan:
-				for k, w := range q.sched[:uint(len(ready)+63)>>6] {
-					for w != 0 {
-						wi := k<<6 + bits.TrailingZeros64(w)
-						w &= w - 1
-						if r := ready[wi]; r > cycle {
-							if r < nextReady {
-								nextReady = r
-							}
-							continue
+				take := min(budget, q.nReady)
+				rb := q.ready
+				wi := hs >> 6
+				w := rb[wi] &^ (1<<uint(hs&63) - 1)
+				for k := take; k > 0; k-- {
+					for w == 0 {
+						if wi++; wi == len(rb) {
+							wi = 0
 						}
-						if budget == 0 {
-							nextReady = cycle + 1
-							break scan
-						}
-						budget--
-						sel = append(sel, q.entries[wi].idx)
+						w = rb[wi]
 					}
+					bit := w & -w
+					w ^= bit
+					rb[wi] ^= bit
+					issued = append(issued, int32(head+(wi<<6+bits.TrailingZeros64(bit)-hs)&ringMask))
 				}
+				q.nReady -= take
 				if qi == 1 {
-					fpBudget = budget
+					fpBudget -= take
 				} else {
-					intBudget = budget
+					intBudget -= take
 				}
-				q.nextReady = nextReady
-				issued = sel
-			} else {
-				var nextReady int64
-				issued, nextReady, intBudget, fpBudget = issueSelect(flags, q, cycle, intBudget, fpBudget, preSel, selected[:0])
-				q.nextReady = nextReady
 			}
-			stats.SumIssued += uint64(len(issued))
-			if len(issued) > 0 {
-				issuedFrom[qi] = true
-			}
-			for _, idx := range issued {
+			for _, idx := range issued[from:] {
 				// Non-memory instructions resolve to a fixed per-class
 				// latency; only loads and stores pay the call into the
 				// cache hierarchy.
@@ -369,25 +365,17 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 					completeLat = lat.latency(f, uint64(addrs[idx]), &stats)
 				}
 				d := cycle + max(completeLat, wakeLoop)
-				times[idx&ring] = instTimes{data: d, complete: cycle + completeLat}
+				slot := idx & ring
+				times[slot] = instTimes{data: d, complete: cycle + completeLat}
 				if idx == fetchBlock {
 					fetchResume = cycle + completeLat + extraMisp
 				}
-				// Tombstone the issued entry; compaction removes it either
-				// this cycle (eager) or when the arrays fill (lazy). Its
-				// ready slot goes to pending so the selection scan skips
-				// it, its operands were already resolved (src fields are
-				// -1), so no same-cycle consumer walk can match it.
-				slot := idx & ring
-				pos := queuePos[slot] & qposMask
-				q.entries[pos].idx = -1
-				q.ready[pos] = pending
-				q.sched[pos>>6] &^= 1 << uint(pos&63)
 				q.live--
-				if int(pos) < q.firstGap {
-					q.firstGap = int(pos)
+				// The issued entry leaves its queue; a segmented window
+				// still counts it until the issue phase ends (below).
+				if !segmented {
+					q.resident[slot>>6] &^= 1 << uint(slot&63)
 				}
-				queuePos[slot] = -1
 				// Wakeup. The machine broadcasts the completing tag across
 				// every window entry; the simulator walks idx's waiter list
 				// and delivers to the entries that registered on it at
@@ -398,68 +386,62 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				// cycles later (stage 1 sees it immediately, preserving
 				// back-to-back issue for the oldest instructions). d always
 				// lands beyond the current cycle, and delivery only takes
-				// maxima, minima and bit-sets, so neither delivery order
-				// nor list order can change a schedule — exactly like the
-				// broadcast scan this replaces.
+				// maxima and files entries by their ready cycle, so neither
+				// delivery order nor list order can change a schedule —
+				// exactly like the broadcast scan this replaces.
 				stats.WakeupScanned += uint64(resident)
 				for nd := waitHead[slot]; nd >= 0; {
 					node := &waiters[nd]
 					c, next := node.consumer, node.next
 					node.next, waitFree, nd = waitFree, nd, next
-					pq := queuePos[c&ring]
-					// queuePos carries the consumer's queue in its high
-					// bit, so delivery needs no second lookup into flags.
-					dq := qpair[pq>>qposQueueShift]
-					pos := pq & qposMask
-					e := &dq.entries[pos]
-					seg := int64(0)
+					e := &slots[c&ring]
+					if e.src1 != idx && e.src2 != idx {
+						// The second registration of a consumer whose two
+						// operands share this producer: the first resolved
+						// both, and filed the entry once.
+						continue
+					}
+					w := d
 					if segmented {
-						seg = int64(int(pos) / dq.segSize)
+						dq := qpair[flags[c]&trace.FlagFP]
+						w += int64(dq.rank(hs, int(c&ring)) / dq.segSize)
 					}
 					if e.src1 == idx {
-						if w := d + seg; w > e.acc {
-							e.acc = w
-						}
+						e.acc = max(e.acc, w)
 						e.src1 = -1
 						stats.WakeupWakes++
 					}
 					if e.src2 == idx {
-						if w := d + seg; w > e.acc {
-							e.acc = w
-						}
+						e.acc = max(e.acc, w)
 						e.src2 = -1
 						stats.WakeupWakes++
 					}
 					if e.src1 == -1 && e.src2 == -1 {
-						// Fully scheduled: the entry becomes selectable
-						// once both operands are visible; lower the
-						// queue's next-ready bound to match.
-						dq.ready[pos] = e.acc
-						dq.sched[pos>>6] |= 1 << uint(pos&63)
-						if e.acc < dq.nextReady {
-							dq.nextReady = e.acc
-						}
+						// Fully scheduled: the entry waits in the wheel
+						// until both operands are visible.
+						wheel.insert(c, e.acc, slots, ring)
 					}
 				}
 				waitHead[slot] = -1
 			}
 		}
-		// Remove issued entries (the paper's collapsing window). Machines
-		// whose entry positions carry semantics compact every issuing
-		// cycle; everyone else defers to dispatch, which compacts only
-		// when a queue's array slack runs out.
-		if !lazy {
-			for qi := 0; qi < nq; qi++ {
-				if issuedFrom[qi] {
-					qpair[qi&1].compact(queuePos, ring, int32(qi&1)<<qposQueueShift)
-				}
+		stats.SumIssued += uint64(len(issued))
+		if segmented {
+			// The issue phase is over, and the issued entries leave
+			// their queues (the paper's collapsing window). In a
+			// segmented window they held their places until now, so
+			// every wakeup this cycle saw the segment positions the
+			// window had when the cycle began.
+			for _, idx := range issued {
+				slot := idx & ring
+				qpair[flags[idx]&trace.FlagFP].resident[slot>>6] &^= 1 << uint(slot&63)
 			}
 		}
 
 		// ---- Pre-selection for next cycle (Figure 12).
 		if preSel {
 			for _, q := range queues {
-				markPreSelections(p.PreSelect, q, cycle, stages, quota)
+				q.markPreSelections(p.PreSelect, quota, hs)
 			}
 		}
 
@@ -473,8 +455,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				break
 			}
 			di := int32(dispIdx)
-			qsel := flags[di] & trace.FlagFP
-			q := qpair[qsel]
+			q := qpair[flags[di]&trace.FlagFP]
 			if q.live >= q.cap {
 				stats.WindowFullStalls++
 				capStall = &stats.WindowFullStalls
@@ -485,12 +466,9 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				capStall = &stats.ROBFullStalls
 				break
 			}
-			if len(q.entries) == cap(q.entries) {
-				// Lazy mode: the array's slack is spent on tombstones
-				// (live < cap guarantees there are some); reclaim it.
-				q.compact(queuePos, ring, int32(qsel)<<qposQueueShift)
-			}
-			e := winEntry{idx: di, src1: -1, src2: -1}
+			slot := di & ring
+			e := &slots[slot]
+			*e = winSlot{src1: -1, src2: -1}
 			w1 := resolveOperand(trace.Producer(di, dep1s[di]), head, times, ring, cycle, &e.src1)
 			w2 := resolveOperand(trace.Producer(di, dep2s[di]), head, times, ring, cycle, &e.src2)
 			if e.src1 == -1 && e.acc < w1 {
@@ -516,25 +494,18 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				waiters[nd] = waiter{consumer: di, next: waitHead[src&ring]}
 				waitHead[src&ring] = nd
 			}
-			readyAt := int64(pending)
-			scheduled := e.src1 == -1 && e.src2 == -1
-			if scheduled {
-				// Dispatched fully scheduled: it can issue once both
-				// operands are visible, no earlier than the next cycle
-				// (dispatch follows this cycle's selection).
-				readyAt = e.acc
-				c := max(e.acc, cycle+1)
-				if c < q.nextReady {
-					q.nextReady = c
+			if e.src1 == -1 && e.src2 == -1 {
+				// Dispatched fully scheduled. Dispatch follows this
+				// cycle's selection, so the entry can issue next cycle at
+				// the earliest: if its operands are visible by then it is
+				// ready now, otherwise it waits in the wheel.
+				if e.acc <= cycle+1 {
+					q.setReady(int(slot))
+				} else {
+					wheel.insert(di, e.acc, slots, ring)
 				}
 			}
-			pos := len(q.entries)
-			queuePos[di&ring] = int32(pos) | int32(qsel)<<qposQueueShift
-			q.entries = append(q.entries, e)
-			q.ready = append(q.ready, readyAt)
-			if scheduled {
-				q.sched[pos>>6] |= 1 << uint(pos&63)
-			}
+			q.resident[slot>>6] |= 1 << uint(slot&63)
 			q.live++
 			dispIdx++
 			dispatchedNow++
@@ -551,9 +522,9 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		}
 		fetched := false
 		if fetchBlock < 0 {
-			slots := m.FetchWidth
+			room := m.FetchWidth
 			arrive := cycle + int64(frontDepth)
-			for slots > 0 && fetchIdx < n && fetchIdx-dispIdx < frontCap {
+			for room > 0 && fetchIdx < n && fetchIdx-dispIdx < frontCap {
 				fetched = true
 				ff := flags[fetchIdx]
 				// Claiming the slot resets it: its previous occupant
@@ -561,7 +532,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				slot := fetchIdx & ringMask
 				fetchReady[slot] = arrive
 				times[slot] = instTimes{data: pending, complete: pending}
-				slots--
+				room--
 				if ff&trace.FlagBranch != 0 {
 					stats.BranchLookups++
 					if ff&trace.FlagMispredict != 0 && !perfectBranches {
@@ -600,32 +571,27 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		// ---- Idle fast-forward. A cycle that committed, issued,
 		// dispatched, fetched and resumed nothing leaves no state behind
 		// but the cycle counter, and the next cycle anything *can* happen
-		// is bounded below by known timestamps: the ROB head's completion
-		// (commit), each queue's next-ready bound (issue — a true lower
-		// bound, see issueSelect), the frontend queue's head arrival
-		// (dispatch), and the blocking branch's resolution (fetch). A
-		// dispatch blocked on window or ROB space has an arrived head and
-		// waits on an issue or commit instead, which the first two bounds
-		// cover; it charges its stall counter once per skipped cycle.
-		// Jumping to the earliest bound skips exactly the cycles the loop
-		// would have walked through doing nothing — mispredict stalls,
-		// long memory waits and full windows — after accounting their
-		// per-cycle statistics in bulk.
+		// is known from timestamps: the ROB head's completion (commit),
+		// the wheel's first non-empty bucket (issue — a cycle that issued
+		// nothing left no queue a ready entry), the frontend queue's head
+		// arrival (dispatch), and the blocking branch's resolution
+		// (fetch). A dispatch blocked on window or ROB space has an
+		// arrived head and waits on an issue or commit instead, which the
+		// first two bounds cover; it charges its stall counter once per
+		// skipped cycle. Jumping to the earliest bound skips exactly the
+		// cycles the loop would have walked through doing nothing —
+		// mispredict stalls, long memory waits and full windows — after
+		// accounting their per-cycle statistics in bulk. No wheel bucket
+		// is skipped: the first non-empty one bounds the jump.
 		// Partitioned selection couples consecutive cycles through its
 		// latches, so it never skips.
 		if committed == 0 && dispatchedNow == 0 && !fetched && !resumed &&
-			!issuedFrom[0] && !issuedFrom[1] && !preSel {
-			next := int64(pending)
+			len(issued) == 0 && !preSel {
+			next := wheel.next(cycle)
 			if head < fetchIdx {
-				if c := times[head&ringMask].complete; c != pending {
+				if c := times[head&ringMask].complete; c != pending && c+1 < next {
 					next = c + 1
 				}
-			}
-			if intQ.nextReady < next {
-				next = intQ.nextReady
-			}
-			if nq == 2 && fpQ.nextReady < next {
-				next = fpQ.nextReady
 			}
 			if dispIdx < fetchIdx && capStall == nil {
 				if r := fetchReady[dispIdx&ringMask]; r < next {
@@ -689,255 +655,219 @@ func resolveOperand(src int32, head int, times []instTimes, ring int32, cycle in
 	return pending
 }
 
-// issueQueue is one issue window (or one of the 21264's two queues),
-// kept as parallel arrays: ready holds each slot's selection timestamp
-// (the cycle both operands are visible, or pending while any operand
-// still awaits its producer's wakeup) and entries the per-slot cold
-// state, so the per-cycle selection scan walks a dense timestamp array.
+// issueQueue is one issue window (or one of the 21264's two queues) as
+// sets of window-ring slots, one bit per slot: resident holds the
+// instructions sitting in the queue, ready those selectable this cycle
+// (both operands visible), and latched those a pre-selection block
+// latched last cycle (Figure 12). Every resident instruction lies in
+// [head, head+ring), so walking a set from the commit head's slot visits
+// it oldest first, and an entry's position in the machine's collapsing
+// window is the count of resident slots before it on that walk (see
+// rank). Dispatch sets a bit and issue clears one; no entry ever moves.
 type issueQueue struct {
-	ready   []int64
-	entries []winEntry
+	resident, ready, latched []uint64
+
+	live    int // resident entries: the occupancy capacity stalls check
+	nReady  int // ready entries; selection skips the queue at 0
 	cap     int
 	segSize int // entries per wakeup segment
-
-	// live counts the resident (non-tombstone) entries; it is the queue's
-	// occupancy for capacity stalls and window-occupancy statistics. With
-	// eager compaction live == len(entries) between cycles; with lazy
-	// compaction issued entries linger as tombstones until the array's
-	// slack runs out, so len(entries) overcounts.
-	live int
-
-	// firstGap is the oldest tombstoned slot, the position compaction can
-	// start rewriting from (entries below it never move). intMax while the
-	// queue has no tombstones.
-	firstGap int
-
-	// sched holds one bit per slot, set while the slot's entry is fully
-	// scheduled (both operands resolved, ready[slot] != pending) — the
-	// selection candidates. The per-cycle scan walks set bits instead of
-	// every slot, so entries still awaiting a producer and tombstones cost
-	// nothing. Maintained at dispatch, wakeup delivery, issue and
-	// compaction; the partitioned-selection scan ignores it (its latches,
-	// not readiness, gate eligibility beyond stage 1).
-	sched []uint64
-
-	// nextReady is a lower bound on the next cycle at which any resident
-	// entry could issue; while cycle < nextReady the selection scan is
-	// skipped entirely (see issueSelect for how the bound is maintained).
-	// It is advisory-low only — a stale small value costs a wasted scan,
-	// never a changed schedule — and is ignored under partitioned
-	// selection, whose latches couple consecutive cycles.
-	nextReady int64
 }
 
-const intMax = int(^uint(0) >> 1)
-
-// queuePos slots pack the instruction's queue into one high bit next to
-// its position, so wakeup delivery resolves a consumer's queue and slot
-// with the single queuePos load (-1, the absent marker, stays negative).
-const (
-	qposQueueShift = 30
-	qposMask       = 1<<qposQueueShift - 1
-)
-
-// reset configures the queue for a run, reusing the entry storage. The
-// arrays carry a slack of one extra capacity so lazy compaction runs once
-// per ~capacity dispatches instead of once per issuing cycle.
-func (q *issueQueue) reset(capacity, stages int) {
-	if cap(q.entries) < 2*capacity {
-		q.entries = make([]winEntry, 0, 2*capacity)
-		q.ready = make([]int64, 0, 2*capacity)
+// reset configures the queue for a run over a window ring of ringSize
+// slots, reusing its bitmap storage.
+func (q *issueQueue) reset(capacity, stages, ringSize int) {
+	words := (ringSize + 63) / 64
+	if cap(q.resident) < words {
+		q.resident = make([]uint64, words)
+		q.ready = make([]uint64, words)
+		q.latched = make([]uint64, words)
 	}
-	q.entries = q.entries[:0]
-	q.ready = q.ready[:0]
-	if words := (cap(q.entries) + 63) / 64; len(q.sched) < words {
-		q.sched = make([]uint64, words)
-	}
-	for i := range q.sched {
-		q.sched[i] = 0
-	}
+	q.resident, q.ready, q.latched = q.resident[:words], q.ready[:words], q.latched[:words]
+	clear(q.resident)
+	clear(q.ready)
+	clear(q.latched)
 	q.cap = capacity
 	q.segSize = (capacity + stages - 1) / stages
 	q.live = 0
-	q.firstGap = intMax
-	q.nextReady = 0
+	q.nReady = 0
 }
 
-// compact rewrites the queue's arrays without the tombstones of issued
-// entries, restoring live == len(entries). Entries keep their relative
-// (age) order; slots older than the first gap keep their positions, so
-// the rewrite starts there. This is the paper's collapsing window: under
-// eager compaction (segmented wakeup, whose visibility segments are
-// position-dependent) it runs every issuing cycle; under lazy compaction
-// it runs only when the array's slack is exhausted, amortizing the copies
-// over ~capacity dispatches. qbit is the queue's qposQueueShift-encoded
-// identity, re-stamped on every rewritten queuePos slot (ring masks a
-// trace index to its slot).
-func (q *issueQueue) compact(queuePos []int32, ring, qbit int32) {
-	start := q.firstGap
-	if start >= len(q.entries) {
-		q.firstGap = intMax
-		return
-	}
-	// The scheduled bitmap is position-indexed: bits below start stay (those
-	// entries do not move), the rest are rebuilt in the same pass that
-	// assigns the new positions.
-	w0 := start >> 6
-	q.sched[w0] &= 1<<uint(start&63) - 1
-	for i := w0 + 1; i < len(q.sched); i++ {
-		q.sched[i] = 0
-	}
-	keep := q.entries[:start]
-	keepReady := q.ready[:start]
-	for wi := start; wi < len(q.entries); wi++ {
-		e := q.entries[wi]
-		if e.idx >= 0 {
-			pos := len(keep)
-			queuePos[e.idx&ring] = int32(pos) | qbit
-			keep = append(keep, e)
-			r := q.ready[wi]
-			keepReady = append(keepReady, r)
-			if r != pending {
-				q.sched[pos>>6] |= 1 << uint(pos&63)
-			}
-		}
-	}
-	q.entries = keep
-	q.ready = keepReady
-	q.firstGap = intMax
+// setReady adds slot s to the queue's ready set.
+func (q *issueQueue) setReady(s int) {
+	q.ready[s>>6] |= 1 << uint(s&63)
+	q.nReady++
 }
 
-// issueSelect picks the instructions to issue from one queue this cycle,
-// honouring the shared issue widths, the segmented-wakeup visibility times,
-// and (when enabled) the partitioned selection quotas. It appends the
-// selected trace indices to sel, oldest first, returning the filled slice
-// (caller-provided scratch; never allocates at steady state) and the
-// remaining budgets (taken and returned by value so the scan loop keeps
-// them in registers).
-//
-// The second result is the queue's next-ready bound: the earliest cycle
-// at which this queue could select anything, given what this scan saw. An
-// entry whose operands are both scheduled contributes their max wake
-// time; an entry that was ready but lost to a budget (it stays resident)
-// forces cycle+1; a scan cut short by budget exhaustion learns nothing
-// beyond cycle+1. Entries still awaiting a producer contribute nothing —
-// the wakeup delivery that schedules them lowers the queue's bound at
-// delivery time. Wake deliveries always land beyond the current cycle
-// (every resolved latency is at least one cycle), so the bound being a
-// true lower bound means skipped scans select exactly what a real scan
-// would have: nothing.
-//
-// The caller inlines the split-queue scan, so this serves the
-// pre-selection queues (preSel) and the unified window, whose entries
-// carry both classes and charge the budget their flags name.
-func issueSelect(flags []uint8, q *issueQueue, cycle int64,
-	intBudget, fpBudget int, preSel bool, sel []int32) ([]int32, int64, int, int) {
-
-	nextReady := int64(pending)
-	ready := q.ready
-	if preSel {
-		// Partitioned selection latches gate eligibility beyond stage 1,
-		// so the scan walks every slot the old-fashioned way. These
-		// queues compact eagerly: resident slots are always un-issued.
-		for wi := range ready {
-			if intBudget == 0 && fpBudget == 0 {
-				nextReady = cycle + 1
-				break
-			}
-			if r := ready[wi]; r > cycle {
-				if r < nextReady {
-					nextReady = r
-				}
-				continue
-			}
-			e := &q.entries[wi]
-			// Instructions beyond stage 1 are only eligible if a
-			// pre-selection block latched them last cycle.
-			if wi >= q.segSize && !e.preSelected {
-				nextReady = cycle + 1
-				continue
-			}
-			if flags[e.idx]&trace.FlagFP != 0 {
-				if fpBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				fpBudget--
-			} else {
-				if intBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				intBudget--
-			}
-			sel = append(sel, e.idx)
-		}
-		return sel, nextReady, intBudget, fpBudget
+// rank returns the number of resident entries older than the one in
+// slot s, hs being the head's slot: the entry's position in the machine's
+// window, which collapses oldest-first.
+func (q *issueQueue) rank(hs, s int) int {
+	if s < hs {
+		return countBits(q.resident, hs, len(q.resident)<<6) + countBits(q.resident, 0, s)
 	}
+	return countBits(q.resident, hs, s)
+}
 
-	// Sparse scan: only fully scheduled entries (sched bit set) can be
-	// selectable, and the bitmap walks them oldest-first. Entries still
-	// awaiting a producer contribute nothing to the next-ready bound (the
-	// wakeup delivery that schedules them lowers it at delivery time), and
-	// tombstones have no bit, so neither costs a slot visit.
-	for k, w := range q.sched[:uint(len(ready)+63)>>6] {
-		for w != 0 {
-			if intBudget == 0 && fpBudget == 0 {
-				return sel, cycle + 1, intBudget, fpBudget
+// selectMixed moves the entries to issue from a queue that holds both
+// classes (the unified window), or that partitioned selection gates, out
+// of its ready set and appends their trace indices to sel, oldest first:
+// each charges the budget its class names, and under partitioned
+// selection an entry beyond stage 1 is eligible only if a pre-selection
+// block latched it last cycle. It returns the remaining budgets.
+func (q *issueQueue) selectMixed(sel []int32, flags []uint8, preSel bool, head, hs, ringMask, intBudget, fpBudget int) ([]int32, int, int) {
+	it := ringOrder(q.ready, hs)
+	beyond := false // past stage 1: ranks only grow along the walk
+	for left := q.nReady; left > 0 && (intBudget > 0 || fpBudget > 0); left-- {
+		s := it.next()
+		if preSel && q.latched[s>>6]&(1<<uint(s&63)) == 0 {
+			if !beyond && q.rank(hs, s) >= q.segSize {
+				beyond = true
 			}
-			wi := k<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if r := ready[wi]; r > cycle {
-				if r < nextReady {
-					nextReady = r
-				}
+			if beyond {
 				continue
 			}
-			e := &q.entries[wi]
-			if flags[e.idx]&trace.FlagFP != 0 {
-				if fpBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				fpBudget--
-			} else {
-				if intBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				intBudget--
-			}
-			sel = append(sel, e.idx)
 		}
+		idx := int32(head + (s-hs)&ringMask)
+		if flags[idx]&trace.FlagFP != 0 {
+			if fpBudget == 0 {
+				continue
+			}
+			fpBudget--
+		} else {
+			if intBudget == 0 {
+				continue
+			}
+			intBudget--
+		}
+		q.ready[s>>6] &^= 1 << uint(s&63)
+		q.nReady--
+		sel = append(sel, idx)
 	}
-	return sel, nextReady, intBudget, fpBudget
+	return sel, intBudget, fpBudget
 }
 
 // markPreSelections implements the Figure 12 pre-selection blocks: each
 // stage beyond the first examines its ready instructions and latches up to
-// its quota for the selector to consider next cycle. quota is caller
-// scratch of at least stages slots, overwritten on every call.
-func markPreSelections(preSelect []int, q *issueQueue, cycle int64, stages int, quota []int) {
-	for s := 1; s < stages; s++ {
+// its quota for the selector to consider next cycle. An entry's stage is
+// its rank over the segment size; the walk visits only the ready set, from
+// the head's slot hs, so the oldest ready entries of a stage latch first.
+// quota is caller scratch of one slot per stage, overwritten on every call.
+func (q *issueQueue) markPreSelections(preSelect, quota []int, hs int) {
+	for s := 1; s < len(quota); s++ {
 		n := 0
 		if s-1 < len(preSelect) {
 			n = preSelect[s-1]
 		}
 		quota[s] = n
 	}
-	ready := q.ready
-	for wi := range q.entries {
-		e := &q.entries[wi]
-		s := wi / q.segSize
-		if s == 0 {
-			continue
-		}
-		e.preSelected = false
-		if s < stages && quota[s] > 0 && ready[wi] <= cycle {
-			e.preSelected = true
+	clear(q.latched)
+	it := ringOrder(q.ready, hs)
+	for k := q.nReady; k > 0; k-- {
+		slot := it.next()
+		if s := q.rank(hs, slot) / q.segSize; s > 0 && quota[s] > 0 {
+			q.latched[slot>>6] |= 1 << uint(slot&63)
 			quota[s]--
 		}
 	}
+}
+
+// ringWalk visits the set bits of a ring bitmap in ring order from a
+// starting slot: the rest of the start's word and the words after it,
+// wrapping, then the start word's bits below the start.
+type ringWalk struct {
+	bits []uint64
+	word uint64 // the current word's unvisited bits
+	wi   int    // the current word's index
+	left int    // words still to load
+	tail uint64 // the start word's bits below the start, loaded last
+}
+
+// ringOrder starts a walk of bits from slot from.
+func ringOrder(bits []uint64, from int) ringWalk {
+	wi := from >> 6
+	tail := uint64(1)<<uint(from&63) - 1
+	return ringWalk{bits: bits, word: bits[wi] &^ tail, wi: wi, left: len(bits), tail: tail}
+}
+
+// next returns the walk's next set slot, or -1 once every bit was visited.
+func (w *ringWalk) next() int {
+	for w.word == 0 {
+		if w.left == 0 {
+			return -1
+		}
+		w.left--
+		if w.wi++; w.wi == len(w.bits) {
+			w.wi = 0
+		}
+		w.word = w.bits[w.wi]
+		if w.left == 0 {
+			w.word &= w.tail
+		}
+	}
+	s := w.wi<<6 + bits.TrailingZeros64(w.word)
+	w.word &= w.word - 1
+	return s
+}
+
+// countBits returns the number of set bits of b in positions [lo, hi).
+func countBits(b []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	wl, wh := lo>>6, (hi-1)>>6
+	first := ^uint64(0) << uint(lo&63)
+	last := ^uint64(0) >> uint(63-(hi-1)&63)
+	if wl == wh {
+		return bits.OnesCount64(b[wl] & first & last)
+	}
+	n := bits.OnesCount64(b[wl]&first) + bits.OnesCount64(b[wh]&last)
+	for _, w := range b[wl+1 : wh] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// readyWheel holds the fully scheduled window entries whose operands are
+// not visible yet, filed by the cycle they become so: bucket b lists,
+// through winSlot.next, the trace indices of the entries ready at the one
+// coming cycle congruent to b modulo the wheel's size, and busy has a bit
+// per non-empty bucket. No entry is filed more than the run's span ahead
+// of the current cycle (see Scratch.readyWheel), so no bucket ever mixes
+// two cycles, and each cycle's drain moves exactly its own entries to
+// their queues' ready sets. A completed run leaves every bucket empty.
+type readyWheel struct {
+	bucket []int32 // first trace index per bucket, -1 when empty
+	busy   []uint64
+	mask   int
+}
+
+// insert files instruction idx, in ring slot idx&ring, for cycle at.
+func (w *readyWheel) insert(idx int32, at int64, slots []winSlot, ring int32) {
+	b := int(at) & w.mask
+	slots[idx&ring].next = w.bucket[b]
+	w.bucket[b] = idx
+	w.busy[b>>6] |= 1 << uint(b&63)
+}
+
+// drain moves the entries of bucket b, the current cycle's, into their
+// queues' ready sets.
+func (w *readyWheel) drain(b int, slots []winSlot, ring int32, flags []uint8, qpair *[2]*issueQueue) {
+	for c := w.bucket[b]; c >= 0; c = slots[c&ring].next {
+		qpair[flags[c]&trace.FlagFP].setReady(int(c & ring))
+	}
+	w.bucket[b] = -1
+	w.busy[b>>6] &^= 1 << uint(b&63)
+}
+
+// next returns the first cycle at or after cycle that has entries filed,
+// or pending when the wheel is empty.
+func (w *readyWheel) next(cycle int64) int64 {
+	b := int(cycle) & w.mask
+	it := ringOrder(w.busy, b)
+	if s := it.next(); s >= 0 {
+		return cycle + int64((s-b)&w.mask)
+	}
+	return pending
 }
 
 // latEnv is the per-run execution-latency context: the clock-resolved
@@ -962,6 +892,15 @@ func (e *latEnv) init(p *Params, hier *mem.Hierarchy) {
 	e.extraLoadUse = int64(p.ExtraLoadUse)
 	e.perfectMemory = p.Machine.PerfectMemory
 	e.hier = hier
+}
+
+// maxLatency returns the longest latency an instruction can resolve to.
+func (e *latEnv) maxLatency() int64 {
+	l := max(e.dl1, e.l2, e.mem) + e.extraLoadUse
+	for _, x := range e.exec {
+		l = max(l, x)
+	}
+	return l
 }
 
 // latency returns the total execution latency of an instruction in

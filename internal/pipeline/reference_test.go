@@ -15,7 +15,7 @@ import (
 
 // The reference core: the seed's cycle-by-cycle simulator, kept as a
 // differential oracle for the optimized one. It walks every cycle (no
-// idle fast-forward, no next-ready scan skip), wakes consumers by
+// idle fast-forward, no ready-time wheel), wakes consumers by
 // scanning every window entry on every issue (the machine's broadcast,
 // simulated literally), compacts each queue after every issuing cycle,
 // keeps one slot per trace instruction, and builds and prewarms a fresh

@@ -10,10 +10,10 @@ import (
 )
 
 // Scratch is the reusable simulation state of one Run: the
-// out-of-order core's window rings (paired timestamps, issue-queue
-// positions, waiter-list heads and frontend arrival cycles) and waiter
-// pool, the in-order core's result ring, issue-queue storage, selection
-// and pre-selection scratch, and the (resettable) branch predictor and
+// out-of-order core's window rings (paired timestamps, issue-window
+// slots, waiter-list heads and frontend arrival cycles), waiter pool,
+// issue-queue bitmaps and ready-time wheel, the in-order core's result
+// ring, selection and pre-selection scratch, and the (resettable)
 // cache hierarchy. Every per-instruction array is a ring bounded by the
 // machine's in-flight window or by trace.MaxDep, not by the trace's
 // length, so a Scratch's memory stays the same however long the traces
@@ -36,9 +36,10 @@ type Scratch struct {
 	// each its own slot. The data (consumer-visible, post-bypass) and
 	// complete (executed) timestamps are paired in one struct because
 	// dispatch resolves both for the same producer back to back — one
-	// cache line per producer lookup instead of two.
-	times    []instTimes
-	queuePos []int32 // queue-tagged issue-queue position (see qposMask), -1 while absent
+	// cache line per producer lookup instead of two. slots holds each
+	// issue-window entry's operand state and wheel link.
+	times []instTimes
+	slots []winSlot
 
 	// Waiter lists, the out-of-order core's wakeup index: waitHead[p] is
 	// the first node of producer p's list in the waiters pool (-1 when
@@ -61,10 +62,14 @@ type Scratch struct {
 	// instruction i's consumer-visible cycle (see inOrderRing).
 	dataAt []int64
 
+	// The issue queues' slot bitmaps, one bit per window-ring slot (see
+	// issueQueue), and the ready-time wheel, sized per run by the
+	// longest latency the run can schedule (see readyWheel).
 	queueStore [2]issueQueue
 	queueRefs  []*issueQueue // reused header for the active queue set
+	wheel      readyWheel
 
-	selected []int32 // issueSelect output scratch
+	selected []int32 // selection output scratch
 	quota    []int   // markPreSelections quota scratch
 
 	// hier is the run's hierarchy, copied from tmpl at the start of every
@@ -99,23 +104,40 @@ func nextPow2(n int) int {
 // cursors, and returns the index mask. The ring is the power of two at
 // least inFlight+1, or at least n when that is smaller (then no slot
 // is ever reused). No slot needs a reset here: fetch resets a slot's
-// timestamps when it claims it, and queuePos and waitHead restore
-// themselves — a completed run issues every instruction, which clears
-// its queue slot and empties its waiter list — so only fresh storage
-// needs the -1 fill.
+// timestamps when it claims it, dispatch its window state, and waitHead
+// restores itself — a completed run issues every instruction, which
+// empties its waiter list — so only fresh storage needs the -1 fill.
 func (s *Scratch) window(n, inFlight int) int {
 	size := min(nextPow2(inFlight+1), nextPow2(n))
 	if len(s.times) < size {
 		s.times = make([]instTimes, size)
-		s.queuePos = make([]int32, size)
+		s.slots = make([]winSlot, size)
 		s.waitHead = make([]int32, size)
 		s.fetchReady = make([]int64, size)
-		for i := range s.queuePos {
-			s.queuePos[i] = -1
+		for i := range s.waitHead {
 			s.waitHead[i] = -1
 		}
 	}
 	return size - 1
+}
+
+// readyWheel returns the run's ready-time wheel: a power of two, at
+// least 64, of buckets beyond span, the furthest ahead of the current
+// cycle the run can file an entry. The storage only grows; a smaller
+// run uses a prefix of it, which a completed run left empty, so only
+// fresh storage needs the -1 fill.
+func (s *Scratch) readyWheel(span int64) *readyWheel {
+	size := max(64, nextPow2(int(span)+1))
+	w := &s.wheel
+	if cap(w.bucket) < size {
+		w.bucket = make([]int32, size)
+		for i := range w.bucket {
+			w.bucket[i] = -1
+		}
+		w.busy = make([]uint64, size/64)
+	}
+	w.bucket, w.busy, w.mask = w.bucket[:size], w.busy[:size/64], size-1
+	return w
 }
 
 // inOrderRing returns the in-order core's result ring for an
@@ -132,11 +154,12 @@ func (s *Scratch) inOrderRing(n int) []int64 {
 }
 
 // RetainedBytes returns the bytes the Scratch holds between runs: its
-// rings, waiter pool, issue-queue and selection scratch, and the two
-// cache hierarchies (the prewarmed template and the run's copy), each
-// array's capacity times its element size. It depends on the machines
-// the Scratch has run, never on trace length beyond the rings' caps.
-// The caller must own the Scratch: it reads the same state a run writes.
+// rings, waiter pool, issue-queue bitmaps, ready-time wheel, selection
+// scratch, and the two cache hierarchies (the prewarmed template and
+// the run's copy), each array's capacity times its element size. It
+// depends on the machines the Scratch has run, never on trace length
+// beyond the rings' caps. The caller must own the Scratch: it reads the
+// same state a run writes.
 // A nil Scratch, which RunWith replaces with a fresh one per run,
 // retains nothing.
 func (s *Scratch) RetainedBytes() int64 {
@@ -144,16 +167,16 @@ func (s *Scratch) RetainedBytes() int64 {
 		return 0
 	}
 	b := int64(cap(s.times))*int64(unsafe.Sizeof(instTimes{})) +
-		int64(cap(s.queuePos)+cap(s.waitHead)+cap(s.selected))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(s.slots))*int64(unsafe.Sizeof(winSlot{})) +
+		int64(cap(s.waitHead)+cap(s.selected)+cap(s.wheel.bucket))*int64(unsafe.Sizeof(int32(0))) +
 		int64(cap(s.fetchReady)+cap(s.dataAt))*int64(unsafe.Sizeof(int64(0))) +
+		int64(cap(s.wheel.busy))*int64(unsafe.Sizeof(uint64(0))) +
 		int64(cap(s.waiters))*int64(unsafe.Sizeof(waiter{})) +
 		int64(cap(s.quota))*int64(unsafe.Sizeof(int(0))) +
 		int64(cap(s.queueRefs))*int64(unsafe.Sizeof((*issueQueue)(nil)))
 	for i := range s.queueStore {
 		q := &s.queueStore[i]
-		b += int64(cap(q.entries))*int64(unsafe.Sizeof(winEntry{})) +
-			int64(cap(q.ready))*int64(unsafe.Sizeof(int64(0))) +
-			int64(cap(q.sched))*int64(unsafe.Sizeof(uint64(0)))
+		b += int64(cap(q.resident)+cap(q.ready)+cap(q.latched)) * int64(unsafe.Sizeof(uint64(0)))
 	}
 	if s.tmpl != nil && !s.tmplKey.geom.flat {
 		// mem.Cache keeps one way — a tag and an LRU stamp, 16 B — per
@@ -164,23 +187,23 @@ func (s *Scratch) RetainedBytes() int64 {
 	return b
 }
 
-// queues configures the run's issue-queue set out of the scratch storage:
-// the 21264's split integer/FP queues, or one shared window when
-// UnifiedWindow is set.
-func (s *Scratch) queues(m config.Machine, stages int) []*issueQueue {
+// queues configures the run's issue-queue set out of the scratch storage,
+// over a window ring of ringSize slots: the 21264's split integer/FP
+// queues, or one shared window when UnifiedWindow is set.
+func (s *Scratch) queues(m config.Machine, stages, ringSize int) []*issueQueue {
 	if s.queueRefs == nil {
 		s.queueRefs = make([]*issueQueue, 0, len(s.queueStore))
 	}
 	qs := s.queueRefs[:0]
 	if m.UnifiedWindow > 0 {
-		s.queueStore[0].reset(m.UnifiedWindow, stages)
+		s.queueStore[0].reset(m.UnifiedWindow, stages, ringSize)
 		qs = append(qs, &s.queueStore[0])
 	} else {
 		if m.IntWindow <= 0 || m.FPWindow <= 0 {
 			panic("pipeline: machine needs issue-queue capacities")
 		}
-		s.queueStore[0].reset(m.IntWindow, stages)
-		s.queueStore[1].reset(m.FPWindow, stages)
+		s.queueStore[0].reset(m.IntWindow, stages, ringSize)
+		s.queueStore[1].reset(m.FPWindow, stages, ringSize)
 		qs = append(qs, &s.queueStore[0], &s.queueStore[1])
 	}
 	s.queueRefs = qs

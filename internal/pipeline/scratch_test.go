@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/trace"
 )
 
@@ -62,10 +63,15 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 // TestScratchRetainedBytes pins the window rings: what a Scratch keeps
 // after a run depends on the machine, not on the trace's length. The
 // out-of-order core at the paper grid's deepest point (the largest
-// ring) retains the same bytes after 10 k and 1 M instructions, and the
-// in-order core after 100 k and 1 M (its ring reaches its trace.MaxDep
-// cap at 65536 instructions). The count must also be what the heap
-// actually grew by, within 10%.
+// ring and ready-time wheel) retains the same bytes after 10 k and 1 M
+// instructions, and the in-order core after 100 k and 1 M (its ring
+// reaches its trace.MaxDep cap at 65536 instructions). The count must
+// also be what the heap actually grew by, within 10%. With caches, the
+// two hierarchies dominate that count; the flat-memory (Cray-1S)
+// out-of-order machine holds no cache state, so its case pins the
+// window rings, issue-queue bitmaps, waiter pool and ready-time wheel
+// themselves, the wheel stretched by a long load-use loop so that
+// leaving it out of the count fails the test.
 func TestScratchRetainedBytes(t *testing.T) {
 	prof, ok := trace.ByName("176.gcc")
 	if !ok {
@@ -75,11 +81,16 @@ func TestScratchRetainedBytes(t *testing.T) {
 	ooo := paramsAt(2)
 	inorder := ooo
 	inorder.Machine.InOrder = true
+	flat := ooo
+	flat.Machine = config.Cray1SMemorySystem()
+	flat.Machine.InOrder = false
+	flat.Timing = flat.Machine.Resolve(ooo.Timing.Clock)
+	flat.ExtraLoadUse = 1000 // a 2048-bucket wheel: a quarter of the count
 	for _, c := range []struct {
 		name  string
 		p     Params
 		short int
-	}{{"out-of-order", ooo, 10_000}, {"in-order", inorder, 100_000}} {
+	}{{"out-of-order", ooo, 10_000}, {"in-order", inorder, 100_000}, {"out-of-order flat memory", flat, 10_000}} {
 		retained := func(tr *trace.Trace) int64 {
 			s := NewScratch()
 			RunWith(c.p, tr, s)

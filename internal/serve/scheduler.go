@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,13 @@ type job struct {
 	err  error
 
 	waiters int
+
+	// leads is set at admission, under mu like waiters, once the job
+	// holds some request's first job ticket: that stream has no
+	// simulated line yet and waits on this job first. finalize reports
+	// it, so the worker that ran the job can hand its processor to the
+	// stream's handler (see runBatch).
+	leads bool
 
 	// Tracing/metrics carry-alongs, observation-only by contract: the
 	// request ID of the request that created the job (joiners share it —
@@ -185,26 +193,30 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 	}
 
 	tickets := make([]ticket, 0, len(pts))
+	lead := true // the next job ticket is the request's first
 	for i, k := range keys {
 		if lines[i] != nil {
 			adm.hits++
 			tickets = append(tickets, ticket{line: lines[i]})
 			continue
 		}
-		if j, ok := s.inflight[k]; ok {
+		j, ok := s.inflight[k]
+		if ok {
 			// Singleflight join: the simulation is queued or running for
 			// someone else; share it. A join is a hit — the work exists.
 			j.waiters++
 			adm.hits++
 			adm.joins++
-			tickets = append(tickets, ticket{job: j})
-			continue
+		} else {
+			j = &job{key: k, opts: pts[i], ident: identOf(pts[i]), done: make(chan struct{}),
+				waiters: 1, origin: origin, enqueued: time.Now()}
+			s.inflight[k] = j
+			s.queue = append(s.queue, j)
+			adm.misses++
 		}
-		j := &job{key: k, opts: pts[i], ident: identOf(pts[i]), done: make(chan struct{}),
-			waiters: 1, origin: origin, enqueued: time.Now()}
-		s.inflight[k] = j
-		s.queue = append(s.queue, j)
-		adm.misses++
+		if lead {
+			j.leads, lead = true, false
+		}
 		tickets = append(tickets, ticket{job: j})
 	}
 	// One recorder update per counter per admission, not per point. A
@@ -335,7 +347,15 @@ func (s *scheduler) runBatch(sc *pipeline.Scratch, batch []*job) {
 		opts[i] = j.opts
 	}
 	err := core.SimulateEach(opts, sc, s.rec, func(i int, res core.BenchPoint) {
-		s.finishJob(batch[i], res, nil)
+		if s.finishJob(batch[i], res, nil) {
+			// A stream with no simulated line yet waits on this one,
+			// and finalize just woke its handler. Simulation loops never
+			// block, so when every processor runs one the handler would
+			// wait for the runtime's preemption tick (~10 ms); yielding
+			// lets it write the line now. Only a request's first job
+			// yields: one yield per point costs a flush per line.
+			runtime.Gosched()
+		}
 	})
 	if err != nil {
 		// Validation failed before any point ran: nothing was emitted.
@@ -351,37 +371,40 @@ func (s *scheduler) runBatch(sc *pipeline.Scratch, batch []*job) {
 
 // finishJob publishes one simulated job: marshal, finalize. err
 // is the should-not-happen guard for points that were validated at
-// admission; it surfaces on the stream without caching.
-func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) {
+// admission; it surfaces on the stream without caching. It reports
+// whether the job leads some request's stream (see job.leads).
+func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) bool {
 	if err != nil {
 		j.err = err
-		s.finalize(j, nil)
-		return
+		return s.finalize(j, nil)
 	}
 	line, merr := json.Marshal(newPointResult(j.key, j.opts, res))
 	if merr != nil {
 		j.err = merr
-		s.finalize(j, nil)
-		return
+		return s.finalize(j, nil)
 	}
 	// The newline is part of the cached line: the slice is shared
 	// by every stream that hits this point, so it must never be
 	// appended to after it leaves this worker.
 	line = append(line, '\n')
-	s.finalize(j, line)
+	leads := s.finalize(j, line)
 	// The trace's scheduler hop: ties the simulation and store
 	// fill back to the request that caused them.
 	s.log.Debug("point simulated",
 		"request_id", j.origin,
 		"key", j.key,
 		"bytes", len(line))
+	return leads
 }
 
 // finalize publishes one completed job: result stored (on success — a
 // durable store also appends it to the segment log here, write-through),
 // registry entry retired, waiters woken. The store write happens under
-// mu so admission's classify-then-enqueue stays atomic against it.
-func (s *scheduler) finalize(j *job, line []byte) {
+// mu so admission's classify-then-enqueue stays atomic against it. It
+// reports whether the job leads some request's stream: once the job
+// leaves the registry no later request can join it, so the answer is
+// final.
+func (s *scheduler) finalize(j *job, line []byte) bool {
 	s.mu.Lock()
 	if line != nil {
 		j.line = line
@@ -389,8 +412,10 @@ func (s *scheduler) finalize(j *job, line []byte) {
 		s.rec.Add("points_done", 1)
 	}
 	delete(s.inflight, j.key)
+	leads := j.leads
 	s.mu.Unlock()
 	close(j.done)
+	return leads
 }
 
 // close stops the dispatcher after it finishes every admitted job and

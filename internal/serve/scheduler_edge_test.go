@@ -416,3 +416,75 @@ func TestStreamErrorLine(t *testing.T) {
 		t.Fatalf("streamError line = %q, want %q", got, want)
 	}
 }
+
+// TestAdmitMarksEachRequestsFirstJob pins which jobs a worker yields
+// after: each request's first job ticket, whether new or joined, and no
+// other. A request whose leading points are cache hits leads with its
+// first job after them; a job another request leads with stays marked
+// when a later request joins it further down its stream; and finalize
+// reports the mark.
+func TestAdmitMarksEachRequestsFirstJob(t *testing.T) {
+	s := newEdgeScheduler(16)
+	pts, keys := edgePoints(t, []string{"gcc"}, []float64{4, 6, 8, 10, 12, 14})
+	leads := func(tickets []ticket) []bool {
+		out := make([]bool, len(tickets))
+		for i, tk := range tickets {
+			out[i] = tk.job != nil && tk.job.leads
+		}
+		return out
+	}
+	want := func(name string, got []bool, want ...bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d tickets, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: leads = %v, want %v", name, got, want)
+			}
+		}
+	}
+
+	// The first two points run and land in the cache.
+	first, _, err := s.admit(pts[:2], keys[:2], "warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("new request", leads(first), true, false)
+	s.runBatch(nil, takeBatch(s))
+	if done, err := closedWithErr(first[1].job); !done || err != nil {
+		t.Fatalf("warm-up job: done=%v err=%v", done, err)
+	}
+
+	// Two hits, then two new jobs: the first new one leads.
+	second, adm, err := s.admit(pts[:4], keys[:4], "hits-first")
+	if err != nil || adm.hits != 2 || adm.misses != 2 {
+		t.Fatalf("second admit: %v %+v", err, adm)
+	}
+	want("hits first", leads(second), false, false, true, false)
+
+	// A request that joins both in-flight jobs in the other order leads
+	// with the one it reaches first; both are now marked.
+	third, adm, err := s.admit([]core.PointOptions{pts[3], pts[2]}, []string{keys[3], keys[2]}, "joins")
+	if err != nil || adm.joins != 2 {
+		t.Fatalf("third admit: %v %+v", err, adm)
+	}
+	want("joins", leads(third), true, true)
+	if third[1].job != second[2].job {
+		t.Fatal("the joining request holds a different job for one key")
+	}
+
+	for _, tk := range third {
+		if !s.finalize(tk.job, []byte("{}\n")) {
+			t.Fatalf("finalize of %s did not report the lead", tk.job.key)
+		}
+	}
+	last, _, err := s.admit(pts[4:], keys[4:], "last")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("last", leads(last), true, false)
+	if s.finalize(last[1].job, []byte("{}\n")) {
+		t.Fatal("finalize reported a lead for a job no request leads with")
+	}
+}
