@@ -19,8 +19,8 @@ import (
 // the table's order, so its memory template is re-prewarmed on every
 // trace change and its window rings (sized by the shorter of the
 // machine's in-flight bound and the trace), issue-queue bitmaps, waiter
-// lists and ready-time wheel (sized by the lane's longest latency) are
-// reused across lengths and machines. Every run must equal that point run on
+// lists and ready-time wheel (sized by the lane's longest latency, up to
+// its cap) are reused across lengths and machines. Every run must equal that point run on
 // a fresh Scratch, and obey:
 //
 //   - BranchLookups equals the trace's branch count;
@@ -101,9 +101,10 @@ func FuzzScratchReuse(f *testing.F) {
 // in-order core and a doubled L1 (a second geometry); and the three
 // critical-loop extensions, 0..3 cycles each, where bit 6 of the third
 // byte adds 1024 cycles to the load-use loop. That lane's ready-time
-// wheel (2048 buckets) outgrows every other lane's (at most 1024, at
-// 2 FO4), so a Scratch running it between other lanes grows its wheel
-// and then runs on a prefix of it.
+// wheel reaches its 1024-bucket cap, the consumers of its loads waiting
+// in the wheel's overflow list, while lanes at 4 FO4 or more use at most
+// 512 buckets, so a Scratch running it between them grows its wheel and
+// then runs on a prefix of it.
 func fuzzLanes(b []byte) []Params {
 	var ps []Params
 	for ; len(b) >= 3 && len(ps) < 6; b = b[3:] {

@@ -231,9 +231,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		wakeLoop = int64(stages) + int64(p.ExtraWakeup)
 	}
 	segmented := stages > 1 && !p.NaivePipelining
-	// The ready-time wheel must reach the furthest cycle an entry can be
-	// scheduled for: a result's latency or the wakeup loop, whichever is
-	// longer, plus the tag's walk up a segmented window.
+	// The ready-time wheel is sized to reach the furthest cycle an entry
+	// can be scheduled for: a result's latency or the wakeup loop,
+	// whichever is longer, plus the tag's walk up a segmented window.
+	// Past maxWheel buckets, entries due further ahead wait in its
+	// overflow list.
 	span := max(lat.maxLatency(), wakeLoop)
 	if segmented {
 		span += int64(stages - 1)
@@ -294,12 +296,16 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		}
 
 		// ---- Selection and issue. The entries whose operands become
-		// visible this cycle leave the wheel for their queues' ready sets,
+		// visible this cycle leave the wheel for their queues' ready sets
+		// (overflow entries the wheel now reaches first join their buckets),
 		// so selection walks only selectable entries, oldest first from
 		// the head's slot. Pre-selection latches (Figure 12) were set at
 		// the end of the previous cycle. Queue occupancy is constant until
 		// issue removes entries, so the per-cycle occupancy and the
 		// per-issue broadcast-scan size are one sum up front.
+		if wheel.overMin-cycle <= int64(wheel.mask) {
+			wheel.refill(cycle, slots, ring)
+		}
 		if b := int(cycle) & wheel.mask; wheel.busy[b>>6]&(1<<uint(b&63)) != 0 {
 			wheel.drain(b, slots, ring, flags, &qpair)
 		}
@@ -419,7 +425,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 					if e.src1 == -1 && e.src2 == -1 {
 						// Fully scheduled: the entry waits in the wheel
 						// until both operands are visible.
-						wheel.insert(c, e.acc, slots, ring)
+						wheel.insert(c, e.acc, cycle, slots, ring)
 					}
 				}
 				waitHead[slot] = -1
@@ -502,7 +508,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				if e.acc <= cycle+1 {
 					q.setReady(int(slot))
 				} else {
-					wheel.insert(di, e.acc, slots, ring)
+					wheel.insert(di, e.acc, cycle, slots, ring)
 				}
 			}
 			q.resident[slot>>6] |= 1 << uint(slot&63)
@@ -582,7 +588,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		// cycles the loop would have walked through doing nothing —
 		// mispredict stalls, long memory waits and full windows — after
 		// accounting their per-cycle statistics in bulk. No wheel bucket
-		// is skipped: the first non-empty one bounds the jump.
+		// is skipped: the first non-empty one, or the overflow list's
+		// earliest entry, bounds the jump.
 		// Partitioned selection couples consecutive cycles through its
 		// latches, so it never skips.
 		if committed == 0 && dispatchedNow == 0 && !fetched && !resumed &&
@@ -831,22 +838,47 @@ func countBits(b []uint64, lo, hi int) int {
 // not visible yet, filed by the cycle they become so: bucket b lists,
 // through winSlot.next, the trace indices of the entries ready at the one
 // coming cycle congruent to b modulo the wheel's size, and busy has a bit
-// per non-empty bucket. No entry is filed more than the run's span ahead
-// of the current cycle (see Scratch.readyWheel), so no bucket ever mixes
-// two cycles, and each cycle's drain moves exactly its own entries to
-// their queues' ready sets. A completed run leaves every bucket empty.
+// per non-empty bucket. An entry due beyond the wheel's reach (more than
+// mask cycles ahead) waits instead in the overflow list, linked the same
+// way, whose earliest cycle is overMin; refill moves such entries into
+// their buckets once the wheel reaches them. So no bucket ever mixes two
+// cycles, and each cycle's drain moves exactly its own entries to their
+// queues' ready sets. A completed run leaves every bucket and the
+// overflow list empty.
 type readyWheel struct {
-	bucket []int32 // first trace index per bucket, -1 when empty
-	busy   []uint64
-	mask   int
+	bucket  []int32 // first trace index per bucket, -1 when empty
+	busy    []uint64
+	mask    int
+	over    int32 // first overflow entry, -1 when none
+	overMin int64 // earliest cycle in the overflow list, pending when none
 }
 
-// insert files instruction idx, in ring slot idx&ring, for cycle at.
-func (w *readyWheel) insert(idx int32, at int64, slots []winSlot, ring int32) {
+// insert files instruction idx, in ring slot idx&ring, for cycle at, as
+// of the current cycle now.
+func (w *readyWheel) insert(idx int32, at, now int64, slots []winSlot, ring int32) {
+	e := &slots[idx&ring]
+	if at-now > int64(w.mask) {
+		e.next, w.over = w.over, idx
+		w.overMin = min(w.overMin, at)
+		return
+	}
 	b := int(at) & w.mask
-	slots[idx&ring].next = w.bucket[b]
+	e.next = w.bucket[b]
 	w.bucket[b] = idx
 	w.busy[b>>6] |= 1 << uint(b&63)
+}
+
+// refill re-files the overflow list as of cycle now: the entries the
+// wheel now reaches go to their buckets, the rest back to the list.
+func (w *readyWheel) refill(now int64, slots []winSlot, ring int32) {
+	c := w.over
+	w.over, w.overMin = -1, pending
+	for c >= 0 {
+		e := &slots[c&ring]
+		next := e.next
+		w.insert(c, e.acc, now, slots, ring)
+		c = next
+	}
 }
 
 // drain moves the entries of bucket b, the current cycle's, into their
@@ -860,14 +892,14 @@ func (w *readyWheel) drain(b int, slots []winSlot, ring int32, flags []uint8, qp
 }
 
 // next returns the first cycle at or after cycle that has entries filed,
-// or pending when the wheel is empty.
+// in a bucket or the overflow list, or pending when the wheel is empty.
 func (w *readyWheel) next(cycle int64) int64 {
 	b := int(cycle) & w.mask
 	it := ringOrder(w.busy, b)
 	if s := it.next(); s >= 0 {
-		return cycle + int64((s-b)&w.mask)
+		return min(cycle+int64((s-b)&w.mask), w.overMin)
 	}
-	return pending
+	return w.overMin
 }
 
 // latEnv is the per-run execution-latency context: the clock-resolved

@@ -64,7 +64,8 @@ type Scratch struct {
 
 	// The issue queues' slot bitmaps, one bit per window-ring slot (see
 	// issueQueue), and the ready-time wheel, sized per run by the
-	// longest latency the run can schedule (see readyWheel).
+	// longest latency the run can schedule up to maxWheel buckets (see
+	// readyWheel).
 	queueStore [2]issueQueue
 	queueRefs  []*issueQueue // reused header for the active queue set
 	wheel      readyWheel
@@ -121,13 +122,24 @@ func (s *Scratch) window(n, inFlight int) int {
 	return size - 1
 }
 
-// readyWheel returns the run's ready-time wheel: a power of two, at
-// least 64, of buckets beyond span, the furthest ahead of the current
-// cycle the run can file an entry. The storage only grows; a smaller
-// run uses a prefix of it, which a completed run left empty, so only
-// fresh storage needs the -1 fill.
+// maxWheel caps the ready-time wheel at 1024 buckets (4 KB), above the
+// paper grid's longest latency (2 FO4's 732-cycle memory access, plus
+// a segmented window's walk); entries filed further ahead wait in the
+// wheel's overflow list (see readyWheel), so a run's memory does not
+// follow its latencies.
+const maxWheel = 1024
+
+// readyWheel returns the run's ready-time wheel, emptied: a power of
+// two, at least 64, of buckets beyond span, the furthest ahead of the
+// current cycle the run can file an entry, or maxWheel buckets if span
+// reaches that far. The storage only grows; a smaller run uses a prefix
+// of it, which a completed run left empty, so only fresh storage needs
+// the -1 fill.
 func (s *Scratch) readyWheel(span int64) *readyWheel {
-	size := max(64, nextPow2(int(span)+1))
+	size := 64
+	for size < maxWheel && int64(size) <= span {
+		size <<= 1
+	}
 	w := &s.wheel
 	if cap(w.bucket) < size {
 		w.bucket = make([]int32, size)
@@ -137,6 +149,7 @@ func (s *Scratch) readyWheel(span int64) *readyWheel {
 		w.busy = make([]uint64, size/64)
 	}
 	w.bucket, w.busy, w.mask = w.bucket[:size], w.busy[:size/64], size-1
+	w.over, w.overMin = -1, pending
 	return w
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/fo4"
 	"repro/internal/trace"
 )
 
@@ -85,7 +86,7 @@ func TestScratchRetainedBytes(t *testing.T) {
 	flat.Machine = config.Cray1SMemorySystem()
 	flat.Machine.InOrder = false
 	flat.Timing = flat.Machine.Resolve(ooo.Timing.Clock)
-	flat.ExtraLoadUse = 1000 // a 2048-bucket wheel: a quarter of the count
+	flat.ExtraLoadUse = 1000 // a full 1024-bucket wheel: an eighth of the count
 	for _, c := range []struct {
 		name  string
 		p     Params
@@ -113,5 +114,70 @@ func TestScratchRetainedBytes(t *testing.T) {
 			t.Errorf("%s: RetainedBytes = %d, but the heap grew by %d B", c.name, got, grown)
 		}
 		runtime.KeepAlive(s)
+	}
+}
+
+// TestReadyWheelOverflow pins the ready-time wheel's bound: entries due
+// more than maxWheel cycles ahead wait in its overflow list, so a run
+// whose latencies reach far beyond the wheel still matches the reference
+// core on every machine shape, and retains no more than a run at the
+// paper grid's deepest point. Without the bound, a 0.001-FO4 stage (a
+// latency of millions of cycles) would size a multi-megabyte wheel.
+func TestReadyWheelOverflow(t *testing.T) {
+	tr := getTrace(t, "176.gcc", 3000)
+	longLoads := paramsAt(4)
+	longLoads.ExtraLoadUse = 3000
+	noOverhead := config.Alpha21264()
+	shortStages := Params{Machine: noOverhead, Timing: noOverhead.Resolve(fo4.Clock{Useful: 1})}
+	shapes := []struct {
+		name string
+		mod  func(*Params)
+	}{
+		{"split", func(*Params) {}},
+		{"ws4", func(p *Params) { p.Machine.UnifiedWindow, p.WindowStages = 32, 4 }},
+		{"ws4-preselect", func(p *Params) {
+			p.Machine.UnifiedWindow, p.WindowStages, p.PreSelect = 32, 4, []int{5, 2, 1}
+		}},
+		{"ws4-naive", func(p *Params) {
+			p.Machine.UnifiedWindow, p.WindowStages, p.NaivePipelining = 32, 4, true
+		}},
+	}
+	s := NewScratch()
+	for _, base := range []struct {
+		name string
+		p    Params
+	}{{"load-use +3000", longLoads}, {"1 FO4, no overhead", shortStages}} {
+		for _, sh := range shapes {
+			p := base.p
+			p.Warmup = tr.Len() / 4
+			sh.mod(&p)
+			got, want := RunWith(p, tr, s), refRun(p, tr)
+			got.WakeupWakes, got.WakeupScanned = 0, 0
+			want.WakeupWakes, want.WakeupScanned = 0, 0
+			if got != want {
+				t.Errorf("%s, %s: diverges from the reference core:\n got %+v\nwant %+v", base.name, sh.name, got, want)
+			}
+		}
+	}
+
+	prof, ok := trace.ByName("176.gcc")
+	if !ok {
+		t.Fatal("no profile 176.gcc")
+	}
+	small := prof.Generate(500, 1) // a 512-slot ring at both depths
+	retained := func(p Params) int64 {
+		s := NewScratch()
+		RunWith(p, small, s)
+		return s.RetainedBytes()
+	}
+	deepest := retained(paramsAt(2))
+	far := paramsAt(0.001)
+	if got := retained(far); got != deepest {
+		t.Errorf("a Scratch retains %d B after a run at 0.001 FO4 but %d B after one at 2 FO4", got, deepest)
+	}
+	far = paramsAt(2)
+	far.ExtraLoadUse = 1 << 20
+	if got := retained(far); got != deepest {
+		t.Errorf("a Scratch retains %d B after a run with 2^20 extra load-use cycles but %d B without", got, deepest)
 	}
 }
