@@ -11,8 +11,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/clitest"
+	"repro/internal/obs"
 	"repro/internal/obs/promtext"
 	"repro/internal/store"
 )
@@ -475,5 +478,126 @@ func TestRejectReasonsCounted(t *testing.T) {
 	}
 	if got := metricValue(t, exp, "sweep_draining"); got != 1 {
 		t.Errorf("sweep_draining = %v, want 1 after BeginDrain", got)
+	}
+}
+
+// fixedStats is a scrape with every rendered value set: non-zero
+// counters and gauges, all three latency histograms with observations
+// in several buckets and in the overflow cell, and two reject reasons.
+func fixedStats() Stats {
+	hist := func(ds ...time.Duration) obs.Histogram {
+		h := obs.NewHistogram(obs.LatencyBuckets)
+		for _, d := range ds {
+			h.Observe(d)
+		}
+		return h
+	}
+	return Stats{
+		UptimeSeconds:     3723.25,
+		QueueDepth:        3,
+		RunningPoints:     4,
+		InflightPoints:    7,
+		CacheSize:         120,
+		CacheBytes:        98304,
+		CacheHits:         900,
+		CacheMisses:       100,
+		CacheHitRatio:     0.9,
+		CacheEvictions:    17,
+		DedupJoins:        23,
+		WarmHits:          41,
+		DiskHits:          12,
+		Segments:          2,
+		StoreBytes:        1 << 20,
+		Compactions:       5,
+		StoreCursor:       4096,
+		DiskEntries:       333,
+		StoreAppendErrors: 1,
+		StoreReadErrors:   2,
+		TraceCacheTraces:  6,
+		TraceCacheBytes:   5400000,
+		ScratchBytes:      3210000,
+		Requests:          77,
+		Rejected:          9,
+		Disconnects:       4,
+		PointsDone:        1000,
+		PointsDropped:     8,
+		Telemetry: obs.Snapshot{
+			Counters: map[string]int64{
+				"simulations":            100,
+				"prewarms":               14,
+				"delta_pulls":            3,
+				"stream_bytes":           123456789,
+				"slow_requests":          2,
+				"http_requests_inflight": 1,
+				"rejected_bad_request":   2,
+				"rejected_queue_full":    7,
+			},
+			Histograms: map[string]obs.Histogram{
+				"request_latency":  hist(200*time.Microsecond, 3*time.Millisecond, 3*time.Millisecond, 700*time.Millisecond, 45*time.Second),
+				"stream_duration":  hist(time.Millisecond, 60*time.Millisecond, 31*time.Second),
+				"point_queue_wait": hist(100*time.Microsecond, 12*time.Millisecond, 2*time.Second, 2*time.Second, time.Minute),
+			},
+		},
+	}
+}
+
+// renderFixed renders the exposition one scrape of st gives on a
+// server built with codeVersion and draining as given.
+func renderFixed(st Stats, draining bool, codeVersion string) []byte {
+	s := &Server{cfg: Config{CodeVersion: codeVersion}}
+	s.draining.Store(draining)
+	m := newServerMetrics(true, s)
+	m.cur = st
+	var b bytes.Buffer
+	m.reg.WriteTo(&b)
+	return b.Bytes()
+}
+
+// TestMetricsGoldenExposition pins every byte of one scrape of
+// fixedStats — HELP, TYPE and every sample line — while draining, under
+// a code version that needs label escaping. The Go version in
+// build_info renders as GOVERSION. Refresh with UPDATE_GOLDEN=1 go test
+// ./internal/serve -run GoldenExposition.
+func TestMetricsGoldenExposition(t *testing.T) {
+	exp := renderFixed(fixedStats(), true, `v1 "quoted" C:\build`)
+	if err := promtext.Lint(exp); err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, exp)
+	}
+	got := strings.ReplaceAll(string(exp), `go="`+runtime.Version()+`"`, `go="GOVERSION"`)
+	golden := filepath.Join("testdata", "metrics_exposition.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("exposition drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps its header map and
+// drops the body, so a scrape benchmark times the handler alone.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkScrapeMetrics times one GET /metrics on an idle server: the
+// snapshot, the render and the body write, without HTTP transport. It
+// is the in-package probe of serve.scrape_ms_p50's layer.
+func BenchmarkScrapeMetrics(b *testing.B) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	w := &discardResponse{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		srv.handleMetrics(w, req)
 	}
 }
