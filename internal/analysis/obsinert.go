@@ -25,9 +25,9 @@ var recorderWrites = map[string]bool{
 // (Recorder.Snapshot and any future accessor) from simulation code
 // could steer control flow by what was observed, breaking the
 // byte-for-byte telemetry-invariance guarantee. The same contract bans
-// importing the scrape-surface metrics registry (internal/obs/promtext)
+// importing the scrape-surface metrics renderer (internal/obs/promtext)
 // outright: it renders recorded telemetry back out, so simulation code
-// holding one could branch on observed state — values reach it only
+// holding it could branch on observed state — values reach it only
 // through the serving layer's per-scrape snapshot. The reachability pass extends
 // the contract to every function a simulation entry point can reach,
 // excepting the telemetry layer itself.
@@ -46,7 +46,7 @@ func runObsInert(p *Pass) {
 		if imp, ok := n.(*ast.ImportSpec); ok {
 			path := strings.Trim(imp.Path.Value, `"`)
 			if path == p.Mod+"/internal/obs/promtext" {
-				p.Reportf(imp.Pos(), "simulation package imports the metrics registry %s; simulation code observes only through the write-only obs.Recorder hooks", path)
+				p.Reportf(imp.Pos(), "simulation package imports the metrics renderer %s; simulation code observes only through the write-only obs.Recorder hooks", path)
 			}
 			return true
 		}
@@ -56,7 +56,7 @@ func runObsInert(p *Pass) {
 
 // scanObsRead checks one AST node for a read of recorded telemetry (a
 // non-write obs.Recorder method call, or any use of the promtext
-// registry), reporting through the given sink.
+// renderer), reporting through the given sink.
 func scanObsRead(info *types.Info, mod string, n ast.Node, report func(pos token.Pos, format string, args ...any)) bool {
 	x, ok := n.(*ast.SelectorExpr)
 	if !ok {
@@ -64,7 +64,7 @@ func scanObsRead(info *types.Info, mod string, n ast.Node, report func(pos token
 	}
 	if fn, ok := info.Uses[x.Sel].(*types.Func); ok {
 		if pkg := fn.Pkg(); pkg != nil && pkg.Path() == mod+"/internal/obs/promtext" {
-			report(x.Pos(), "%s touches the metrics registry; simulation-reachable code observes only through the write-only obs.Recorder hooks", fn.FullName())
+			report(x.Pos(), "%s touches the metrics renderer; simulation-reachable code observes only through the write-only obs.Recorder hooks", fn.FullName())
 			return true
 		}
 	}

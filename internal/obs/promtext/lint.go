@@ -3,10 +3,11 @@ package promtext
 // Lint validates text exposition format 0.0.4 output — the shape checks
 // the repo's metrics tests and smoke targets share instead of each
 // growing its own ad-hoc parser. It is deliberately stricter than a
-// Prometheus scraper: the renderer in this package always emits HELP
-// before TYPE, one family block per name, monotone cumulative buckets
-// and a _count that equals the +Inf bucket, so Lint treats any drift
-// from that as a defect.
+// Prometheus scraper: the append helpers in this package always emit
+// HELP before TYPE, monotone cumulative buckets and a _count that equals
+// the +Inf bucket, and an exposition built from them names each family
+// once, so Lint treats any drift from that — a duplicate or invalid
+// family name included — as a defect.
 
 import (
 	"bufio"
@@ -195,6 +196,26 @@ func Lint(exposition []byte) error {
 		return err
 	}
 	return finish(current)
+}
+
+// validName is the Prometheus metric-name grammar:
+// [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validName(name string) bool {
+	if name == "" {
+		return false
+	}
+	for i, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
+		case r >= '0' && r <= '9':
+			if i == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // splitSample splits "name{labels} value" (labels optional) into its

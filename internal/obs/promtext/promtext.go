@@ -1,11 +1,12 @@
-// Package promtext renders sweepd's GET /metrics: a stdlib-only
-// registry of counter, gauge, histogram and info families, each read
-// from a caller function at render time and written in Prometheus text
-// exposition format 0.0.4, plus Lint, which checks such an exposition.
-// It holds no metric state of its own: the values live in
-// internal/obs.Recorder, and the caller takes one snapshot per scrape
-// that every family function reads, so an exposition agrees with the
-// /stats body built from the same snapshot.
+// Package promtext writes and checks Prometheus text exposition format
+// 0.0.4, stdlib only. Its append helpers each write one metric family —
+// a counter or gauge with one sample, a one-label counter, or an
+// obs.Histogram — into a caller's buffer, and Lint checks a finished
+// exposition. It holds no metric state and no family list: sweepd's
+// GET /metrics walks its own table of families over the one snapshot
+// its scrape takes (the value /stats serves), so an exposition is a
+// pure function of that snapshot and agrees with a /stats body built
+// from it.
 //
 // Design contract, mirroring internal/obs:
 //
@@ -13,23 +14,17 @@
 //     simulation results; simulation packages are forbidden from even
 //     importing it (the reprolint obsinert rule), so every value flows
 //     in through the serving layer.
-//   - Deterministic. Families render sorted by name and labels sorted,
-//     so the same snapshot renders the same bytes.
-//   - A nil *Registry is valid: it registers nothing and renders an
-//     empty exposition.
+//   - Deterministic. A family renders the same bytes for the same
+//     values, and its caller fixes the family order.
 //
 // The package name avoids internal/metrics, which is the paper's
 // BIPS/IPC accounting and entirely unrelated.
 package promtext
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -37,72 +32,6 @@ import (
 
 // ContentType is the exposition content type a scraper negotiates.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// sample is one rendered exposition line: an optional {label="value"}
-// suffix on the family name, and the formatted value.
-type sample struct {
-	suffix string // appended to the family name verbatim ("" or "_sum"...)
-	labels string // rendered label set, "" or `{le="0.5"}`
-	value  string
-}
-
-// family is one metric family: its metadata and a collect function that
-// snapshots the current samples at scrape time.
-type family struct {
-	name    string
-	help    string
-	typ     string // "counter", "gauge" or "histogram"
-	collect func() []sample
-}
-
-// Registry holds metric families and renders them sorted by name. The
-// zero value is not usable; call NewRegistry.
-type Registry struct {
-	mu       sync.Mutex
-	families []*family
-	byName   map[string]*family
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*family{}}
-}
-
-// validName is the Prometheus metric-name grammar:
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// register adds one family, panicking on an invalid or duplicate name —
-// both are programmer errors caught by the first scrape test.
-func (r *Registry) register(name, help, typ string, collect func() []sample) {
-	if !validName(name) {
-		panic(fmt.Sprintf("promtext: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		panic(fmt.Sprintf("promtext: duplicate metric name %q", name))
-	}
-	f := &family{name: name, help: help, typ: typ, collect: collect}
-	r.families = append(r.families, f)
-	r.byName[name] = f
-}
 
 // formatValue renders an exposition float: integral values print as
 // integers (the common case — counters and byte gauges — stays
@@ -122,146 +51,96 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// WriteTo renders every family, sorted by name, in text exposition
-// format 0.0.4 straight into w: a # HELP and # TYPE line per family
-// followed by its samples. It stops at the first write error and
-// returns the bytes written.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	if r == nil {
-		return 0, nil
-	}
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	cw := &countingWriter{w: w}
-	for _, f := range fams {
-		fmt.Fprintf(cw, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
-		fmt.Fprintf(cw, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.collect() {
-			fmt.Fprintf(cw, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
-		}
-	}
-	return cw.n, cw.err
-}
-
-// countingWriter counts the bytes written through it and turns every
-// write after the first error into a no-op that reports it.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
-}
-
-// NewCounterFunc registers a counter whose value is read from fn at
-// render time. The caller takes one snapshot per scrape and renders
-// under its own lock, so every fn of one exposition reads the same
-// snapshot (sweepd's /metrics renders the value /stats serves).
-func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, "counter", func() []sample {
-		return []sample{{value: formatValue(fn())}}
-	})
-}
-
-// NewGaugeFunc registers a gauge read from fn at scrape time.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, "gauge", func() []sample {
-		return []sample{{value: formatValue(fn())}}
-	})
-}
-
-// NewInfo registers the conventional info pseudo-metric: a gauge fixed
-// at 1 whose labels carry build metadata (build_info{version="..."} 1).
-// Labels render sorted by name.
-func (r *Registry) NewInfo(name, help string, labels map[string]string) {
-	if r == nil {
-		return
-	}
-	names := make([]string, 0, len(labels))
-	for k := range labels { //reprolint:allow mapiter: label names are validated here then sorted before rendering; scrape bytes stay order-stable
-		if !validName(k) || strings.Contains(k, ":") {
-			panic(fmt.Sprintf("promtext: invalid label name %q", k))
-		}
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range names {
+// Labels renders a label set from name, value pairs in the order given
+// ({a="1",b="2"}), escaping the values. Names are the caller's
+// literals and are not checked.
+func Labels(pairs ...string) string {
+	b := []byte{'{'}
+	for i := 0; i+1 < len(pairs); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=\"%s\"", k, escapeLabel(labels[k]))
+		b = appendLabel(b, pairs[i], pairs[i+1])
 	}
-	b.WriteByte('}')
-	rendered := b.String()
-	r.register(name, help, "gauge", func() []sample {
-		return []sample{{labels: rendered, value: "1"}}
-	})
+	return string(append(b, '}'))
 }
 
-// NewCounterVecFunc registers a one-label counter family read from fn
-// at render time: fn calls cell once per label value, in the order the
-// cells render.
-func (r *Registry) NewCounterVecFunc(name, help, label string, fn func(cell func(value string, v float64))) {
-	if r == nil {
-		return
-	}
-	if !validName(label) || strings.Contains(label, ":") {
-		panic(fmt.Sprintf("promtext: invalid label name %q", label))
-	}
-	r.register(name, help, "counter", func() []sample {
-		var out []sample
-		fn(func(value string, v float64) {
-			out = append(out, sample{
-				labels: fmt.Sprintf("{%s=\"%s\"}", label, escapeLabel(value)),
-				value:  formatValue(v),
-			})
-		})
-		return out
-	})
+// appendLabel appends one name="value" pair, escaping the value.
+func appendLabel(b []byte, name, value string) []byte {
+	b = append(b, name...)
+	b = append(b, `="`...)
+	b = append(b, escapeLabel(value)...)
+	return append(b, '"')
 }
 
-// NewHistogramFunc registers a histogram family read from fn at render
-// time. Bucket bounds and the sum render in seconds, the Prometheus
-// base unit, and the buckets cumulatively with the +Inf bucket equal to
-// _count.
-func (r *Registry) NewHistogramFunc(name, help string, fn func() obs.Histogram) {
-	if r == nil {
-		return
+// appendHeader appends a family's # HELP and # TYPE lines.
+func appendHeader(b []byte, name, help, typ string) []byte {
+	b = append(b, "# HELP "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, strings.ReplaceAll(help, "\n", " ")...)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	return append(b, '\n')
+}
+
+// appendSample appends one sample line: the name, its suffix and
+// rendered label set (each possibly empty), and the value.
+func appendSample(b []byte, name, suffix, labels string, v float64) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	b = append(b, labels...)
+	b = append(b, ' ')
+	b = append(b, formatValue(v)...)
+	return append(b, '\n')
+}
+
+// AppendScalar appends a family of one sample: its HELP and TYPE lines
+// (typ is "counter" or "gauge"), then the sample with the rendered
+// label set labels ("" for none, or one from Labels).
+func AppendScalar(b []byte, name, help, typ, labels string, v float64) []byte {
+	return appendSample(appendHeader(b, name, help, typ), name, "", labels, v)
+}
+
+// Cell is one sample of a one-label counter family: the label's value
+// and the count.
+type Cell struct {
+	Label string
+	Value float64
+}
+
+// AppendCounterVec appends a counter family with one label: its HELP
+// and TYPE lines, then one sample per cell, in the order given.
+func AppendCounterVec(b []byte, name, help, label string, cells []Cell) []byte {
+	b = appendHeader(b, name, help, "counter")
+	for _, c := range cells {
+		b = append(b, name...)
+		b = append(b, '{')
+		b = appendLabel(b, label, c.Label)
+		b = append(b, "} "...)
+		b = append(b, formatValue(c.Value)...)
+		b = append(b, '\n')
 	}
-	r.register(name, help, "histogram", func() []sample {
-		h := fn()
-		var out []sample
-		h.Buckets(func(le time.Duration, cum int64) {
-			out = append(out, sample{
-				suffix: "_bucket",
-				labels: fmt.Sprintf("{le=%q}", formatValue(le.Seconds())),
-				value:  formatValue(float64(cum)),
-			})
-		})
-		n := formatValue(float64(h.Count()))
-		return append(out,
-			sample{suffix: "_bucket", labels: `{le="+Inf"}`, value: n},
-			sample{suffix: "_sum", value: formatValue(h.Sum().Seconds())},
-			sample{suffix: "_count", value: n})
+	return b
+}
+
+// AppendHistogram appends a histogram family. Bucket bounds and the sum
+// render in seconds, the Prometheus base unit, and the buckets
+// cumulatively, with the +Inf bucket equal to _count.
+func AppendHistogram(b []byte, name, help string, h obs.Histogram) []byte {
+	b = appendHeader(b, name, help, "histogram")
+	h.Buckets(func(le time.Duration, cum int64) {
+		b = append(b, name...)
+		b = append(b, `_bucket{le="`...)
+		b = append(b, formatValue(le.Seconds())...)
+		b = append(b, `"} `...)
+		b = append(b, formatValue(float64(cum))...)
+		b = append(b, '\n')
 	})
+	n := float64(h.Count())
+	b = appendSample(b, name, "_bucket", `{le="+Inf"}`, n)
+	b = appendSample(b, name, "_sum", "", h.Sum().Seconds())
+	return appendSample(b, name, "_count", "", n)
 }

@@ -1,7 +1,6 @@
 package promtext
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -11,32 +10,22 @@ import (
 )
 
 func TestExpositionShape(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounterFunc("sweep_requests_total", "Total /sweep requests.", func() float64 { return 3 })
-	r.NewGaugeFunc("sweep_inflight_points", "Points now simulating.", func() float64 { return 2 })
-	r.NewCounterVecFunc("sweep_rejects_total", "Rejected requests by reason.", "reason", func(cell func(string, float64)) {
-		cell("bad_request", 1)
-		cell("queue_full", 4)
-	})
 	h := obs.NewHistogram([]time.Duration{100 * time.Millisecond, time.Second})
 	h.Observe(50 * time.Millisecond)
 	h.Observe(500 * time.Millisecond)
 	h.Observe(5 * time.Second)
-	r.NewHistogramFunc("sweep_request_seconds", "Request latency.", func() obs.Histogram { return h })
-	r.NewInfo("build_info", "Build metadata.", map[string]string{
-		"version": "pr7", "code_version": "cv1",
-	})
-	r.NewGaugeFunc("store_entries", "Store entries.", func() float64 { return 7 })
 
-	var b strings.Builder
-	n, err := r.WriteTo(&b)
-	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got := b.String()
-	if n != int64(len(got)) {
-		t.Errorf("WriteTo returned %d bytes, wrote %d", n, len(got))
-	}
+	var b []byte
+	b = AppendScalar(b, "build_info", "Build metadata.", "gauge", Labels("code_version", "cv1", "version", "pr7"), 1)
+	b = AppendScalar(b, "store_entries", "Store entries.", "gauge", "", 7)
+	b = AppendScalar(b, "sweep_inflight_points", "Points now simulating.", "gauge", "", 2)
+	b = AppendCounterVec(b, "sweep_rejects_total", "Rejected requests by reason.", "reason", []Cell{
+		{"bad_request", 1},
+		{"queue_full", 4},
+	})
+	b = AppendHistogram(b, "sweep_request_seconds", "Request latency.", h)
+	b = AppendScalar(b, "sweep_requests_total", "Total /sweep requests.", "counter", "", 3)
+	got := string(b)
 
 	want := strings.Join([]string{
 		`# HELP build_info Build metadata.`,
@@ -75,12 +64,9 @@ func TestExpositionShape(t *testing.T) {
 // ladder: they must render as the decimal seconds scrapers and the
 // golden exposition have always seen.
 func TestLatencyBucketsRenderAsBefore(t *testing.T) {
-	r := NewRegistry()
-	r.NewHistogramFunc("h", "h", func() obs.Histogram { return obs.NewHistogram(obs.LatencyBuckets) })
-	var b strings.Builder
-	r.WriteTo(&b)
+	b := AppendHistogram(nil, "h", "h", obs.NewHistogram(obs.LatencyBuckets))
 	var les []string
-	for _, line := range strings.Split(b.String(), "\n") {
+	for _, line := range strings.Split(string(b), "\n") {
 		if i := strings.Index(line, `le="`); i >= 0 {
 			les = append(les, line[i+4:strings.LastIndexByte(line, '"')])
 		}
@@ -89,73 +75,8 @@ func TestLatencyBucketsRenderAsBefore(t *testing.T) {
 	if got := strings.Join(les, " "); got != want {
 		t.Errorf("le bounds = %s, want %s", got, want)
 	}
-	if err := Lint([]byte(b.String())); err != nil {
+	if err := Lint(b); err != nil {
 		t.Errorf("Lint rejected an empty histogram: %v", err)
-	}
-}
-
-// failWriter accepts limit bytes, then fails every write.
-type failWriter struct{ limit int }
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if len(p) > w.limit {
-		n := w.limit
-		w.limit = 0
-		return n, errors.New("full")
-	}
-	w.limit -= len(p)
-	return len(p), nil
-}
-
-func TestWriteToStopsAtFirstError(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounterFunc("a", "a", func() float64 { return 1 })
-	r.NewCounterFunc("b", "b", func() float64 { return 2 })
-	n, err := r.WriteTo(&failWriter{limit: 10})
-	if err == nil || n != 10 {
-		t.Errorf("WriteTo = (%d, %v), want (10, full)", n, err)
-	}
-}
-
-// TestNilRegistryAndInstruments: a nil registry registers no family,
-// never calls a family function, and renders nothing.
-func TestNilRegistryAndInstruments(t *testing.T) {
-	var r *Registry
-	r.NewCounterFunc("f", "f", func() float64 { t.Error("fn called on nil registry"); return 0 })
-	r.NewGaugeFunc("f2", "f2", func() float64 { t.Error("fn called on nil registry"); return 0 })
-	r.NewCounterVecFunc("v", "v", "reason", func(func(string, float64)) { t.Error("fn called on nil registry") })
-	r.NewHistogramFunc("h", "h", func() obs.Histogram { t.Error("fn called on nil registry"); return obs.Histogram{} })
-	r.NewInfo("i", "i", map[string]string{"a": "b"})
-	var b strings.Builder
-	if n, err := r.WriteTo(&b); n != 0 || err != nil || b.Len() != 0 {
-		t.Errorf("nil WriteTo = (%d, %v, %q)", n, err, b.String())
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	one := func() float64 { return 1 }
-	noCells := func(func(string, float64)) {}
-	cases := []struct {
-		name string
-		fn   func(r *Registry)
-	}{
-		{"invalid name", func(r *Registry) { r.NewCounterFunc("9bad", "x", one) }},
-		{"empty name", func(r *Registry) { r.NewCounterFunc("", "x", one) }},
-		{"name with dash", func(r *Registry) { r.NewCounterFunc("a-b", "x", one) }},
-		{"duplicate", func(r *Registry) { r.NewCounterFunc("dup", "x", one); r.NewGaugeFunc("dup", "x", one) }},
-		{"bad label", func(r *Registry) { r.NewCounterVecFunc("v", "x", "le gal", noCells) }},
-		{"colon label", func(r *Registry) { r.NewCounterVecFunc("v", "x", "a:b", noCells) }},
-		{"bad info label", func(r *Registry) { r.NewInfo("i", "x", map[string]string{"1x": "y"}) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", tc.name)
-				}
-			}()
-			tc.fn(NewRegistry())
-		})
 	}
 }
 
@@ -185,14 +106,14 @@ func TestFormatValue(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounterVecFunc("c", "c", "reason", func(cell func(string, float64)) { cell("a\"b\\c\nd", 1) })
-	var b strings.Builder
-	r.WriteTo(&b)
-	if !strings.Contains(b.String(), `c{reason="a\"b\\c\nd"} 1`) {
-		t.Errorf("escaping wrong:\n%s", b.String())
+	b := AppendCounterVec(nil, "c", "c", "reason", []Cell{{"a\"b\\c\nd", 1}})
+	if !strings.Contains(string(b), `c{reason="a\"b\\c\nd"} 1`) {
+		t.Errorf("escaping wrong:\n%s", b)
 	}
-	if err := Lint([]byte(b.String())); err != nil {
+	if got, want := Labels("v", "a\"b\\c\nd"), `{v="a\"b\\c\nd"}`; got != want {
+		t.Errorf("Labels = %s, want %s", got, want)
+	}
+	if err := Lint(b); err != nil {
 		t.Errorf("Lint rejected escaped labels: %v", err)
 	}
 }

@@ -183,9 +183,9 @@ func TestOneStoreReadPerScrape(t *testing.T) {
 }
 
 // TestScrapesConsistentUnderLoad: while concurrent sweeps move points
-// through the queue and another scraper contends for the scrape lock,
-// every /metrics body is one snapshot (inflight = queued + running) and
-// every /stats body fills its top-level counters from the same read as
+// through the queue and another scraper runs alongside, every /metrics
+// body is one snapshot (inflight = queued + running) and every /stats
+// body fills its top-level counters from the same read as
 // telemetry.counters.
 func TestScrapesConsistentUnderLoad(t *testing.T) {
 	const clients = 4
@@ -193,7 +193,7 @@ func TestScrapesConsistentUnderLoad(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(clients + 1)
-	go func() { // a second scraper, so scrapes contend for the scrape lock
+	go func() { // a second scraper, so scrapes overlap
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			resp, err := http.Get(ts.URL + "/metrics")
@@ -544,13 +544,8 @@ func fixedStats() Stats {
 // renderFixed renders the exposition one scrape of st gives on a
 // server built with codeVersion and draining as given.
 func renderFixed(st Stats, draining bool, codeVersion string) []byte {
-	s := &Server{cfg: Config{CodeVersion: codeVersion}}
-	s.draining.Store(draining)
-	m := newServerMetrics(true, s)
-	m.cur = st
-	var b bytes.Buffer
-	m.reg.WriteTo(&b)
-	return b.Bytes()
+	sc := scrape{st: st, draining: draining, buildInfo: buildInfoLabels(codeVersion)}
+	return sc.render(nil)
 }
 
 // TestMetricsGoldenExposition pins every byte of one scrape of

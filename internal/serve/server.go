@@ -171,15 +171,15 @@ type DeltaSource interface {
 
 // Server is the daemon: an http.Handler plus the scheduler behind it.
 type Server struct {
-	cfg      Config
-	rec      *obs.Recorder
-	metrics  *serverMetrics // nil when /metrics is disabled
-	sched    *scheduler
-	delta    DeltaSource // nil when the result store is memory-only
-	mux      *http.ServeMux
-	handler  http.Handler // mux wrapped in the tracing middleware
-	start    time.Time
-	draining atomic.Bool
+	cfg       Config
+	rec       *obs.Recorder
+	buildInfo string // build_info's /metrics label set
+	sched     *scheduler
+	delta     DeltaSource // nil when the result store is memory-only
+	mux       *http.ServeMux
+	handler   http.Handler // mux wrapped in the tracing middleware
+	start     time.Time
+	draining  atomic.Bool
 }
 
 // New builds a Server and starts its dispatcher. Callers must Close it.
@@ -191,7 +191,7 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(), // uptime gauge only; /stats is off the deterministic result path
 	}
-	s.metrics = newServerMetrics(!cfg.DisableMetrics, s)
+	s.buildInfo = buildInfoLabels(cfg.CodeVersion)
 	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log)
 	s.delta, _ = cfg.Store.(DeltaSource)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
