@@ -10,7 +10,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/config"
@@ -50,11 +49,6 @@ type SweepConfig struct {
 	// Workers sizes the simulation worker pool: 0 means GOMAXPROCS,
 	// 1 reproduces the historical serial path bit-for-bit.
 	Workers int
-
-	// Context, when non-nil, cancels a running study early. A cancelled
-	// study returns promptly with incomplete results; callers that cancel
-	// should discard the result and check Context.Err().
-	Context context.Context
 
 	// Obs, when non-nil, receives telemetry for this sweep: per-task
 	// durations and queue wait through the executor's hooks, plus

@@ -27,16 +27,11 @@ import (
 // pool builds the executor configuration for this sweep, wiring the
 // sweep's recorder (when present) onto the executor's observation hook.
 func (c SweepConfig) pool() exec.Pool {
-	p := exec.Pool{Workers: c.Workers, Ctx: c.Context}
+	p := exec.Pool{Workers: c.Workers}
 	if c.Obs != nil {
 		p.OnTask = c.Obs.Task
 	}
 	return p
-}
-
-// cancelled reports whether the sweep's context has been cancelled.
-func (c SweepConfig) cancelled() bool {
-	return c.Context != nil && c.Context.Err() != nil
 }
 
 // cell is one (params, trace) cell of a study grid, by index.
@@ -78,7 +73,7 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 		}
 	}
 	var leased []*pipeline.Scratch
-	out, _ := exec.MapWithState(cfg.pool(), cells,
+	out := exec.MapWithState(cfg.pool(), cells,
 		func() *pipeline.Scratch { return scratches.get(&leased) },
 		func(s *pipeline.Scratch, _ int, c cell) pipeline.Stats {
 			return run(params[c.pi], traces[c.ti], s, cfg.Obs)
@@ -87,9 +82,6 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 	// than return one that stopped mid-run.
 	scratches.put(leased)
 
-	// On cancellation the unfinished slots hold zero Stats; callers check
-	// cancelled() before aggregating (a zero IPC would poison the
-	// harmonic means).
 	stats := make([]pipeline.Stats, len(cells))
 	for k, c := range cells {
 		stats[c.pi*len(traces)+c.ti] = out[k]
@@ -261,16 +253,11 @@ func runPoints(cfg SweepConfig, specs []pointSpec, traces []*trace.Trace) []Swee
 	bips := make([]float64, len(traces))
 	for si, sp := range specs {
 		pt := SweepPoint{
-			Useful:    sp.useful,
-			Clock:     sp.clock,
-			FreqHz:    sp.freqHz,
-			GroupBIPS: map[trace.Group]float64{},
+			Useful:   sp.useful,
+			Clock:    sp.clock,
+			FreqHz:   sp.freqHz,
+			PerBench: make([]BenchPoint, 0, len(traces)),
 		}
-		if cfg.cancelled() {
-			points[si] = pt
-			continue
-		}
-		pt.PerBench = make([]BenchPoint, 0, len(traces))
 		for ti, tr := range traces {
 			s := stats[si*len(traces)+ti]
 			bips[ti] = metrics.BIPS(s.IPC, pt.FreqHz)
@@ -319,6 +306,18 @@ type ipcPoint struct {
 	all    float64
 }
 
+// relativeTo is v's IPC over base's, per group and over the whole
+// suite: the relative IPC Figures 8 and 11 and §5.2 report.
+func (v ipcPoint) relativeTo(base ipcPoint) (map[trace.Group]float64, float64) {
+	rel := map[trace.Group]float64{}
+	for _, g := range trace.Groups() {
+		if x, ok := v.groups[g]; ok {
+			rel[g] = x / base.groups[g]
+		}
+	}
+	return rel, v.all / base.all
+}
+
 // runIPCVariants simulates every (variant, benchmark) pair on the worker
 // pool from a shared base parameter set; mods[i] (nil allowed) adjusts
 // the parameters of variant i. Aggregation is serial and in benchmark
@@ -338,10 +337,6 @@ func runIPCVariants(cfg SweepConfig, traces []*trace.Trace, base pipeline.Params
 	var groups [3][]float64
 	ipcs := make([]float64, len(traces))
 	for mi := range mods {
-		if cfg.cancelled() {
-			out[mi] = ipcPoint{groups: map[trace.Group]float64{}}
-			continue
-		}
 		for ti := range traces {
 			ipcs[ti] = stats[mi*len(traces)+ti].IPC
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -112,24 +111,6 @@ func TestTraceCacheReuse(t *testing.T) {
 	}
 }
 
-func TestDepthSweepCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the sweep starts
-	cfg := smallConfig()
-	cfg.Context = ctx
-	res := DepthSweep(cfg)
-	if err := ctx.Err(); err == nil {
-		t.Fatal("context unexpectedly alive")
-	}
-	// A cancelled sweep returns promptly with empty aggregates rather
-	// than panicking inside the harmonic means.
-	for _, p := range res.Points {
-		if p.AllBIPS != 0 || len(p.PerBench) != 0 {
-			t.Errorf("cancelled sweep produced aggregates: %+v", p)
-		}
-	}
-}
-
 var freshSeeds atomic.Uint64
 
 // TestCachedTraceGeneratesOnce: callers racing for one fresh key wait for
@@ -158,10 +139,10 @@ func TestCachedTraceGeneratesOnce(t *testing.T) {
 	start.Done()
 	done.Wait()
 
-	if m := rec.Counter("trace_cache_misses"); m != 1 {
+	if m := rec.Snapshot().Counters["trace_cache_misses"]; m != 1 {
 		t.Errorf("trace_cache_misses = %d, want 1", m)
 	}
-	if h := rec.Counter("trace_cache_hits"); h != racers-1 {
+	if h := rec.Snapshot().Counters["trace_cache_hits"]; h != racers-1 {
 		t.Errorf("trace_cache_hits = %d, want %d", h, racers-1)
 	}
 	for i, tr := range got {
@@ -239,7 +220,7 @@ func TestGridReusesWorkerScratch(t *testing.T) {
 	first := DepthSweep(cfg)
 	cfg.Obs = obs.New(nil)
 	second := DepthSweep(cfg)
-	if got := cfg.Obs.Counter("prewarms"); got != 0 {
+	if got := cfg.Obs.Snapshot().Counters["prewarms"]; got != 0 {
 		t.Errorf("repeated sweep at one worker prewarmed %d times, want 0", got)
 	}
 	first.Config.Obs = nil

@@ -41,14 +41,8 @@ func SegmentedWindowSweep(cfg SweepConfig, maxStages int, naive bool) []WindowPo
 
 	points := make([]WindowPoint, maxStages)
 	for i, v := range pts {
-		pt := WindowPoint{Stages: i + 1, RelativeIPC: map[trace.Group]float64{}}
-		for _, grp := range trace.Groups() {
-			if x, ok := v.groups[grp]; ok {
-				pt.RelativeIPC[grp] = x / baseline.groups[grp]
-			}
-		}
-		pt.RelativeAll = v.all / baseline.all
-		points[i] = pt
+		points[i] = WindowPoint{Stages: i + 1}
+		points[i].RelativeIPC, points[i].RelativeAll = v.relativeTo(baseline)
 	}
 	return points
 }
@@ -79,14 +73,7 @@ func SegmentedSelect(cfg SweepConfig) SelectResult {
 			p.PreSelect = []int{5, 2, 1}
 		},
 	})
-	conv, seg := pts[0], pts[1]
-
-	res := SelectResult{RelativeIPC: map[trace.Group]float64{}}
-	for _, g := range trace.Groups() {
-		if v, ok := seg.groups[g]; ok {
-			res.RelativeIPC[g] = v / conv.groups[g]
-		}
-	}
-	res.RelativeAll = seg.all / conv.all
+	var res SelectResult
+	res.RelativeIPC, res.RelativeAll = pts[1].relativeTo(pts[0]) // segmented over conventional
 	return res
 }

@@ -12,7 +12,6 @@
 package exec
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -26,9 +25,6 @@ type Pool struct {
 	// 1 runs every job serially on the caller's goroutine (reproducing an
 	// ordinary loop bit-for-bit), and higher values cap the pool.
 	Workers int
-
-	// Ctx cancels a Map early; nil means it cannot be cancelled.
-	Ctx context.Context
 
 	// OnTask, when non-nil, is called on the worker's goroutine after
 	// each task returns. worker identifies the worker (0..size-1; the
@@ -65,25 +61,17 @@ func (p Pool) size(n int) int {
 	return w
 }
 
-// ctx resolves the pool's context.
-func (p Pool) ctx() context.Context {
-	if p.Ctx == nil {
-		return context.Background()
-	}
-	return p.Ctx
-}
-
 // Map applies fn to every item and returns the results slotted by item
 // index. Jobs are handed out in index order; completion order never
 // affects the output, so Map is deterministic at any worker count.
 //
-// When the pool's context is cancelled, Map stops handing out work and
-// returns the context's error; slots whose jobs never ran hold zero
-// values, so a caller that sees a non-nil error must discard the results.
+// Map runs every item, so its error is always nil. The second result
+// stays only because the benchmark module's two callers discard it
+// (res, _ := exec.Map(...)); drop it together with their blank.
 func Map[T, R any](p Pool, items []T, fn func(int, T) R) ([]R, error) {
 	return MapWithState(p, items,
 		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int, it T) R { return fn(i, it) })
+		func(_ struct{}, i int, it T) R { return fn(i, it) }), nil
 }
 
 // MapWithState is Map with per-worker scratch state: newState runs once
@@ -101,24 +89,20 @@ func Map[T, R any](p Pool, items []T, fn func(int, T) R) ([]R, error) {
 // of jobs, in this call or an earlier one — because which jobs share a
 // state instance depends on scheduling, and any leakage through the
 // state would break Map's worker-count invariance.
-func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(state S, index int, item T) R) ([]R, error) {
+func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(state S, index int, item T) R) []R {
 	results := make([]R, len(items))
 	if len(items) == 0 {
-		return results, nil
+		return results
 	}
-	ctx := p.ctx()
 	p.Workers = p.size(len(items))
 	submitted := hookClock()
 	var claimed atomic.Int64
 	next := func() (int, time.Time, bool) {
-		if ctx.Err() != nil {
-			return 0, submitted, false
-		}
 		i := int(claimed.Add(1)) - 1
 		return i, submitted, i < len(items)
 	}
 	Pull(p, newState, next, func(s S, i int) { results[i] = fn(s, i, items[i]) })
-	return results, ctx.Err()
+	return results
 }
 
 // Pull runs the pool over a stream of work instead of a fixed grid: each
@@ -135,8 +119,8 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 // MapWithState — must compute it as a pure function of the unit, never
 // of the state or of which worker runs it. next must be safe for
 // concurrent calls. OnTask fires once per unit, with queueWait from the
-// ready time next reports for the unit. Ctx does not apply: next alone
-// decides what runs and when the stream ends.
+// ready time next reports for the unit; next alone decides what runs and
+// when the stream ends.
 func Pull[T, S any](p Pool, newState func() S, next func() (unit T, ready time.Time, ok bool), fn func(state S, unit T)) {
 	work := func(w int) {
 		state := newState()

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,42 +63,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestMapPreCancelledRunsNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	for _, workers := range []int{1, 4} {
-		_, err := Map(Pool{Workers: workers, Ctx: ctx}, items(50), func(i, v int) int {
-			ran.Add(1)
-			return v
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-	}
-	if n := ran.Load(); n != 0 {
-		t.Fatalf("%d jobs ran on a cancelled context", n)
-	}
-}
-
-func TestMapCancellationStopsEarly(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	const n = 10000
-	_, err := Map(Pool{Workers: 4, Ctx: ctx}, items(n), func(i, v int) int {
-		if ran.Add(1) == 10 {
-			cancel()
-		}
-		return v
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := ran.Load(); got >= n {
-		t.Fatalf("all %d jobs ran despite cancellation", got)
-	}
-}
-
 func TestMapWithStateOneStatePerWorker(t *testing.T) {
 	type state struct{ jobs int }
 	for _, workers := range []int{1, 4} {
@@ -113,14 +75,11 @@ func TestMapWithStateOneStatePerWorker(t *testing.T) {
 			states = append(states, s)
 			return s
 		}
-		got, err := MapWithState(Pool{Workers: workers}, items(100), newState,
+		got := MapWithState(Pool{Workers: workers}, items(100), newState,
 			func(s *state, i, v int) int {
 				s.jobs++
 				return i + v
 			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
 		for i, v := range got {
 			if v != 2*i {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, v, 2*i)
@@ -153,14 +112,8 @@ func TestMapWithStateSerialMatchesParallel(t *testing.T) {
 		return x
 	}
 	newBuf := func() []uint64 { return make([]uint64, 32) }
-	serial, err := MapWithState(Pool{Workers: 1}, items(257), newBuf, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := MapWithState(Pool{Workers: 8}, items(257), newBuf, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := MapWithState(Pool{Workers: 1}, items(257), newBuf, fn)
+	parallel := MapWithState(Pool{Workers: 8}, items(257), newBuf, fn)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("slot %d: serial %d != parallel %d", i, serial[i], parallel[i])

@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -28,10 +27,6 @@ type Options struct {
 	// Workers sizes the simulation worker pool (see core.SweepConfig):
 	// 0 means GOMAXPROCS, 1 forces the serial path.
 	Workers int
-
-	// Context, when non-nil, cancels a running experiment early; a
-	// cancelled run's result must be discarded.
-	Context context.Context
 
 	// Bench restricts the suite to benchmarks whose names contain this
 	// case-insensitive substring (e.g. "gcc" or "vpr"). Empty means the
@@ -66,7 +61,6 @@ func (o Options) sweepConfig(m config.Machine) core.SweepConfig {
 		Seed:         o.Seed,
 		Benchmarks:   o.benchmarks(nil),
 		Workers:      o.Workers,
-		Context:      o.Context,
 		Obs:          o.Obs,
 	}
 }

@@ -46,7 +46,7 @@ func RunWorkloadTable(o Options) WorkloadTable {
 	o = o.fill()
 	defer o.Obs.Study("workload-table")()
 	profiles := MatchBenchmarks(o.Bench)
-	pool := exec.Pool{Workers: o.Workers, Ctx: o.Context}
+	pool := exec.Pool{Workers: o.Workers}
 	if o.Obs != nil {
 		pool.OnTask = o.Obs.Task
 	}
