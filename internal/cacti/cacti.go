@@ -188,11 +188,15 @@ func (m Model) CAMAccessFO4(c CAMConfig) float64 {
 		m.KOrTree*(1+log2(float64(c.TagBits)))
 }
 
-// SegmentedCAMStageFO4 returns the per-stage wakeup delay of a segmented
+// segmentedCAMStageFO4 and selectFO4 are the Section 5 circuit
+// derivations behind the segmented window's design: no study calls
+// them, and the cacti tests pin the shape the paper argues from.
+
+// segmentedCAMStageFO4 returns the per-stage wakeup delay of a segmented
 // issue window: the broadcast only spans Entries/stages entries per cycle,
 // so the per-cycle critical path shrinks accordingly (plus the inter-stage
 // tag latch, accounted as overhead by the clocking model, not here).
-func (m Model) SegmentedCAMStageFO4(c CAMConfig, stages int) float64 {
+func (m Model) segmentedCAMStageFO4(c CAMConfig, stages int) float64 {
 	if stages < 1 {
 		panic("cacti: need at least one stage")
 	}
@@ -201,10 +205,10 @@ func (m Model) SegmentedCAMStageFO4(c CAMConfig, stages int) float64 {
 	return m.CAMAccessFO4(per)
 }
 
-// SelectFO4 returns the delay of selection logic choosing among fanIn
+// selectFO4 returns the delay of selection logic choosing among fanIn
 // ready instructions: a tree of arbiters, logarithmic in the fan-in
 // (Palacharla's selection model).
-func (m Model) SelectFO4(fanIn int) float64 {
+func (m Model) selectFO4(fanIn int) float64 {
 	if fanIn < 1 {
 		panic("cacti: select fan-in must be positive")
 	}

@@ -107,14 +107,14 @@ func TestSegmentationShrinksPerStageDelay(t *testing.T) {
 	full := m.CAMAccessFO4(cfg)
 	prev := full
 	for stages := 2; stages <= 8; stages *= 2 {
-		seg := m.SegmentedCAMStageFO4(cfg, stages)
+		seg := m.segmentedCAMStageFO4(cfg, stages)
 		if seg >= prev {
 			t.Errorf("%d-stage per-stage delay %.2f not below %d-stage %.2f",
 				stages, seg, stages/2, prev)
 		}
 		prev = seg
 	}
-	if one := m.SegmentedCAMStageFO4(cfg, 1); math.Abs(one-full) > 1e-9 {
+	if one := m.segmentedCAMStageFO4(cfg, 1); math.Abs(one-full) > 1e-9 {
 		t.Errorf("1-stage segmented (%.2f) differs from unsegmented (%.2f)", one, full)
 	}
 }
@@ -123,7 +123,7 @@ func TestSelectFanInScaling(t *testing.T) {
 	m := Default100nm
 	// Partitioned selection's point: fan-in 16 select is meaningfully
 	// faster than fan-in 32, and fits within ~1 cycle at the 6 FO4 optimum.
-	s16, s32 := m.SelectFO4(16), m.SelectFO4(32)
+	s16, s32 := m.selectFO4(16), m.selectFO4(32)
 	if s16 >= s32 {
 		t.Errorf("select16 (%.2f) not faster than select32 (%.2f)", s16, s32)
 	}
@@ -145,8 +145,8 @@ func TestPanicsOnInvalidConfigs(t *testing.T) {
 		"ram zero entries": func() { m.RAMAccessFO4(RAMConfig{Entries: 0, Bits: 8}) },
 		"cam zero tag":     func() { m.CAMAccessFO4(CAMConfig{Entries: 8, TagBits: 0}) },
 		"tiny cache":       func() { m.CacheAccessFO4(CacheConfig{CapacityBytes: 16, BlockBytes: 64, Assoc: 2}) },
-		"zero stages":      func() { m.SegmentedCAMStageFO4(CAMConfig{Entries: 8, TagBits: 9}, 0) },
-		"zero fanin":       func() { m.SelectFO4(0) },
+		"zero stages":      func() { m.segmentedCAMStageFO4(CAMConfig{Entries: 8, TagBits: 9}, 0) },
+		"zero fanin":       func() { m.selectFO4(0) },
 	} {
 		func() {
 			defer func() {

@@ -68,11 +68,12 @@ func TestSweepAndEachCountAlike(t *testing.T) {
 	if err := SimulateEach(opts, nil, eachRec, func(int, BenchPoint) {}); err != nil {
 		t.Fatal(err)
 	}
-	if got := eachRec.Counter("simulations"); got != int64(len(grid)) {
+	sweep, each := sweepRec.Snapshot().Counters, eachRec.Snapshot().Counters
+	if got := each["simulations"]; got != int64(len(grid)) {
 		t.Errorf("SimulateEach over %d points counted %d simulations", len(grid), got)
 	}
 	for _, name := range []string{"simulations", "wakeup_wakes", "wakeup_scanned"} {
-		if s, e := sweepRec.Counter(name), eachRec.Counter(name); s != e {
+		if s, e := sweep[name], each[name]; s != e {
 			t.Errorf("%s: DepthSweep counted %d, SimulateEach %d", name, s, e)
 		}
 	}

@@ -38,9 +38,6 @@ func (c Class) String() string {
 // IsFP reports whether the class executes on the floating-point cluster.
 func (c Class) IsFP() bool { return c >= FPAdd && c <= FPSqrt }
 
-// IsMem reports whether the class accesses the data cache.
-func (c Class) IsMem() bool { return c == Load || c == Store }
-
 // Alpha21264Cycles returns the execution latency of the class on the Alpha
 // 21264 (800 MHz, 180nm) in that machine's cycles — the last row of
 // Table 3. Loads report address-generation only; the cache access is

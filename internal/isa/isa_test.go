@@ -22,10 +22,6 @@ func TestClassPredicates(t *testing.T) {
 		if cl.IsFP() != wantFP {
 			t.Errorf("%v.IsFP() = %v", cl, cl.IsFP())
 		}
-		wantMem := cl == Load || cl == Store
-		if cl.IsMem() != wantMem {
-			t.Errorf("%v.IsMem() = %v", cl, cl.IsMem())
-		}
 	}
 }
 

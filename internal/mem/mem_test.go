@@ -104,7 +104,7 @@ func TestSPECWorkloadMissRates(t *testing.T) {
 		h := NewHierarchy(NewCache(64<<10, 64, 2), NewCache(2<<20, 64, 2))
 		cols := tr.Columns()
 		for i, f := range cols.Flags {
-			if trace.ClassOf(f).IsMem() {
+			if f&(trace.FlagLoad|trace.FlagStore) != 0 {
 				h.Access(uint64(cols.Addr[i]))
 			}
 		}

@@ -109,17 +109,6 @@ func (r *Recorder) Study(name string) func() {
 	}
 }
 
-// Counter returns the current value of one named counter (0 when the
-// counter has never been incremented, or on a nil recorder).
-func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
 // Task records one completed executor task: the worker that ran it,
 // how long it waited between its ready time and its start, and how long
 // it ran. The signature matches exec.Pool's OnTask hook. It allocates

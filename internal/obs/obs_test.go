@@ -132,19 +132,3 @@ func TestLevelMapping(t *testing.T) {
 		t.Error("-quiet must show less than the default")
 	}
 }
-
-func TestCounterAccessor(t *testing.T) {
-	r := New(nil)
-	r.Add("hits", 2)
-	r.Add("hits", 3)
-	if got := r.Counter("hits"); got != 5 {
-		t.Errorf("Counter(hits) = %d, want 5", got)
-	}
-	if got := r.Counter("never-touched"); got != 0 {
-		t.Errorf("Counter of an untouched name = %d, want 0", got)
-	}
-	var nilRec *Recorder
-	if got := nilRec.Counter("hits"); got != 0 {
-		t.Errorf("nil recorder Counter = %d, want 0", got)
-	}
-}

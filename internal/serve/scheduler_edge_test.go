@@ -127,7 +127,7 @@ func TestReleasePrunesQueuedJobs(t *testing.T) {
 			t.Fatalf("ticket %d: done=%v err=%v, want cancelled", i, done, jerr)
 		}
 	}
-	if got := s.rec.Counter("points_dropped"); got != 2 {
+	if got := s.rec.Snapshot().Counters["points_dropped"]; got != 2 {
 		t.Fatalf("points_dropped = %d, want 2", got)
 	}
 }
@@ -160,7 +160,7 @@ func TestReleaseKeepsSharedJobs(t *testing.T) {
 	if len(s.queue) != 0 || len(s.inflight) != 0 {
 		t.Fatal("job lingered after its last waiter left")
 	}
-	if got := s.rec.Counter("points_dropped"); got != 1 {
+	if got := s.rec.Snapshot().Counters["points_dropped"]; got != 1 {
 		t.Fatalf("points_dropped = %d, want 1 (one point, however many requesters)", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 	if _, ok := s.inflight[keys[0]]; ok {
 		t.Fatal("abandoned job still registered in-flight")
 	}
-	if got := s.rec.Counter("points_dropped"); got != 1 {
+	if got := s.rec.Snapshot().Counters["points_dropped"]; got != 1 {
 		t.Fatalf("points_dropped = %d, want 1", got)
 	}
 }
@@ -249,11 +249,11 @@ func testRunBatchRunsJobAbandonedAfterClaim(t *testing.T) {
 	if _, ok := s.cache.Get(keys[0]); !ok {
 		t.Fatal("the abandoned job's result missed the cache")
 	}
-	done1, dropped := s.rec.Counter("points_done"), s.rec.Counter("points_dropped")
+	done1, dropped := s.rec.Snapshot().Counters["points_done"], s.rec.Snapshot().Counters["points_dropped"]
 	if done1 != 1 || dropped != 0 || int64(adm.misses) != done1+dropped {
 		t.Fatalf("points_done = %d, points_dropped = %d, want 1 and 0 for %d miss", done1, dropped, adm.misses)
 	}
-	if got := s.rec.Counter("simulations"); got != 1 {
+	if got := s.rec.Snapshot().Counters["simulations"]; got != 1 {
 		t.Fatalf("simulations = %d, want 1", got)
 	}
 	if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
@@ -286,10 +286,10 @@ func TestClaimedJobServesLateJoiner(t *testing.T) {
 		t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
 			len(s.queue), len(s.inflight), s.running)
 	}
-	if got := s.rec.Counter("points_dropped"); got != 0 {
+	if got := s.rec.Snapshot().Counters["points_dropped"]; got != 0 {
 		t.Fatalf("points_dropped = %d, want 0", got)
 	}
-	if got := s.rec.Counter("simulations"); got != 1 {
+	if got := s.rec.Snapshot().Counters["simulations"]; got != 1 {
 		t.Fatalf("simulations = %d, want 1 (one run serves both requests)", got)
 	}
 }
@@ -331,7 +331,7 @@ func TestRunGroupedPartitionsByTrace(t *testing.T) {
 			t.Fatalf("batched and solo simulation disagree for %s:\n  batched: %s\n  solo:    %s", keys[i], tk.job.line, want)
 		}
 	}
-	if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
+	if got := s.rec.Snapshot().Counters["simulations"]; got != int64(len(pts)) {
 		t.Fatalf("simulations = %d, want %d", got, len(pts))
 	}
 }
@@ -367,10 +367,10 @@ func TestRunBatchRunsAbandonedBatchBesideOtherTrace(t *testing.T) {
 			t.Fatalf("lane %s missed the cache", keys[i])
 		}
 	}
-	if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
+	if got := s.rec.Snapshot().Counters["simulations"]; got != int64(len(pts)) {
 		t.Fatalf("simulations = %d, want %d (both batches run)", got, len(pts))
 	}
-	if got := s.rec.Counter("points_done"); got != int64(len(pts)) {
+	if got := s.rec.Snapshot().Counters["points_done"]; got != int64(len(pts)) {
 		t.Fatalf("points_done = %d, want %d", got, len(pts))
 	}
 }
@@ -401,7 +401,7 @@ func testFinishJobSimulationError(t *testing.T) {
 	if _, ok := s.cache.Get(key); ok {
 		t.Fatal("a failed simulation landed in the cache")
 	}
-	if got := s.rec.Counter("points_done"); got != 0 {
+	if got := s.rec.Snapshot().Counters["points_done"]; got != 0 {
 		t.Fatalf("points_done = %d for a failed point", got)
 	}
 }

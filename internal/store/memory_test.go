@@ -43,8 +43,8 @@ func TestMemoryEvictsLeastRecentlyUsed(t *testing.T) {
 	if st.Evictions != 1 || st.MemEntries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction, 2 entries", st)
 	}
-	if rec.Counter("cache_evictions") != 1 {
-		t.Fatalf("cache_evictions counter = %d, want 1", rec.Counter("cache_evictions"))
+	if got := rec.Snapshot().Counters["cache_evictions"]; got != 1 {
+		t.Fatalf("cache_evictions counter = %d, want 1", got)
 	}
 }
 

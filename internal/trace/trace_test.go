@@ -182,7 +182,7 @@ func TestAddressesWithinFootprint(t *testing.T) {
 		tr := p.Generate(10000, 21)
 		cols := tr.Columns()
 		for i, f := range cols.Flags {
-			if ClassOf(f).IsMem() && uint64(cols.Addr[i]) >= p.FootprintBytes+64 {
+			if f&(FlagLoad|FlagStore) != 0 && uint64(cols.Addr[i]) >= p.FootprintBytes+64 {
 				t.Fatalf("%s inst %d: address %d beyond footprint %d",
 					p.Name, i, cols.Addr[i], p.FootprintBytes)
 			}
