@@ -11,8 +11,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Static analysis: the repo's invariant-enforcing rule suite
 # (cmd/reprolint -list names the rules), including the interprocedural

@@ -186,12 +186,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		rec:   cfg.Rec,
-		mux:   http.NewServeMux(),
-		start: time.Now(), // uptime gauge only; /stats is off the deterministic result path
+		cfg:       cfg,
+		rec:       cfg.Rec,
+		buildInfo: buildInfoLabels(cfg.CodeVersion),
+		mux:       http.NewServeMux(),
+		start:     time.Now(), // uptime gauge only; /stats is off the deterministic result path
 	}
-	s.buildInfo = buildInfoLabels(cfg.CodeVersion)
 	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log)
 	s.delta, _ = cfg.Store.(DeltaSource)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
