@@ -27,10 +27,14 @@ func Private(t *trace.Trace) ([]uint8, int32) {
 	mine[0] |= trace.FlagTaken
 	mine = append(mine, cols.Flags...)
 	var sum int32
-	for i, f := range cols.Flags {
-		if f&trace.FlagBranch != 0 {
-			sum += trace.Producer(int32(i), cols.Dep1[i])
+	ops := t.Operands()
+	for _, f := range cols.Flags {
+		if src, _ := ops.Next(); f&trace.FlagBranch != 0 {
+			sum += src
 		}
+	}
+	for _, a := range cols.MemAddrs {
+		sum += int32(a)
 	}
 	for _, c := range t.ConsumerIndexOf().Consumers(0) {
 		sum += c

@@ -69,10 +69,12 @@ func characterize(p trace.Profile, tr *trace.Trace) WorkloadRow {
 
 	var memAccesses, memToDRAM uint64
 	cols := tr.Columns()
+	ops := tr.Operands()
+	nextAddr := 0
 	for i, f := range cols.Flags {
 		counts[trace.ClassOf(f)]++
-		if d := cols.Dep1[i]; d != 0 {
-			depSum += float64(d)
+		if s1, _ := ops.Next(); s1 >= 0 {
+			depSum += float64(int32(i) - s1)
 			depN++
 		}
 		switch {
@@ -85,9 +87,10 @@ func characterize(p trace.Profile, tr *trace.Trace) WorkloadRow {
 			}
 		case f&(trace.FlagLoad|trace.FlagStore) != 0:
 			memAccesses++
-			if h.Access(uint64(cols.Addr[i])) == mem.Memory {
+			if h.Access(uint64(cols.MemAddrs[nextAddr])) == mem.Memory {
 				memToDRAM++
 			}
+			nextAddr++
 		}
 	}
 	total := float64(tr.Len())

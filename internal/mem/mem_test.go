@@ -102,11 +102,8 @@ func TestSPECWorkloadMissRates(t *testing.T) {
 		}
 		tr := p.Generate(200000, 5)
 		h := NewHierarchy(NewCache(64<<10, 64, 2), NewCache(2<<20, 64, 2))
-		cols := tr.Columns()
-		for i, f := range cols.Flags {
-			if f&(trace.FlagLoad|trace.FlagStore) != 0 {
-				h.Access(uint64(cols.Addr[i]))
-			}
+		for _, a := range tr.Columns().MemAddrs {
+			h.Access(uint64(a))
 		}
 		return h.L1.MissRate(), h.L2.MissRate()
 	}

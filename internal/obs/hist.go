@@ -59,6 +59,9 @@ func NewHistogram(bounds []time.Duration) Histogram {
 // Observe records one duration. A duration equal to a bound counts in
 // that bound's bucket (bounds are inclusive).
 func (h *Histogram) Observe(d time.Duration) {
+	if h.counts == nil {
+		h.counts = make([]int64, len(h.bounds)+1) // see Snapshot.Histogram
+	}
 	i, _ := slices.BinarySearch(h.bounds, d)
 	h.counts[i]++
 	if h.n == 0 || d < h.min {
@@ -83,7 +86,9 @@ func (h *Histogram) Sum() time.Duration { return h.sum }
 func (h *Histogram) Buckets(fn func(le time.Duration, cumulative int64)) {
 	var cum int64
 	for i, b := range h.bounds {
-		cum += h.counts[i]
+		if h.n > 0 {
+			cum += h.counts[i]
+		}
 		fn(b, cum)
 	}
 }

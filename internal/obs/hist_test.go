@@ -172,3 +172,32 @@ func TestRecorderMemoryBounded(t *testing.T) {
 		t.Errorf("Snapshot bytes: %d after 10k tasks, %d after 1M", small.snapBytes, large.snapBytes)
 	}
 }
+
+// TestUnobservedHistogramAllocatesNothing: a scrape renders every named
+// histogram, observed or not, so an unobserved one is read without
+// allocating cells. It still reads as empty over LatencyBuckets, and a
+// first Observe into it gives it cells of its own.
+func TestUnobservedHistogramAllocatesNothing(t *testing.T) {
+	snap := New(nil).Snapshot()
+	var h Histogram
+	if n := testing.AllocsPerRun(100, func() { h = snap.Histogram("never") }); n != 0 {
+		t.Errorf("Snapshot.Histogram of an unobserved name allocates %v times", n)
+	}
+	var bounds []time.Duration
+	h.Buckets(func(le time.Duration, cum int64) {
+		bounds = append(bounds, le)
+		if cum != 0 {
+			t.Errorf("bucket le=%v of an unobserved histogram holds %d", le, cum)
+		}
+	})
+	if !slices.Equal(bounds, LatencyBuckets) || h.Count() != 0 || h.Stats() != (DurationStats{}) {
+		t.Fatalf("unobserved histogram: bounds %v, count %d, stats %+v", bounds, h.Count(), h.Stats())
+	}
+	h.Observe(3 * time.Millisecond)
+	if got := cumulative(&h); got[3] != 1 || got[2] != 0 {
+		t.Errorf("after one 3ms observation, cumulative buckets read %v", got)
+	}
+	if again := snap.Histogram("never"); again.Count() != 0 {
+		t.Error("an Observe into one unobserved histogram reached another")
+	}
+}

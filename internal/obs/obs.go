@@ -177,12 +177,13 @@ type Snapshot struct {
 }
 
 // Histogram returns one named histogram, empty over LatencyBuckets when
-// nothing has been observed under that name.
+// nothing has been observed under that name. The empty one allocates
+// nothing: it has no cells until its first Observe.
 func (s Snapshot) Histogram(name string) Histogram {
 	if h, ok := s.Histograms[name]; ok {
 		return h
 	}
-	return NewHistogram(LatencyBuckets)
+	return Histogram{bounds: LatencyBuckets}
 }
 
 // Snapshot copies the recorder's current state; a nil recorder yields an

@@ -33,14 +33,15 @@ import (
 // ContentType is the exposition content type a scraper negotiates.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// formatValue renders an exposition float: integral values print as
+// appendValue appends an exposition float: integral values print as
 // integers (the common case — counters and byte gauges — stays
-// grep-friendly), everything else in Go's shortest float form.
-func formatValue(v float64) string {
+// grep-friendly), everything else in Go's shortest float form. It
+// formats in place, so a scrape allocates no string per value.
+func appendValue(b []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -93,7 +94,7 @@ func appendSample(b []byte, name, suffix, labels string, v float64) []byte {
 	b = append(b, suffix...)
 	b = append(b, labels...)
 	b = append(b, ' ')
-	b = append(b, formatValue(v)...)
+	b = appendValue(b, v)
 	return append(b, '\n')
 }
 
@@ -120,7 +121,7 @@ func AppendCounterVec(b []byte, name, help, label string, cells []Cell) []byte {
 		b = append(b, '{')
 		b = appendLabel(b, label, c.Label)
 		b = append(b, "} "...)
-		b = append(b, formatValue(c.Value)...)
+		b = appendValue(b, c.Value)
 		b = append(b, '\n')
 	}
 	return b
@@ -134,9 +135,9 @@ func AppendHistogram(b []byte, name, help string, h obs.Histogram) []byte {
 	h.Buckets(func(le time.Duration, cum int64) {
 		b = append(b, name...)
 		b = append(b, `_bucket{le="`...)
-		b = append(b, formatValue(le.Seconds())...)
+		b = appendValue(b, le.Seconds())
 		b = append(b, `"} `...)
-		b = append(b, formatValue(float64(cum))...)
+		b = appendValue(b, float64(cum))
 		b = append(b, '\n')
 	})
 	n := float64(h.Count())

@@ -93,14 +93,14 @@ func TestFormatValue(t *testing.T) {
 		{math.Inf(+1), "+Inf"},
 	}
 	for _, tc := range cases {
-		got := formatValue(tc.in)
+		got := string(appendValue(nil, tc.in))
 		if tc.in == math.Inf(+1) {
 			// strconv renders +Inf; exposition buckets hardcode the
 			// literal, so only sanity-check it is non-integral here.
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("formatValue(%v) = %q, want %q", tc.in, got, tc.want)
+			t.Errorf("appendValue(%v) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

@@ -44,16 +44,17 @@ func FuzzScratchReuse(f *testing.F) {
 		}
 		var branches, loads, deps [2]uint64
 		for v, tr := range traces {
-			cols := tr.Columns()
-			for i, fl := range cols.Flags {
+			ops := tr.Operands()
+			for _, fl := range tr.Columns().Flags {
 				if fl&trace.FlagBranch != 0 {
 					branches[v]++
 				}
 				if fl&trace.FlagLoad != 0 {
 					loads[v]++
 				}
-				for _, d := range [2]uint16{cols.Dep1[i], cols.Dep2[i]} {
-					if d != 0 {
+				s1, s2 := ops.Next()
+				for _, s := range [2]int32{s1, s2} {
+					if s >= 0 {
 						deps[v]++
 					}
 				}

@@ -17,9 +17,13 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		panic("pipeline: empty trace")
 	}
 
-	// The trace's depth-invariant columns; see runOutOfOrder.
+	// The trace's depth-invariant stream; see runOutOfOrder. Everything
+	// here is read in trace order: operands through their reader, and
+	// addresses through a cursor that each load and store advances.
 	cols := tr.Columns()
-	flags, dep1s, dep2s, addrs := cols.Flags, cols.Dep1, cols.Dep2, cols.Addr
+	flags, addrs := cols.Flags, cols.MemAddrs
+	ops := tr.Operands()
+	nextAddr := 0
 
 	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
@@ -72,10 +76,11 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			earliest = issueCycle
 		}
 		ready := earliest
-		if s1 := trace.Producer(int32(i), dep1s[i]); s1 >= 0 && dataAt[s1&ring] > ready {
+		s1, s2 := ops.Next()
+		if s1 >= 0 && dataAt[s1&ring] > ready {
 			ready = dataAt[s1&ring]
 		}
-		if s2 := trace.Producer(int32(i), dep2s[i]); s2 >= 0 && dataAt[s2&ring] > ready {
+		if s2 >= 0 && dataAt[s2&ring] > ready {
 			ready = dataAt[s2&ring]
 		}
 
@@ -98,8 +103,15 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		}
 		issued := issueCycle
 
-		// ---- Execute.
-		execLat := lat.latency(f, uint64(addrs[i]), &stats)
+		// ---- Execute. As in the out-of-order core, only loads and
+		// stores pay the call into the cache hierarchy.
+		var execLat int64
+		if f&(trace.FlagLoad|trace.FlagStore) == 0 {
+			execLat = lat.exec[trace.ClassOf(f)]
+		} else {
+			execLat = lat.latency(f, uint64(addrs[nextAddr]), &stats)
+			nextAddr++
+		}
 		data := issued + execLat
 		dataAt[int32(i)&ring] = data
 

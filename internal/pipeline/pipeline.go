@@ -174,11 +174,14 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 		stages = 1
 	}
 
-	// The depth-invariant columns: class flags, operand distances, data
-	// addresses and the predictor's per-branch verdicts, built once when
-	// the trace was (see trace.Columns) and shared by every run of it.
-	cols := tr.Columns()
-	flags, dep1s, dep2s, addrs := cols.Flags, cols.Dep1, cols.Dep2, cols.Addr
+	// The depth-invariant stream, built once when the trace was and
+	// shared by every run of it: class flags and the predictor's
+	// per-branch verdicts by instruction, operands read in trace order
+	// at dispatch, and addresses looked up by instruction at issue,
+	// which visits the window out of order.
+	flags := tr.Columns().Flags
+	ops := tr.Operands()
+	addrs := tr.AddrIndex()
 
 	hier := scr.hierarchyFor(m, tr)
 	var lat latEnv
@@ -368,7 +371,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 				if f := flags[idx]; f&(trace.FlagLoad|trace.FlagStore) == 0 {
 					completeLat = lat.exec[trace.ClassOf(f)]
 				} else {
-					completeLat = lat.latency(f, uint64(addrs[idx]), &stats)
+					completeLat = lat.latency(f, uint64(addrs.At(idx)), &stats)
 				}
 				d := cycle + max(completeLat, wakeLoop)
 				slot := idx & ring
@@ -475,8 +478,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch) Stats {
 			slot := di & ring
 			e := &slots[slot]
 			*e = winSlot{src1: -1, src2: -1}
-			w1 := resolveOperand(trace.Producer(di, dep1s[di]), head, times, ring, cycle, &e.src1)
-			w2 := resolveOperand(trace.Producer(di, dep2s[di]), head, times, ring, cycle, &e.src2)
+			// Dispatch walks the trace in order, once per instruction,
+			// so it is the operand reader's one walk.
+			src1, src2 := ops.Next()
+			w1 := resolveOperand(src1, head, times, ring, cycle, &e.src1)
+			w2 := resolveOperand(src2, head, times, ring, cycle, &e.src2)
 			if e.src1 == -1 && e.acc < w1 {
 				e.acc = w1
 			}

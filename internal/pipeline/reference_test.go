@@ -20,9 +20,10 @@ import (
 // simulated literally), compacts each queue after every issuing cycle,
 // keeps one slot per trace instruction, and builds and prewarms a fresh
 // hierarchy on every run. It is ported from the seed only as far as the
-// trace's representation changed: the columns, trace.Producer,
-// trace.ClassOf and the stored FlagMispredict verdicts replace the
-// instruction structs and the per-run predictor. It also counts the
+// trace's representation changed: the flags column, the trace's
+// operand and address readers, trace.ClassOf and the stored
+// FlagMispredict verdicts replace the instruction structs and the
+// per-run predictor. It also counts the
 // wakeup accounting (WakeupWakes/WakeupScanned) the broadcast implies,
 // so its Stats are comparable field for field.
 
@@ -60,8 +61,8 @@ func newRefLat(m config.Machine, tr *trace.Trace) *refLat {
 func refOutOfOrder(p Params, tr *trace.Trace) Stats {
 	m := p.Machine
 	tmg := p.Timing
-	cols := tr.Columns()
-	flags := cols.Flags
+	flags := tr.Columns().Flags
+	ops, addrs := tr.Operands(), tr.AddrIndex()
 	n := len(flags)
 	if n == 0 {
 		panic("pipeline: empty trace")
@@ -150,7 +151,11 @@ func refOutOfOrder(p Params, tr *trace.Trace) Stats {
 			for _, w := range issued {
 				issuedAny = true
 				f := flags[w.idx]
-				l := lat.latency(p, f, uint64(cols.Addr[w.idx]), &stats)
+				var addr uint64
+				if f&(trace.FlagLoad|trace.FlagStore) != 0 {
+					addr = uint64(addrs.At(w.idx))
+				}
+				l := lat.latency(p, f, addr, &stats)
 				completeAt[w.idx] = cycle + l
 				d := cycle + max(l, wakeLoop)
 				dataAt[w.idx] = d
@@ -212,8 +217,9 @@ func refOutOfOrder(p Params, tr *trace.Trace) Stats {
 				break
 			}
 			e := refEntry{idx: fe.idx, src1: -1, src2: -1}
-			e.wake1 = refResolveOperand(trace.Producer(fe.idx, cols.Dep1[fe.idx]), dataAt, completeAt, cycle, &e.src1)
-			e.wake2 = refResolveOperand(trace.Producer(fe.idx, cols.Dep2[fe.idx]), dataAt, completeAt, cycle, &e.src2)
+			src1, src2 := ops.Next() // dispatch is in trace order
+			e.wake1 = refResolveOperand(src1, dataAt, completeAt, cycle, &e.src1)
+			e.wake2 = refResolveOperand(src2, dataAt, completeAt, cycle, &e.src2)
 			q.entries = append(q.entries, e)
 			frontQ = frontQ[1:]
 			dispatchedNow++
@@ -363,6 +369,7 @@ func refInOrder(p Params, tr *trace.Trace) Stats {
 	tmg := p.Timing
 	cols := tr.Columns()
 	flags := cols.Flags
+	ops, nextAddr := tr.Operands(), 0
 	n := len(flags)
 	if n == 0 {
 		panic("pipeline: empty trace")
@@ -403,11 +410,12 @@ func refInOrder(p Params, tr *trace.Trace) Stats {
 			earliest = issueCycle
 		}
 		ready := earliest
-		if s := trace.Producer(int32(i), cols.Dep1[i]); s >= 0 && dataAt[s] > ready {
-			ready = dataAt[s]
+		s1, s2 := ops.Next()
+		if s1 >= 0 && dataAt[s1] > ready {
+			ready = dataAt[s1]
 		}
-		if s := trace.Producer(int32(i), cols.Dep2[i]); s >= 0 && dataAt[s] > ready {
-			ready = dataAt[s]
+		if s2 >= 0 && dataAt[s2] > ready {
+			ready = dataAt[s2]
 		}
 
 		isFP := f&trace.FlagFP != 0
@@ -428,7 +436,12 @@ func refInOrder(p Params, tr *trace.Trace) Stats {
 		}
 		issued := issueCycle
 
-		l := lat.latency(p, f, uint64(cols.Addr[i]), &stats)
+		var addr uint64
+		if f&(trace.FlagLoad|trace.FlagStore) != 0 {
+			addr = uint64(cols.MemAddrs[nextAddr])
+			nextAddr++
+		}
+		l := lat.latency(p, f, addr, &stats)
 		dataAt[i] = issued + l
 
 		if f&trace.FlagBranch != 0 {

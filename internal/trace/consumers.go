@@ -26,29 +26,32 @@ func (ci *ConsumerIndex) Consumers(i int32) []int32 {
 // (see WithPrefetchCoverage) gets the same one and it is freed with the
 // stream; it is shared and must be treated as read-only. Once built it
 // stays with the stream for the stream's life, about 4 B/inst of row
-// offsets plus 4 B per dependence edge.
+// offsets plus 4 B per dependence edge — more than the stream itself.
 func (t *Trace) ConsumerIndexOf() *ConsumerIndex {
 	s := t.s
 	if s == nil {
 		return &ConsumerIndex{Offsets: make([]int32, 1)}
 	}
-	s.consOnce.Do(func() { s.cons = buildConsumerIndex(s.dep1, s.dep2) })
+	s.consOnce.Do(func() { s.cons = buildConsumerIndex(t) })
 	return s.cons
 }
 
-// buildConsumerIndex builds the CSR adjacency in two passes: count the
-// out-degree of every producer, prefix-sum into row offsets, then fill.
-// Dependencies always point backwards (see Producer), so the result is a
-// DAG adjacency whose edge lists are sorted by consumer index.
-func buildConsumerIndex(dep1, dep2 []uint16) *ConsumerIndex {
-	n := len(dep1)
+// buildConsumerIndex builds the CSR adjacency in two walks of the
+// operands: count the out-degree of every producer, prefix-sum into row
+// offsets, then fill. Dependencies always point backwards, so the
+// result is a DAG adjacency whose edge lists are sorted by consumer
+// index.
+func buildConsumerIndex(t *Trace) *ConsumerIndex {
+	n := t.Len()
 	offsets := make([]int32, n+1)
-	for i := int32(0); i < int32(n); i++ {
-		if s := Producer(i, dep1[i]); s >= 0 {
-			offsets[s+1]++
+	ops := t.Operands()
+	for i := 0; i < n; i++ {
+		s1, s2 := ops.Next()
+		if s1 >= 0 {
+			offsets[s1+1]++
 		}
-		if s := Producer(i, dep2[i]); s >= 0 {
-			offsets[s+1]++
+		if s2 >= 0 {
+			offsets[s2+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -57,14 +60,16 @@ func buildConsumerIndex(dep1, dep2 []uint16) *ConsumerIndex {
 	edges := make([]int32, offsets[n])
 	next := make([]int32, n)
 	copy(next, offsets[:n])
+	ops = t.Operands()
 	for i := int32(0); i < int32(n); i++ {
-		if s := Producer(i, dep1[i]); s >= 0 {
-			edges[next[s]] = i
-			next[s]++
+		s1, s2 := ops.Next()
+		if s1 >= 0 {
+			edges[next[s1]] = i
+			next[s1]++
 		}
-		if s := Producer(i, dep2[i]); s >= 0 {
-			edges[next[s]] = i
-			next[s]++
+		if s2 >= 0 {
+			edges[next[s2]] = i
+			next[s2]++
 		}
 	}
 	return &ConsumerIndex{Offsets: offsets, Edges: edges}

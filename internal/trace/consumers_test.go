@@ -18,10 +18,9 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 
 	// Forward check: every edge corresponds to a real source operand.
 	deps := 0
-	cols := tr.Columns()
-	for i := range cols.Flags {
-		for _, d := range []uint16{cols.Dep1[i], cols.Dep2[i]} {
-			s := Producer(int32(i), d)
+	insts := decode(t, tr)
+	for i, in := range insts {
+		for _, s := range []int32{in.Src1, in.Src2} {
 			if s < 0 {
 				continue
 			}
@@ -54,7 +53,7 @@ func TestConsumerIndexMatchesSources(t *testing.T) {
 				t.Fatalf("producer %d consumer list not sorted: %d after %d", p, c, prev)
 			}
 			prev = c
-			if Producer(c, cols.Dep1[c]) != p && Producer(c, cols.Dep2[c]) != p {
+			if insts[c].Src1 != p && insts[c].Src2 != p {
 				t.Fatalf("edge %d→%d has no matching source operand", p, c)
 			}
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -68,18 +69,13 @@ var classOf = func() (t [256]isa.Class) {
 // ClassOf returns the class of the instruction whose flags byte is f.
 func ClassOf(f uint8) isa.Class { return classOf[f] }
 
-// MaxDep is the farthest back, in instructions, a producer may sit: the
-// stream stores each operand as a 16-bit back-distance.
+// MaxDep is the farthest back, in instructions, a producer may sit: an
+// operand's distance escapes to 16 bits when one byte cannot hold it.
 const MaxDep = 1<<16 - 1
 
-// Producer decodes instruction i's operand distance d: the producer's
-// trace index i-d, or -1 when d is 0 and the operand is ready.
-func Producer(i int32, d uint16) int32 {
-	if d == 0 {
-		return -1
-	}
-	return i - int32(d)
-}
+// farDep is the operand byte that escapes a distance beyond 254 to the
+// stream's far list.
+const farDep = 1<<8 - 1
 
 // stream is a trace's instruction stream in structure-of-arrays form:
 // class and predicates folded into flags, operand back-distances, data
@@ -90,35 +86,60 @@ func Producer(i int32, d uint16) int32 {
 // during the build replaces one per simulated grid cell.
 // (PerfectBranches machines just ignore FlagMispredict.)
 //
-// Every column is as narrow as what it holds, 9 B/inst in all: a 16-bit
-// distance reaches MaxDep back, far beyond any suite producer, and every
-// suite footprint is at most 32 MiB, so addresses fit in 32 bits.
+// Every column holds only what the simulators read, about 4.4 B/inst
+// over the suite:
+//
+//   - flags, one byte per instruction;
+//   - dep1 and dep2, one byte per operand: 0 when the operand is ready,
+//     else the distance back to its producer. A distance beyond 254 is
+//     stored as farDep, with the distance itself in far, in
+//     (instruction, operand) order. Suite producers almost all sit
+//     within 254 instructions, so far holds a handful of entries;
+//   - addr, the loads' and stores' addresses in trace order, 32 bits
+//     each (every suite footprint is at most 32 MiB). Other
+//     instructions have none;
+//   - memBase and memBits, the address index (see AddrIndex): about
+//     0.19 B/inst.
+//
 // Builder.Append rejects an instruction that would not fit rather than
-// store a different one.
+// store a different one, and Builder.Trace sizes every column exactly.
+// Only this package knows the format: simulators read operands through
+// Operands and addresses through AddrIndex or Columns.MemAddrs.
 //
 // A stream is immutable once built. It holds nothing the simulators
 // derive from it; their per-run state lives in pipeline.Scratch. The
-// only derived structure is the analysis-only consumer index (see
-// consumers.go), built at most once, and only if an analysis asks.
+// only derived structure outside the format is the analysis-only
+// consumer index (see consumers.go), built at most once, and only if an
+// analysis asks.
 type stream struct {
 	flags      []uint8
-	dep1, dep2 []uint16
+	dep1, dep2 []uint8
+	far        []uint16
 	addr       []uint32
+
+	// memBase[w] counts the loads and stores before instruction 64w, and
+	// bit i&63 of memBits[i>>6] is set when instruction i is one.
+	memBase []uint32
+	memBits []uint64
 
 	consOnce sync.Once
 	cons     *ConsumerIndex
 }
 
-// Columns is a read-only view of a trace's stream: entry i of every
-// column describes instruction i. The slices alias the shared stream and
-// are capped at their length, so an append through them copies; writing
-// into them outside this package is a traceimmutable lint finding.
+// Columns is a read-only view of a trace's stream. The slices alias the
+// shared stream and are capped at their length, so an append through
+// them copies; writing into them outside this package is a
+// traceimmutable lint finding.
 type Columns struct {
-	Flags []uint8 // Flag* bits and the class; see ClassOf
-	// Dep1 and Dep2 are the operands' back-distances to their
-	// producers, 0 when ready; see Producer.
-	Dep1, Dep2 []uint16
-	Addr       []uint32 // effective address of loads and stores
+	// Flags holds instruction i's Flag* bits and class at entry i; see
+	// ClassOf.
+	Flags []uint8
+	// MemAddrs holds the effective address of every load and store, in
+	// trace order: entry k belongs to the trace's k-th memory
+	// instruction, not to instruction k. A reader that walks the trace in
+	// order keeps a cursor into it; one that visits instructions out of
+	// order uses AddrIndex.
+	MemAddrs []uint32
 }
 
 // Len returns the number of instructions in the trace.
@@ -135,27 +156,97 @@ func (t *Trace) Columns() Columns {
 	if s == nil {
 		return Columns{}
 	}
-	n := len(s.flags)
 	return Columns{
-		Flags: s.flags[:n:n],
-		Dep1:  s.dep1[:n:n],
-		Dep2:  s.dep2[:n:n],
-		Addr:  s.addr[:n:n],
+		Flags:    s.flags[:len(s.flags):len(s.flags)],
+		MemAddrs: s.addr[:len(s.addr):len(s.addr)],
 	}
 }
 
-// RetainedBytes returns the bytes the trace's columns hold: each
-// column's capacity times its element size. Clones share one stream, so
-// they report the same bytes. An analysis-only consumer index is not
-// counted; no simulator builds one.
+// Operands reads a trace's operand producers in trace order: the k-th
+// call to Next returns instruction k's. A reader walks its trace once;
+// each walk takes a fresh one from Trace.Operands.
+type Operands struct {
+	dep1, dep2 []uint8
+	far        []uint16
+	i          int32 // the instruction the next call returns
+	k          int   // the far entry of its first escaped operand
+}
+
+// Operands returns a reader positioned at the trace's first instruction.
+func (t *Trace) Operands() Operands {
+	s := t.s
+	if s == nil {
+		return Operands{}
+	}
+	return Operands{dep1: s.dep1, dep2: s.dep2, far: s.far}
+}
+
+// Next returns the next instruction's two producers: each the trace
+// index of the instruction that feeds the operand, or -1 when the
+// operand is ready. It panics past the trace's end.
+//
+// Next is the simulators' per-instruction operand read, so it stays
+// within the compiler's inlining budget: an escaped distance is one
+// not-taken branch and a load from the far list, and the producers
+// are computed without branches (a zero distance sets every bit).
+func (o *Operands) Next() (src1, src2 int32) {
+	i := o.i
+	o.i++
+	d1, d2 := int32(o.dep1[i]), int32(o.dep2[i])
+	if d1 == farDep {
+		d1 = int32(o.far[o.k])
+		o.k++
+	}
+	if d2 == farDep {
+		d2 = int32(o.far[o.k])
+		o.k++
+	}
+	return i - d1 | (d1-1)>>31, i - d2 | (d2-1)>>31
+}
+
+// AddrIndex looks up a load's or store's address by its trace index, in
+// any order: a rank into Columns.MemAddrs from the per-64-instruction
+// count and bitmap the stream keeps.
+type AddrIndex struct {
+	addr []uint32
+	base []uint32
+	bits []uint64
+}
+
+// AddrIndex returns the trace's address lookup.
+func (t *Trace) AddrIndex() AddrIndex {
+	s := t.s
+	if s == nil {
+		return AddrIndex{}
+	}
+	return AddrIndex{addr: s.addr, base: s.memBase, bits: s.memBits}
+}
+
+// At returns the address of instruction i, which must be a load or a
+// store.
+func (a *AddrIndex) At(i int32) uint32 {
+	w := i >> 6
+	below := a.bits[w] & (1<<uint(i&63) - 1)
+	return a.addr[a.base[w]+uint32(bits.OnesCount64(below))]
+}
+
+// RetainedBytes returns the bytes the trace's stream holds: each
+// column's and each address-index slice's capacity times its element
+// size. Clones share one stream, so they report the same bytes. An
+// analysis-only consumer index is not counted; no simulator builds one.
 func (t *Trace) RetainedBytes() int64 {
 	s := t.s
 	if s == nil {
 		return 0
 	}
-	return int64(cap(s.flags))*int64(unsafe.Sizeof(uint8(0))) +
-		int64(cap(s.dep1)+cap(s.dep2))*int64(unsafe.Sizeof(uint16(0))) +
-		int64(cap(s.addr))*int64(unsafe.Sizeof(uint32(0)))
+	return bytesOf(s.flags) + bytesOf(s.dep1) + bytesOf(s.dep2) + bytesOf(s.far) +
+		bytesOf(s.addr) + bytesOf(s.memBase) + bytesOf(s.memBits)
+}
+
+// bytesOf returns the bytes behind column c's capacity.
+func bytesOf[E any](c []E) int64 {
+	var e E
+	return int64(cap(c)) * int64(unsafe.Sizeof(e))
 }
 
 // Builder builds a trace's stream one instruction at a time. It is the
@@ -169,29 +260,36 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder with room for n instructions; appending
-// more grows the columns.
+// more grows the columns. Trace trims any slack either way.
 func NewBuilder(n int) *Builder {
+	words := (n + 63) / 64
 	return &Builder{
 		s: &stream{
-			flags: make([]uint8, 0, n),
-			dep1:  make([]uint16, 0, n),
-			dep2:  make([]uint16, 0, n),
-			addr:  make([]uint32, 0, n),
+			flags:   make([]uint8, 0, n),
+			dep1:    make([]uint8, 0, n),
+			dep2:    make([]uint8, 0, n),
+			memBase: make([]uint32, 0, words),
+			memBits: make([]uint64, 0, words),
 		},
 		pred: branch.New(),
 	}
 }
 
 // Append adds in to the end of the stream. It panics on what the
-// stream cannot hold: an invalid class, an address wider than 32 bits,
-// or a producer that is neither -1 nor strictly earlier than in and at
-// most MaxDep back. A panicking Append leaves the Builder unchanged.
+// stream cannot hold: an invalid class, a load's or store's address
+// wider than 32 bits, any other instruction's non-zero address, or a
+// producer that is neither -1 nor strictly earlier than in and at most
+// MaxDep back. A panicking Append leaves the Builder unchanged.
 func (b *Builder) Append(in Inst) {
 	if int(in.Class) >= isa.NumClasses {
 		panic(fmt.Sprintf("trace: invalid class %d", in.Class))
 	}
-	if in.Addr>>32 != 0 {
+	isMem := in.Class == isa.Load || in.Class == isa.Store
+	if in.Addr>>32 != 0 && isMem {
 		panic(fmt.Sprintf("trace: address %#x does not fit in 32 bits", in.Addr))
+	}
+	if in.Addr != 0 && !isMem {
+		panic(fmt.Sprintf("trace: a %v carries the address %#x; only loads and stores have one", in.Class, in.Addr))
 	}
 	s := b.s
 	i := len(s.flags)
@@ -208,26 +306,57 @@ func (b *Builder) Append(in Inst) {
 		}
 	}
 	s.flags = append(s.flags, f)
-	s.dep1 = append(s.dep1, d1)
-	s.dep2 = append(s.dep2, d2)
-	s.addr = append(s.addr, uint32(in.Addr))
+	s.dep1 = append(s.dep1, s.narrow(d1))
+	s.dep2 = append(s.dep2, s.narrow(d2))
+	if i&63 == 0 {
+		s.memBase = append(s.memBase, uint32(len(s.addr)))
+		s.memBits = append(s.memBits, 0)
+	}
+	if isMem {
+		s.memBits[i>>6] |= 1 << uint(i&63)
+		s.addr = append(s.addr, uint32(in.Addr))
+	}
 }
 
 // depOf encodes instruction i's producer src as a back-distance.
-func depOf(i int, src int32) uint16 {
+func depOf(i int, src int32) int {
 	if src == -1 {
 		return 0
 	}
 	if src < 0 || int(src) >= i || i-int(src) > MaxDep {
 		panic(fmt.Sprintf("trace: instruction %d names producer %d; it must be -1 or one of the %d before it", i, src, MaxDep))
 	}
-	return uint16(i - int(src))
+	return i - int(src)
+}
+
+// narrow returns the operand byte for distance d, escaping a distance
+// beyond 254 to the far list.
+func (s *stream) narrow(d int) uint8 {
+	if d < farDep {
+		return uint8(d)
+	}
+	s.far = append(s.far, uint16(d))
+	return farDep
 }
 
 // Trace returns meta carrying the built stream, which from then on is
-// immutable; the Builder must not be used again.
+// immutable; the Builder must not be used again. Every column is
+// trimmed to its length, so the trace retains no append slack.
 func (b *Builder) Trace(meta Trace) *Trace {
-	meta.s = b.s
+	s := b.s
+	s.flags, s.dep1, s.dep2 = exact(s.flags), exact(s.dep1), exact(s.dep2)
+	s.far, s.addr = exact(s.far), exact(s.addr)
+	s.memBase, s.memBits = exact(s.memBase), exact(s.memBits)
+	meta.s = s
 	b.s, b.pred = nil, nil
 	return &meta
+}
+
+// exact returns c in a slice of exactly its length, copying it if it has
+// slack.
+func exact[E any](c []E) []E {
+	if cap(c) == len(c) {
+		return c
+	}
+	return append(make([]E, 0, len(c)), c...)
 }

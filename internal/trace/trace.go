@@ -59,8 +59,10 @@ type Inst struct {
 	// immediate). Dependencies always point backwards, at most MaxDep
 	// instructions; Builder.Append panics on any other producer.
 	Src1, Src2 int32
-	// Addr is the effective address for loads and stores. A trace
-	// stores it in 32 bits; Builder.Append panics on a wider one.
+	// Addr is the effective address for loads and stores, and 0 for
+	// every other class. A trace stores it in 32 bits, for loads and
+	// stores only; Builder.Append panics on a wider one, or on any other
+	// instruction's non-zero address.
 	Addr uint64
 	// PC identifies the branch site for the predictor; meaningful only for
 	// branches. The build consumes it (see Builder); a trace never stores
@@ -82,8 +84,9 @@ type Trace struct {
 	Name  string
 	Group Group
 
-	// s is the instruction stream: the columns Columns exposes, plus the
-	// consumer index if an analysis asked for one. Clones share it, so
+	// s is the instruction stream: the columns and readers that Columns,
+	// Operands and AddrIndex expose, plus the consumer index if an
+	// analysis asked for one. Clones share it, so
 	// everything derived from the stream is built once and freed with the
 	// last trace that holds it.
 	s *stream

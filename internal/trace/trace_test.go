@@ -13,36 +13,32 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("missing gzip profile")
 	}
-	a := p.Generate(5000, 42).Columns()
-	b := p.Generate(5000, 42).Columns()
-	if !reflect.DeepEqual(a, b) {
+	a := decode(t, p.Generate(5000, 42))
+	if !reflect.DeepEqual(a, decode(t, p.Generate(5000, 42))) {
 		t.Fatal("identical generations differ")
 	}
-	c := p.Generate(5000, 43).Columns()
+	c := decode(t, p.Generate(5000, 43))
 	same := 0
-	for i := range a.Flags {
-		if a.Flags[i] == c.Flags[i] && a.Dep1[i] == c.Dep1[i] &&
-			a.Dep2[i] == c.Dep2[i] && a.Addr[i] == c.Addr[i] {
+	for i := range a {
+		if a[i] == c[i] {
 			same++
 		}
 	}
-	if same == len(a.Flags) {
+	if same == len(a) {
 		t.Error("different seeds produced identical traces")
 	}
 }
 
 func TestDependenciesPointBackwardToProducers(t *testing.T) {
 	for _, p := range SPEC2000() {
-		tr := p.Generate(20000, 7)
-		cols := tr.Columns()
-		for i := range cols.Flags {
-			for _, d := range []uint16{cols.Dep1[i], cols.Dep2[i]} {
-				s := Producer(int32(i), d)
+		insts := decode(t, p.Generate(20000, 7))
+		for i, in := range insts {
+			for _, s := range []int32{in.Src1, in.Src2} {
 				if s < -1 || s >= int32(i) {
 					t.Fatalf("%s inst %d: source %d out of range", p.Name, i, s)
 				}
 				if s >= 0 {
-					c := ClassOf(cols.Flags[s])
+					c := insts[s].Class
 					if c == isa.Store || c == isa.Branch {
 						t.Fatalf("%s inst %d depends on non-producer %v", p.Name, i, c)
 					}
@@ -103,9 +99,9 @@ func TestVectorCodesHaveMoreILP(t *testing.T) {
 	// integer benchmarks — the property behind Figure 4a/5's ordering.
 	meanDist := func(tr *Trace) float64 {
 		var sum, n float64
-		for _, d := range tr.Columns().Dep1 {
-			if d != 0 {
-				sum += float64(d)
+		for i, in := range decode(t, tr) {
+			if in.Src1 >= 0 {
+				sum += float64(int32(i) - in.Src1)
 				n++
 			}
 		}
@@ -179,12 +175,10 @@ func TestGeometricMeanApproximatesTarget(t *testing.T) {
 
 func TestAddressesWithinFootprint(t *testing.T) {
 	for _, p := range SPEC2000() {
-		tr := p.Generate(10000, 21)
-		cols := tr.Columns()
-		for i, f := range cols.Flags {
-			if f&(FlagLoad|FlagStore) != 0 && uint64(cols.Addr[i]) >= p.FootprintBytes+64 {
-				t.Fatalf("%s inst %d: address %d beyond footprint %d",
-					p.Name, i, cols.Addr[i], p.FootprintBytes)
+		for k, a := range p.Generate(10000, 21).Columns().MemAddrs {
+			if uint64(a) >= p.FootprintBytes+64 {
+				t.Fatalf("%s memory access %d: address %d beyond footprint %d",
+					p.Name, k, a, p.FootprintBytes)
 			}
 		}
 	}
