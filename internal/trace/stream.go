@@ -268,6 +268,7 @@ func NewBuilder(n int) *Builder {
 			flags:   make([]uint8, 0, n),
 			dep1:    make([]uint8, 0, n),
 			dep2:    make([]uint8, 0, n),
+			addr:    make([]uint32, 0, n),
 			memBase: make([]uint32, 0, words),
 			memBits: make([]uint64, 0, words),
 		},

@@ -19,7 +19,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/isa"
 )
@@ -266,11 +265,6 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 	if total == 0 {
 		panic("trace: profile has an empty instruction mix")
 	}
-	// Size the address column for the mix's share of loads and stores,
-	// four standard deviations over, so that it rarely grows before
-	// Builder.Trace trims it.
-	mem := float64(n) * (p.Mix[isa.Load] + p.Mix[isa.Store]) / total
-	b.s.addr = make([]uint32, 0, int(mem+4*math.Sqrt(mem))+16)
 
 	// Branch sites.
 	sites := make([]branchSite, p.Sites)

@@ -13,8 +13,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("missing gzip profile")
 	}
-	a := decode(t, p.Generate(5000, 42))
-	if !reflect.DeepEqual(a, decode(t, p.Generate(5000, 42))) {
+	ta, tb := p.Generate(5000, 42), p.Generate(5000, 42)
+	// Compare every stored byte, mispredict bits and far distances
+	// included, then what the readers make of them.
+	if !reflect.DeepEqual(ta.s, tb.s) {
+		t.Fatal("identical generations store different columns")
+	}
+	a := decode(t, ta)
+	if !reflect.DeepEqual(a, decode(t, tb)) {
 		t.Fatal("identical generations differ")
 	}
 	c := decode(t, p.Generate(5000, 43))
