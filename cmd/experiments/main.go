@@ -31,10 +31,9 @@ func main() {
 	endT3 := rec.Study("table3")
 	results = append(results, experiments.RunTable3())
 	endT3()
-	results = append(results,
-		experiments.RunFigure4a(o),
-		experiments.RunFigure4b(o),
-		experiments.RunFigure5(o))
+	results = append(results, experiments.RunFigure4a(o), experiments.RunFigure4b(o))
+	fig5 := experiments.RunFigure5(o) // the Section 7 headline reads this sweep
+	results = append(results, fig5)
 	// Figure 6 sweeps the integer suite only.
 	if len(experiments.MatchGroup(o.Bench, trace.Integer)) > 0 {
 		results = append(results, experiments.RunFigure6(o))
@@ -49,7 +48,7 @@ func main() {
 		experiments.RunCray1S(o),
 		experiments.RunWireStudy(o),
 		experiments.RunAblation(o),
-		experiments.RunHeadline(o),
+		experiments.HeadlineOf(fig5),
 	)
 	cliflags.Emit(*sim.JSON, results...)
 	cliflags.MustClose(run)

@@ -83,8 +83,9 @@ func simEntryPoint(n *Node) bool {
 	case "internal/pipeline":
 		return name == "Run" || name == "RunWith" || name == "RunBatch"
 	case "internal/experiments":
-		// The study drivers: RunFigure1..11, RunAblation, RunHeadline,
+		// The study drivers: RunFigure1..11, RunAblation,
 		// RunSegmentedSelect, RunCray1S — every exported Run* driver.
+		// HeadlineOf reads a Figure 5 result and simulates nothing.
 		return strings.HasPrefix(name, "Run")
 	}
 	return false

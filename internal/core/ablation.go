@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
@@ -77,9 +74,10 @@ func AblationStudy(cfg SweepConfig) []AblationPoint {
 }
 
 // PrefetchAblation measures the stream-prefetch substitution's effect: the
-// suite's BIPS at 6 FO4 with the profiles' calibrated coverage versus no
-// prefetching at all. It returns (with, without).
-func PrefetchAblation(cfg SweepConfig) (with, without float64) {
+// suite's BIPS at 6 FO4 with no prefetching at all. The other side of the
+// comparison, the profiles' calibrated coverage, is AblationStudy's
+// baseline row.
+func PrefetchAblation(cfg SweepConfig) float64 {
 	cfg.fill()
 	const useful = 6.0
 	withTr := cfg.traces()
@@ -89,16 +87,5 @@ func PrefetchAblation(cfg SweepConfig) (with, without float64) {
 	for i, t := range withTr {
 		withoutTr[i] = t.WithPrefetchCoverage(1e-9) // effectively off, deterministically
 	}
-	return runPoint(cfg, useful, withTr, nil).AllBIPS,
-		runPoint(cfg, useful, withoutTr, nil).AllBIPS
-}
-
-// RenderAblation formats the study as rows of relative performance.
-func RenderAblation(points []AblationPoint) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Ablation study at the 6 FO4 optimum (all-benchmark harmonic BIPS)")
-	for _, p := range points {
-		fmt.Fprintf(&b, "  %-36s %7.3f  (%.3fx)\n", p.Name, p.AllBIPS, p.Relative)
-	}
-	return b.String()
+	return runPoint(cfg, useful, withoutTr, nil).AllBIPS
 }

@@ -41,7 +41,9 @@ func TestAblationStudy(t *testing.T) {
 }
 
 func TestPrefetchAblation(t *testing.T) {
-	with, without := PrefetchAblation(testConfig())
+	cfg := testConfig()
+	with := AblationStudy(cfg)[0].AllBIPS
+	without := PrefetchAblation(cfg)
 	if with <= without {
 		t.Errorf("prefetching did not help: %.3f vs %.3f", with, without)
 	}
@@ -49,12 +51,5 @@ func TestPrefetchAblation(t *testing.T) {
 	// streaming codes collapse onto DRAM.
 	if with/without < 1.1 {
 		t.Errorf("prefetch gain only %.2fx; expected a substantial effect", with/without)
-	}
-}
-
-func TestRenderAblation(t *testing.T) {
-	out := RenderAblation([]AblationPoint{{Name: "x", AllBIPS: 1.5, Relative: 1.0}})
-	if len(out) == 0 || out[0] != 'A' {
-		t.Error("render broken")
 	}
 }

@@ -354,7 +354,7 @@ func TestStructureOptimizationHelps(t *testing.T) {
 	// measurable average gain, and leaves the optimum at ~6 FO4.
 	cfg := testConfig()
 	cfg.UsefulGrid = []float64{4, 6, 8}
-	pts := StructureOptimization(cfg, nil)
+	pts := StructureOptimization(cfg)
 	gain := 0.0
 	for _, p := range pts {
 		if p.BestBIPS < p.BaselineBIPS {

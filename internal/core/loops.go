@@ -51,8 +51,10 @@ type LoopSweep struct {
 // machine at the Alpha 21264's own latencies and stretch each critical
 // loop independently by 0..maxExtra cycles, reporting IPC relative to the
 // unstretched machine. Integer benchmarks are the paper's focus; per-group
-// series are returned so the FP trends can be examined too. The baseline
-// and every (loop, extra) variant run as one batch on the worker pool.
+// series are returned so the FP trends can be examined too. Every loop's
+// +0 point is the unstretched baseline itself, so the baseline and the
+// stretched (loop, extra ≥ 1) variants run as one batch on the worker
+// pool.
 func CriticalLoopSensitivity(cfg SweepConfig, maxExtra int) []LoopSweep {
 	cfg.fill()
 	traces := cfg.traces()
@@ -61,7 +63,7 @@ func CriticalLoopSensitivity(cfg SweepConfig, maxExtra int) []LoopSweep {
 	loops := []Loop{IssueWakeup, LoadUse, BranchMispredict}
 	mods := []func(*pipeline.Params){nil} // variant 0 is the unstretched baseline
 	for _, loop := range loops {
-		for extra := 0; extra <= maxExtra; extra++ {
+		for extra := 1; extra <= maxExtra; extra++ {
 			loop, e := loop, extra
 			mods = append(mods, func(p *pipeline.Params) {
 				switch loop {
@@ -83,9 +85,13 @@ func CriticalLoopSensitivity(cfg SweepConfig, maxExtra int) []LoopSweep {
 	for _, loop := range loops {
 		sw := LoopSweep{Loop: loop}
 		for extra := 0; extra <= maxExtra; extra++ {
+			v := baseline
+			if extra > 0 {
+				v = pts[next]
+				next++
+			}
 			pt := LoopPoint{Extra: extra}
-			pt.RelativeIPC, pt.RelativeAll = pts[next].relativeTo(baseline)
-			next++
+			pt.RelativeIPC, pt.RelativeAll = v.relativeTo(baseline)
 			sw.Points = append(sw.Points, pt)
 		}
 		sweeps = append(sweeps, sw)

@@ -17,22 +17,6 @@ type StructChoice struct {
 	FPWin  int
 }
 
-// DefaultStructSpace is the Figure 7 search space: smaller/faster and
-// larger/slower variants around the Alpha 21264 baseline for the three
-// structures whose capacity-latency trade dominates — the level-1 data
-// cache, the level-2 cache, and the issue window.
-func DefaultStructSpace() []StructChoice {
-	var out []StructChoice
-	for _, dl1 := range []int{16, 32, 64, 128} {
-		for _, l2 := range []int{512, 1024, 2048} {
-			for _, win := range [][2]int{{20, 15}, {32, 24}, {64, 48}} {
-				out = append(out, StructChoice{DL1KB: dl1, L2KB: l2, IntWin: win[0], FPWin: win[1]})
-			}
-		}
-	}
-	return out
-}
-
 // apply builds the machine variant for a candidate.
 func (c StructChoice) apply(m config.Machine) config.Machine {
 	m.Structures.DL1.CapacityBytes = c.DL1KB << 10
@@ -62,17 +46,14 @@ type StructOptPoint struct {
 // re-derives its access latency through the cacti model, so bigger means
 // slower), pick the configuration with the best harmonic-mean performance,
 // and compare against the fixed Alpha 21264 capacities. The search is
-// coordinate descent from the baseline — vary one structure at a time,
-// keep the best, then verify the combination — which is how the paper
-// describes its sensitivity-curve approach. The descent itself is
-// inherently sequential (each step depends on the last winner), but every
-// candidate evaluation fans its benchmark simulations out on the worker
-// pool.
-func StructureOptimization(cfg SweepConfig, space []StructChoice) []StructOptPoint {
+// coordinate descent from the baseline — vary the level-1 data cache, then
+// the level-2 cache, then the issue window, keeping the best of each —
+// which is how the paper describes its sensitivity-curve approach. The
+// descent itself is inherently sequential (each step depends on the last
+// winner), but every candidate evaluation fans its benchmark simulations
+// out on the worker pool.
+func StructureOptimization(cfg SweepConfig) []StructOptPoint {
 	cfg.fill()
-	if space == nil {
-		space = DefaultStructSpace()
-	}
 	traces := cfg.traces()
 
 	eval := func(m config.Machine, useful float64) float64 {
@@ -89,51 +70,42 @@ func StructureOptimization(cfg SweepConfig, space []StructChoice) []StructOptPoi
 		IntWin: base.IntWindow,
 		FPWin:  base.FPWindow,
 	}
+	winPairs := [][2]int{{20, 15}, {32, 24}, {64, 48}}
+	dims := []struct {
+		set        func(StructChoice, int) StructChoice
+		candidates []int
+	}{
+		{func(c StructChoice, v int) StructChoice { c.DL1KB = v; return c }, []int{16, 32, 64, 128}},
+		{func(c StructChoice, v int) StructChoice { c.L2KB = v; return c }, []int{512, 1024, 2048}},
+		{func(c StructChoice, v int) StructChoice {
+			c.IntWin, c.FPWin = winPairs[v][0], winPairs[v][1]
+			return c
+		}, []int{0, 1, 2}},
+	}
 
 	var out []StructOptPoint
 	for _, useful := range cfg.UsefulGrid {
 		baseline := eval(base, useful)
 
-		// Coordinate descent: optimize each structure dimension
-		// independently against the baseline, then combine.
-		best := baseChoice
-		bestBIPS := baseline
-
-		tryDims := func(mut func(StructChoice, int) StructChoice, candidates []int) {
-			cur := best
-			curBest := bestBIPS
-			for _, cand := range candidates {
-				choice := mut(best, cand)
-				b := eval(choice.apply(base), useful)
-				if b > curBest {
-					curBest = b
-					cur = choice
+		// Each later dimension revisits the winner so far; the map runs
+		// every distinct choice once per clock point. The baseline is not
+		// an entry: apply sizes the window CAM at IntWin+FPWin entries,
+		// more than the 21264's, so baseChoice.apply(base) is not base.
+		bips := map[StructChoice]float64{}
+		best, bestBIPS := baseChoice, baseline
+		for _, d := range dims {
+			from := best
+			for _, v := range d.candidates {
+				choice := d.set(from, v)
+				b, ok := bips[choice]
+				if !ok {
+					b = eval(choice.apply(base), useful)
+					bips[choice] = b
+				}
+				if b > bestBIPS {
+					best, bestBIPS = choice, b
 				}
 			}
-			best = cur
-			bestBIPS = curBest
-		}
-		dl1s := []int{16, 32, 64, 128}
-		l2s := []int{512, 1024, 2048}
-		wins := []int{0, 1, 2}
-		winPairs := [][2]int{{20, 15}, {32, 24}, {64, 48}}
-
-		tryDims(func(c StructChoice, v int) StructChoice { c.DL1KB = v; return c }, dl1s)
-		tryDims(func(c StructChoice, v int) StructChoice { c.L2KB = v; return c }, l2s)
-		tryDims(func(c StructChoice, v int) StructChoice {
-			c.IntWin, c.FPWin = winPairs[v][0], winPairs[v][1]
-			return c
-		}, wins)
-
-		// Verify the combined configuration (the paper's final check with
-		// neighbors slightly larger and smaller is subsumed by the
-		// coordinate evaluations above).
-		combined := eval(best.apply(base), useful)
-		if combined > bestBIPS {
-			bestBIPS = combined
-		}
-		if bestBIPS < baseline {
-			best, bestBIPS = baseChoice, baseline
 		}
 
 		clk := fo4.Clock{Useful: useful, Overhead: cfg.Overhead}

@@ -258,7 +258,7 @@ func RunFigure7(o Options) Figure7Result {
 	defer o.Obs.Study("figure7")()
 	cfg := o.sweepConfig(config.Alpha21264())
 	cfg.UsefulGrid = []float64{2, 4, 6, 8, 10, 12, 16}
-	return Figure7Result{Points: core.StructureOptimization(cfg, nil)}
+	return Figure7Result{Points: core.StructureOptimization(cfg)}
 }
 
 // Render prints the optimized-vs-baseline comparison and chosen capacities.
@@ -407,10 +407,9 @@ type Headline struct {
 	PipelineGain float64 // remaining speedup from deeper pipelining
 }
 
-// RunHeadline derives the Section 7 numbers from a Figure 5 sweep.
-func RunHeadline(o Options) Headline {
-	defer o.Obs.Study("headline")()
-	s := RunFigure5(o).Sweep
+// HeadlineOf derives the Section 7 numbers from a Figure 5 sweep.
+func HeadlineOf(fig5 DepthSweepResult) Headline {
+	s := fig5.Sweep
 	intU := s.NearOptimalUseful(trace.Integer, 0.02)
 	vecU := s.NearOptimalUseful(trace.VectorFP, 0.02)
 	h := Headline{

@@ -71,7 +71,7 @@ func TestDepthSweepDrivers(t *testing.T) {
 }
 
 func TestHeadlineDriver(t *testing.T) {
-	h := RunHeadline(opts)
+	h := HeadlineOf(RunFigure5(opts))
 	if h.IntPeriod != h.IntUseful+1.8 {
 		t.Errorf("period arithmetic broken: %v vs %v+1.8", h.IntPeriod, h.IntUseful)
 	}

@@ -4,11 +4,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// goldenOpts keeps the golden runs quick. Its filter matches 300.twolf,
-// 173.applu, 178.galgel and 189.lucas, so every benchmark group has a
-// member and every group series is populated.
+// goldenOpts keeps the golden runs quick. Its filter matches five
+// benchmarks (253.perlbmk, 300.twolf, 173.applu, 178.galgel, 189.lucas),
+// so every benchmark group has a member and every group series is
+// populated.
 var goldenOpts = Options{Instructions: 3000, Bench: "l"}
 
 // goldenResult is what every pinned study returns.
@@ -36,7 +39,7 @@ func TestStudiesGolden(t *testing.T) {
 			return RunAblation(goldenOpts)
 		}},
 		{"headline", func() goldenResult {
-			return RunHeadline(goldenOpts)
+			return HeadlineOf(RunFigure5(goldenOpts))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,5 +63,35 @@ func TestStudiesGolden(t *testing.T) {
 				t.Errorf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", tc.name, golden, got, want)
 			}
 		})
+	}
+}
+
+// TestStudySimulationCounts pins how many simulations each study runs, so
+// a driver that asks for a cell it already holds fails here even when its
+// output stays the same.
+func TestStudySimulationCounts(t *testing.T) {
+	nb := len(MatchBenchmarks(goldenOpts.Bench))
+	fig5 := RunFigure5(goldenOpts)
+	for _, tc := range []struct {
+		name string
+		run  func(Options)
+		want int
+	}{
+		// Seven clock points, each the baseline plus eight distinct
+		// candidates: four DL1 sizes, then two new L2 sizes and two new
+		// windows (the third of each is the winner so far).
+		{"figure7", func(o Options) { RunFigure7(o) }, (1 + 8) * 7 * nb},
+		// The baseline, then 1..15 extra cycles on each of three loops.
+		{"figure8", func(o Options) { RunFigure8(o) }, (1 + 3*15) * nb},
+		// Seven machine variants, then the suite without prefetching.
+		{"ablation", func(o Options) { RunAblation(o) }, 8 * nb},
+		{"headline", func(Options) { HeadlineOf(fig5) }, 0},
+	} {
+		o := goldenOpts
+		o.Obs = obs.New(nil)
+		tc.run(o)
+		if got := o.Obs.Snapshot().Counters["simulations"]; got != int64(tc.want) {
+			t.Errorf("%s ran %d simulations, want %d", tc.name, got, tc.want)
+		}
 	}
 }

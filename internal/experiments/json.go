@@ -174,7 +174,7 @@ func (a AblationResult) JSON() ([]byte, error) {
 		PrefetchWithout float64 `json:"prefetch_without_bips"`
 	}{
 		Title:           "Ablation study at the 6 FO4 optimum",
-		PrefetchWith:    a.PrefetchWith,
+		PrefetchWith:    a.Points[0].AllBIPS,
 		PrefetchWithout: a.PrefetchWithout,
 	}
 	for _, p := range a.Points {

@@ -68,7 +68,7 @@ func TestFigure11JSON(t *testing.T) {
 }
 
 func TestHeadlineAndFigure1JSON(t *testing.T) {
-	raw, err := RunHeadline(opts).JSON()
+	raw, err := HeadlineOf(RunFigure5(opts)).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

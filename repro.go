@@ -146,7 +146,7 @@ func SegmentedSelect(cfg SweepConfig) core.SelectResult { return core.SegmentedS
 
 // StructureOptimization runs Figure 7.
 func StructureOptimization(cfg SweepConfig) []core.StructOptPoint {
-	return core.StructureOptimization(cfg, nil)
+	return core.StructureOptimization(cfg)
 }
 
 // Cray1SComparison runs the Section 4.2 sweep.
